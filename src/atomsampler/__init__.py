@@ -36,7 +36,7 @@ from .interferometer import (
     haar_random_unitary,
     reconstruct,
 )
-from .permanent import permanent_glynn, permanent_naive
+from .permanent import permanent_glynn, permanent_naive, permanents_glynn
 from .sampling import (
     OutputDistribution,
     collision_free_mass,

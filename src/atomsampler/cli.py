@@ -127,13 +127,11 @@ def cmd_sample(args):
     seed_u, seed_draw = spawn_seeds(args.seed, 2)
     u = haar_random_unitary(args.m, seed_u)
     input_state = _default_input_state(args.n, args.m)
-    dist = sampling.output_distribution(
-        u, input_state, collision_free_only=args.collision_free, workers=args.workers
-    )
+    dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
     states = sampling.draw_samples(dist, args.shots, seed_draw) if args.shots else []
     lines = [_timestamp_line(config), ",".join(f"m{j}" for j in range(args.m))]
     for state in states:
-        lines.append(",".join(str(n) for n in state.occupations))
+        lines.append(",".join(map(str, state.occupations)))
     _atomic_write(args.out, "\n".join(lines) + "\n")
     _write_json(Path(args.out).with_suffix(".unitary.json"), unitary_to_json(u))
     return 0

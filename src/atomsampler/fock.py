@@ -10,7 +10,7 @@ binomial evaluations.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -28,8 +28,8 @@ class FockState:
     occupations: tuple
 
     def __post_init__(self):
-        occ = tuple(int(n) for n in self.occupations)
-        if any(n < 0 for n in occ):
+        occ = tuple(map(int, self.occupations))
+        if min(occ, default=0) < 0:
             raise ValidationError(f"negative occupation in {occ}")
         object.__setattr__(self, "occupations", occ)
 
@@ -84,15 +84,21 @@ def enumerate_basis(n, m, cap=BASIS_CAP):
     return [FockState(tuple(row)) for row in basis_array(n, m, cap=cap)]
 
 
+def _occupation_rows(mode_tuples, dim, n, m):
+    """(dim, M) occupation array from `dim` mode-index tuples of length n."""
+    # flat index row * M + mode of every atom, counted in one pass
+    flat = np.fromiter(chain.from_iterable(mode_tuples), dtype=np.intp, count=dim * n)
+    flat += np.repeat(np.arange(0, dim * m, m), n)
+    return np.bincount(flat, minlength=dim * m).reshape(dim, m).astype(np.int64, copy=False)
+
+
 @lru_cache(maxsize=32)
 def _basis_array_cached(n, m):
     dim = multiset_dimension(n, m)
-    out = np.zeros((dim, m), dtype=np.int64)
-    for i, modes in enumerate(combinations_with_replacement(range(m), n)):
-        for j in modes:
-            out[i, j] += 1
+    out = _occupation_rows(combinations_with_replacement(range(m), n), dim, n, m)
     out.setflags(write=False)
     return out
+
 
 def basis_array(n, m, cap=BASIS_CAP):
     """Canonical basis as a read-only (dim, M) integer array."""
@@ -102,6 +108,15 @@ def basis_array(n, m, cap=BASIS_CAP):
             f"basis of {dim} states for n={n}, m={m} exceeds the cap of {cap}"
         )
     return _basis_array_cached(n, m)
+
+
+def collision_free_array(n, m):
+    """Singly occupied N-particle patterns over M modes as a (binomial(M, N), M) array.
+
+    Rows follow `itertools.combinations` order of the occupied modes, which
+    is descending lexicographic on occupation vectors like the full basis.
+    """
+    return _occupation_rows(combinations(range(m), n), comb(m, n), n, m)
 
 
 def state_rank(state):

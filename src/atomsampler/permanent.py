@@ -1,10 +1,28 @@
 """Matrix permanents.
 
-`permanent_glynn` is the workhorse: Glynn's formula evaluated over the
-2^(n-1) sign vectors with the first sign fixed, walked in Gray-code order so
-each step updates the running row sums with a single rank-one correction,
-O(2^(n-1) n) arithmetic in total.  `permanent_naive` is the factorial-time
-cross-check, summing row products over all permutations.
+`permanents_glynn` is the one Glynn kernel.  It evaluates Glynn's formula
+
+    perm(A) = 2^-(n-1) sum_d (prod_i d_i) prod_j (sum_i d_i a_ij)
+
+over the 2^(n-1) sign vectors d with d_0 = +1, for a whole (D, n, n) stack
+at once.  The n - 1 free signs split into a low block of up to `LOW_SIGNS`
+signs and the remaining high signs.  The low block is one vectorized step:
+the low rows' contributions to every column sum, under all 2^low sign
+patterns, form one offset tensor, built by doubling (pattern s + 2^i is
+pattern s with row i + 1 subtracted instead of added); the column sums are
+multiplied together and summed against the patterns' parities.  A short
+Python loop walks the high signs and recomputes each base column sum
+directly from the rows.  Every column sum is thus a fresh sum of at most n
+terms, so rounding error cannot build up along the walk.  The kernel makes
+no BLAS call, so its speed does not depend on the BLAS thread settings.
+
+Drift bound: on the rank-one closed form perm(x y^T) = n! prod x prod y
+with random complex x, y at n = 20 the relative gap stays below 1e-11
+(about 1e-15 in practice; tested).
+
+`permanent_glynn` is the checked single-matrix entry point and
+`permanent_naive` the factorial-time cross-check, summing row products over
+all permutations.
 """
 
 from itertools import permutations
@@ -19,6 +37,13 @@ GLYNN_CAP = 28
 #: The permutation sum is only sane for tiny matrices.
 NAIVE_CAP = 9
 
+#: Signs evaluated in one vectorized step; 2^LOW_SIGNS sign vectors per matrix.
+LOW_SIGNS = 12
+
+#: Complex elements of the (batch, n, 2^low) offset tensor held at one time
+#: (2 MiB); also sizes the submatrix stacks `output_distribution` gathers.
+WORKSPACE = 1 << 17
+
 
 def _checked_square(a, cap, name):
     a = np.asarray(a, dtype=complex)
@@ -32,31 +57,70 @@ def _checked_square(a, cap, name):
     return a, n
 
 
+def glynn_batch_size(n):
+    """Matrices of size n the kernel evaluates in one step within `WORKSPACE`."""
+    low = min(max(n - 1, 0), LOW_SIGNS)
+    return max(1, WORKSPACE // (max(n, 1) << low))
+
+
+def _glynn_batch(a):
+    """Permanents of a (D, n, n) complex stack, n >= 1, in one vectorized pass."""
+    d, n = a.shape[:2]
+    low = min(n - 1, LOW_SIGNS)
+    # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
+    sums = np.empty((1 << low, d, n), dtype=complex)
+    sums[0] = 0.0
+    parity = np.empty(1 << low)
+    parity[0] = 1.0
+    for i in range(low):
+        h = 1 << i
+        np.subtract(sums[:h], a[:, i + 1], out=sums[h : 2 * h])
+        sums[:h] += a[:, i + 1]
+        np.negative(parity[:h], out=parity[h : 2 * h])
+    # (D, n, 2^low): each column's offsets contiguous for the product below
+    offsets = np.ascontiguousarray(sums.transpose(1, 2, 0))
+    high = a[:, low + 1 :]
+    total = np.zeros(d, dtype=complex)
+    for k in range(1 << (n - 1 - low)):
+        signs = 1.0 - 2.0 * ((k >> np.arange(n - 1 - low)) & 1)
+        base = a[:, 0] + np.einsum("h,dhj->dj", signs, high)
+        prods = (offsets[:, 0] + base[:, :1]) * parity
+        for j in range(1, n):
+            prods *= offsets[:, j] + base[:, j : j + 1]
+        total += signs.prod() * prods.sum(axis=1)
+    return total / (1 << (n - 1))
+
+
+def permanents_glynn(stack):
+    """Permanents of a (D, n, n) stack of complex matrices via Glynn's formula.
+
+    n = 0 gives the empty product 1 for every matrix.  Large stacks are
+    processed in batches of `glynn_batch_size(n)` matrices.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(
+            f"permanents_glynn needs a (D, n, n) stack, got shape {stack.shape}"
+        )
+    d, n = stack.shape[:2]
+    if n > GLYNN_CAP:
+        raise SizeCapError(f"permanents_glynn capped at n <= {GLYNN_CAP}, got n = {n}")
+    out = np.ones(d, dtype=complex)
+    if n == 0:
+        return out
+    batch = glynn_batch_size(n)
+    for i in range(0, d, batch):
+        out[i : i + batch] = _glynn_batch(stack[i : i + batch])
+    return out
+
+
 def permanent_glynn(a, cap=GLYNN_CAP):
     """Permanent of a complex square matrix via Glynn's formula.
 
     Cost doubles with every row; the default cap keeps runaway inputs out.
     """
     a, n = _checked_square(a, cap, "permanent_glynn")
-    if n == 1:
-        return complex(a[0, 0])
-    # row sums for the all-plus sign vector
-    sums = a.sum(axis=0)
-    total = sums.prod()
-    sign = 1.0
-    gray_prev = 0
-    for k in range(1, 1 << (n - 1)):
-        gray = k ^ (k >> 1)
-        bit = (gray ^ gray_prev).bit_length() - 1
-        # bit b toggles the sign in front of row b + 1 (row 0 stays fixed)
-        if (gray >> bit) & 1:
-            sums = sums - 2.0 * a[bit + 1]
-        else:
-            sums = sums + 2.0 * a[bit + 1]
-        sign = -sign
-        total += sign * sums.prod()
-        gray_prev = gray
-    return complex(total / (1 << (n - 1)))
+    return complex(_glynn_batch(a[None])[0])
 
 
 def permanent_naive(a, cap=NAIVE_CAP):

@@ -8,34 +8,54 @@ bosons traverse a circuit with transfer matrix U is
 where the rows of U_sub repeat output modes with multiplicity n_j and the
 columns repeat input modes with multiplicity q_i.  Collision-free
 post-selection keeps only outcomes with every mode singly occupied.
+
+Distributions are array-first: outcomes are rows of a (D, M) occupation
+array and their probabilities a (D,) vector, computed by the batched Glynn
+kernel over stacks of submatrices.  `FockState` objects are built only
+where a caller asks for them: drawn samples and `OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 
 from .errors import DegenerateSampleError, SizeCapError, ValidationError
-from .fock import BASIS_CAP, FockState, basis_array, multiset_dimension
-from .parallel import parallel_map
-from .permanent import permanent_glynn
+from .fock import (
+    BASIS_CAP,
+    FockState,
+    basis_array,
+    collision_free_array,
+    multiset_dimension,
+)
+from .permanent import GLYNN_CAP, glynn_batch_size, permanent_glynn, permanents_glynn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDistribution:
-    """Exact outcome probabilities for one input state and circuit."""
+    """Exact outcome probabilities for one input state and circuit.
+
+    `states` is a read-only (D, M) integer array of outcome occupations in
+    canonical order, `probs` the read-only (D,) array of their
+    probabilities.
+    """
 
     input: FockState
-    outcomes: tuple  # of (FockState, probability) in canonical order
+    states: np.ndarray
+    probs: np.ndarray
     collision_free_only: bool
     total_mass: float
 
-    def probabilities(self):
-        return np.array([p for _, p in self.outcomes])
+    @property
+    def outcomes(self):
+        """(FockState, probability) pairs in canonical order, built on access."""
+        return tuple(
+            (FockState(row), p)
+            for row, p in zip(self.states.tolist(), self.probs.tolist())
+        )
 
-    def states(self):
-        return [s for s, _ in self.outcomes]
+    def probabilities(self):
+        return self.probs
 
 
 def _mode_indices(state):
@@ -78,49 +98,49 @@ def prod_factorials(state):
     return out
 
 
-def _collision_free_states(n, m):
-    for modes in combinations(range(m), n):
-        occ = [0] * m
-        for j in modes:
-            occ[j] = 1
-        yield FockState(tuple(occ))
-
-
-def output_distribution(u, input_state, collision_free_only=False, workers=1, cap=BASIS_CAP):
+def output_distribution(u, input_state, collision_free_only=False, cap=BASIS_CAP):
     """Exact distribution over all outcomes, in canonical basis order.
 
     The full distribution sums to one; under collision-free post-selection
-    `total_mass` is the retained probability.  Outcome probabilities are
-    independent of each other, so `workers` may fan the permanents out; the
-    outcome order, and therefore every reduction, is fixed.
+    `total_mass` is the retained probability.  All outcomes share the input
+    columns, so their submatrices are gathered from row and column index
+    arrays into (B, N, N) stacks of `glynn_batch_size(N)` outcomes at a
+    time, which bounds the memory held, and handed to the batched Glynn
+    kernel.  N = 0 (the vacuum) has the single outcome of probability one.
     """
     u = np.asarray(u, dtype=complex)
     n = input_state.total
     m = input_state.m
-    if collision_free_only:
-        count = comb(m, n)
-        if count > cap:
-            raise SizeCapError(f"{count} outcomes exceed the configured cap of {cap}")
-        states = list(_collision_free_states(n, m))
-    else:
-        count = multiset_dimension(n, m)
-        if count > cap:
-            raise SizeCapError(f"{count} outcomes exceed the configured cap of {cap}")
-        states = [FockState(tuple(row)) for row in basis_array(n, m, cap=cap)]
+    if u.shape != (m, m):
+        raise ValidationError(f"state length {m} does not match the unitary shape {u.shape}")
+    count = comb(m, n) if collision_free_only else multiset_dimension(n, m)
+    if count > cap:
+        raise SizeCapError(f"{count} outcomes exceed the configured cap of {cap}")
+    if n > GLYNN_CAP:
+        raise SizeCapError(f"permanents capped at N <= {GLYNN_CAP}, got N = {n}")
+    states = collision_free_array(n, m) if collision_free_only else basis_array(n, m, cap=cap)
 
-    chunks = [states[i : i + 256] for i in range(0, len(states), 256)]
-    probs = parallel_map(
-        lambda chunk: [outcome_probability(u, input_state, s) for s in chunk],
-        chunks,
-        workers=workers,
-    )
-    flat = [p for chunk in probs for p in chunk]
-    outcomes = tuple(zip(states, flat))
+    factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
+    input_norm = prod_factorials(input_state)
+    columns = u[:, _mode_indices(input_state)]
+    modes = np.arange(m)
+    probs = np.empty(count)
+    batch = glynn_batch_size(n)
+    for i in range(0, count, batch):
+        rows = states[i : i + batch]
+        # each row holds N atoms, so its expanded mode indices fill one line of N
+        row_modes = np.repeat(np.tile(modes, len(rows)), rows.ravel()).reshape(len(rows), n)
+        perms = permanents_glynn(columns[row_modes])
+        norms = factorials[rows].prod(axis=1) * input_norm
+        probs[i : i + batch] = np.abs(perms) ** 2 / norms
+    states.setflags(write=False)
+    probs.setflags(write=False)
     return OutputDistribution(
         input=input_state,
-        outcomes=outcomes,
+        states=states,
+        probs=probs,
         collision_free_only=collision_free_only,
-        total_mass=float(sum(flat)),
+        total_mass=float(probs.sum()),
     )
 
 
@@ -130,15 +150,16 @@ def draw_samples(dist, shots, seed):
     Deterministic for a fixed seed; inverse-CDF over the canonical outcome
     order.
     """
+    if shots < 0:
+        raise ValidationError(f"shots must be >= 0, got {shots}")
     if dist.total_mass <= 0.0:
         raise DegenerateSampleError("distribution carries no probability mass")
-    probs = dist.probabilities() / dist.total_mass
+    probs = dist.probs / dist.total_mass
     cdf = np.cumsum(probs)
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(shots), side="right")
     idx = np.minimum(idx, len(probs) - 1)
-    states = dist.states()
-    return [states[i] for i in idx]
+    return [FockState(row) for row in dist.states[idx].tolist()]
 
 
 def collision_free_mass(n, m):
@@ -153,6 +174,6 @@ def collision_free_mass(n, m):
 def distribution_to_json(dist):
     """JSON-ready outcome list: [{"state": [...], "probability": p}, ...]."""
     return [
-        {"state": state.to_json(), "probability": float(p)}
-        for state, p in dist.outcomes
+        {"state": row, "probability": p}
+        for row, p in zip(dist.states.tolist(), dist.probs.tolist())
     ]

@@ -95,6 +95,19 @@ def test_sample_collision_free_and_empty(tmp_path):
     assert payload_lines(empty) == ["m0,m1,m2,m3"]
 
 
+def test_sample_negative_shots_exit_and_no_file(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    assert run("sample", "--n", 2, "--m", 4, "--shots", -1, "--out", out) == 2
+    assert "shots" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_vacuum(tmp_path):
+    out = tmp_path / "vacuum.csv"
+    assert run("sample", "--n", 0, "--m", 4, "--shots", 3, "--out", out) == 0
+    assert payload_lines(out) == ["m0,m1,m2,m3"] + ["0,0,0,0"] * 3
+
+
 def test_sample_worker_invariance(tmp_path):
     solo = tmp_path / "w1.csv"
     pooled = tmp_path / "w3.csv"

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from atomsampler.errors import SizeCapError, ValidationError
 from atomsampler.fock import (
     FockState,
+    basis_array,
+    collision_free_array,
     enumerate_basis,
     is_collision_free,
     multiset_dimension,
@@ -102,3 +105,19 @@ def test_fockstate_validation_and_json():
     assert state.total == 3 and state.m == 3
     payload = json.dumps(state.to_json())
     assert FockState.from_json(json.loads(payload)) == state
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (1, 5), (3, 4), (4, 7), (5, 6)])
+def test_basis_arrays_match_itertools_reference(n, m):
+    def occupations(modes):
+        occ = [0] * m
+        for j in modes:
+            occ[j] += 1
+        return occ
+
+    full = basis_array(n, m)
+    assert not full.flags.writeable
+    assert full.tolist() == [occupations(c) for c in combinations_with_replacement(range(m), n)]
+    singles = collision_free_array(n, m)
+    assert singles.tolist() == [occupations(c) for c in combinations(range(m), n)]
+    assert singles.shape == (comb(m, n), m)

@@ -7,7 +7,12 @@ import pytest
 from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
 from atomsampler.fock import FockState, enumerate_basis
 from atomsampler.interferometer import coupling_matrix, haar_random_unitary
-from atomsampler.permanent import permanent_glynn, permanent_naive
+from atomsampler.permanent import (
+    glynn_batch_size,
+    permanent_glynn,
+    permanent_naive,
+    permanents_glynn,
+)
 from atomsampler.sampling import (
     collision_free_mass,
     distribution_to_json,
@@ -80,6 +85,59 @@ def test_permanent_input_validation():
         permanent_glynn(np.eye(30))
     with pytest.raises(SizeCapError):
         permanent_naive(np.eye(10))
+
+
+def test_permanents_glynn_input_validation():
+    with pytest.raises(ValidationError):
+        permanents_glynn(np.ones((4, 2, 3)))
+    with pytest.raises(ValidationError):
+        permanents_glynn(np.eye(3))
+    with pytest.raises(SizeCapError):
+        permanents_glynn(np.eye(30)[None])
+
+
+def test_permanents_glynn_stack_matches_naive():
+    # a stack of three batches, so the batch boundaries are crossed
+    rng = np.random.default_rng(31)
+    n = 6
+    shape = (2 * glynn_batch_size(n) + 5, n, n)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    perms = permanents_glynn(stack)
+    for i in range(0, len(stack), 97):
+        assert abs(perms[i] - permanent_naive(stack[i])) <= 1e-12 * max(1.0, abs(perms[i]))
+    assert perms[-1] == pytest.approx(permanent_glynn(stack[-1]), rel=1e-15)
+
+
+def test_permanents_glynn_empty_cases():
+    assert np.array_equal(permanents_glynn(np.zeros((3, 0, 0))), np.ones(3))
+    assert permanents_glynn(np.zeros((0, 4, 4))).shape == (0,)
+
+
+@pytest.mark.parametrize("sizes", [(7, 7), (8, 8), (6, 9)])
+def test_glynn_block_diagonal_beyond_the_low_signs(sizes):
+    # perm(P (A + B) Q) = perm(A) perm(B) for a direct sum A + B; n = 14..16
+    # walks one to three high signs, and the shuffles mix A's and B's rows
+    # into both sign blocks
+    rng = np.random.default_rng(sum(sizes))
+    p, q = sizes
+    a, b = random_complex(rng, p), random_complex(rng, q)
+    block = np.zeros((p + q, p + q), dtype=complex)
+    block[:p, :p] = a
+    block[p:, p:] = b
+    shuffled = block[rng.permutation(p + q)][:, rng.permutation(p + q)]
+    expected = permanent_naive(a) * permanent_naive(b)
+    assert abs(permanent_glynn(shuffled) - expected) <= 1e-10 * abs(expected)
+
+
+def test_glynn_drift_bound_rank_one():
+    # perm(x y^T) = n! prod x prod y; every term of the sign sum is large and
+    # they cancel to the product, so rounding drift shows directly
+    rng = np.random.default_rng(20)
+    n = 20
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = math.factorial(n) * np.prod(x) * np.prod(y)
+    assert abs(permanent_glynn(np.outer(x, y)) - expected) <= 1e-11 * abs(expected)
 
 
 def test_sampling_submatrix_examples():
@@ -188,14 +246,35 @@ def test_output_distribution_normalization_four_particles():
     assert dist.total_mass == pytest.approx(1.0, abs=1e-10)
 
 
-def test_output_distribution_worker_invariance():
-    u = haar_random_unitary(6, seed=17)
-    inp = FockState((1, 0, 1, 0, 0, 0))
-    lone = output_distribution(u, inp, workers=1)
-    many = output_distribution(u, inp, workers=4)
-    assert lone.total_mass == many.total_mass
-    for (s1, p1), (s2, p2) in zip(lone.outcomes, many.outcomes):
-        assert s1 == s2 and p1 == p2
+@pytest.mark.parametrize("occupations", [(1, 0, 1, 0, 0, 0), (2, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0)])
+@pytest.mark.parametrize("collision_free_only", [False, True])
+def test_output_distribution_matches_outcome_probability(occupations, collision_free_only):
+    inp = FockState(occupations)
+    u = haar_random_unitary(inp.m, seed=17)
+    dist = output_distribution(u, inp, collision_free_only=collision_free_only)
+    assert dist.states.shape == (len(dist.probs), inp.m)
+    assert not dist.states.flags.writeable and not dist.probs.flags.writeable
+    for row, p in zip(dist.states, dist.probs):
+        assert abs(p - outcome_probability(u, inp, FockState(tuple(row)))) <= 1e-15
+    assert dist.total_mass == pytest.approx(dist.probs.sum(), abs=0.0)
+
+
+def test_output_distribution_vacuum():
+    u = haar_random_unitary(4, seed=1)
+    for collision_free_only in (False, True):
+        dist = output_distribution(u, FockState((0, 0, 0, 0)), collision_free_only)
+        assert dist.states.tolist() == [[0, 0, 0, 0]]
+        assert dist.probs.tolist() == [1.0]
+        assert dist.total_mass == 1.0
+        assert draw_samples(dist, 3, seed=0) == [FockState((0, 0, 0, 0))] * 3
+
+
+def test_output_distribution_input_checks():
+    with pytest.raises(ValidationError):
+        output_distribution(haar_random_unitary(5, seed=1), FockState((1, 1, 0, 0)))
+    # one outcome, but its permanent is beyond the Glynn cap
+    with pytest.raises(SizeCapError):
+        output_distribution(np.eye(1), FockState((171,)))
 
 
 def test_output_distribution_collision_free():
@@ -240,10 +319,21 @@ def test_draw_samples_goodness_of_fit():
 def test_draw_samples_zero_mass():
     dist = output_distribution(HADAMARD, FockState((1, 1)))
     hollow = type(dist)(
-        input=dist.input, outcomes=dist.outcomes, collision_free_only=False, total_mass=0.0
+        input=dist.input,
+        states=dist.states,
+        probs=np.zeros_like(dist.probs),
+        collision_free_only=False,
+        total_mass=0.0,
     )
     with pytest.raises(DegenerateSampleError):
         draw_samples(hollow, 10, seed=0)
+
+
+def test_draw_samples_rejects_negative_shots():
+    dist = output_distribution(HADAMARD, FockState((1, 1)))
+    with pytest.raises(ValidationError):
+        draw_samples(dist, -1, seed=0)
+    assert draw_samples(dist, 0, seed=0) == []
 
 
 def test_distribution_to_json():
