@@ -19,6 +19,7 @@ from .errors import DegenerateSampleError, SizeCapError, ValidationError
 from .fock import (
     FockState,
     SiteOccupancy,
+    basis_rank,
     enumerate_basis,
     is_collision_free,
     multiset_dimension,

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,23 +31,14 @@ from .interferometer import (
 from .parallel import spawn_seeds
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: str
-    seed: int
-    workers: int
-    output_path: str
-
-
 def _fmt(value):
     # shortest decimal that round-trips the double
     return repr(float(value))
 
 
-def _timestamp_line(config):
+def _timestamp_line(command, seed):
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# {config.command} generated={stamp} seed={config.seed}"
+    return f"# {command} generated={stamp} seed={seed}"
 
 
 def _atomic_write(path, text):
@@ -68,20 +58,9 @@ def _write_json(path, payload):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _config(args):
-    return RunConfig(
-        command=args.command,
-        scenario_path=getattr(args, "scenario", ""),
-        seed=args.seed,
-        workers=args.workers,
-        output_path=args.out,
-    )
-
-
 def cmd_rates(args):
-    config = _config(args)
     bundle = scenarios.load_bundle(args.scenario)
-    lines = [_timestamp_line(config), "N,r_atomic,r_photonic,r_classical"]
+    lines = [_timestamp_line(args.command, args.seed), "N,r_atomic,r_photonic,r_classical"]
     for n in range(args.n_min, args.n_max + 1):
         atomic = lossmodel.r_nisq(bundle.loss, n, model=args.model)
         photonic = lossmodel.r_photonic(bundle.photonic, n)
@@ -123,13 +102,12 @@ def _default_input_state(n, m):
 
 
 def cmd_sample(args):
-    config = _config(args)
     seed_u, seed_draw = spawn_seeds(args.seed, 2)
     u = haar_random_unitary(args.m, seed_u)
     input_state = _default_input_state(args.n, args.m)
     dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
     states = sampling.draw_samples(dist, args.shots, seed_draw) if args.shots else []
-    lines = [_timestamp_line(config), ",".join(f"m{j}" for j in range(args.m))]
+    lines = [_timestamp_line(args.command, args.seed), ",".join(f"m{j}" for j in range(args.m))]
     for state in states:
         lines.append(",".join(map(str, state.occupations)))
     _atomic_write(args.out, "\n".join(lines) + "\n")
@@ -151,16 +129,14 @@ def cmd_decompose(args):
 
 
 def cmd_exactsim(args):
-    config = _config(args)
     result = exactsim.benchmark_vs_model(
         n=args.n,
         m=args.m,
         tau_tb_over_texec=args.tau_tb,
         realizations=args.realizations,
         seed=args.seed,
-        workers=args.workers,
     )
-    lines = [_timestamp_line(config), "realization,step,p_j"]
+    lines = [_timestamp_line(args.command, args.seed), "realization,step,p_j"]
     for r in range(result.realizations):
         for j in range(result.p_j.shape[1]):
             lines.append(f"{r},{j + 1},{_fmt(result.p_j[r, j])}")
@@ -192,12 +168,7 @@ def cmd_hom_sim(args):
 
 def cmd_hom_fit(args):
     params = scenarios.load_hom_params(args.scenario)
-    data_path = args.data or scenarios.sample_counts_path()
-    with open(data_path, encoding="utf-8") as fh:
-        counts = json.load(fh)
-    measured = hom.HomOutcomes.from_counts(
-        int(counts["n0"]), int(counts["n1"]), int(counts["n2"])
-    )
+    measured = scenarios.load_hom_counts(args.data or scenarios.sample_counts_path())
     fit = hom.fit_bunching(
         measured,
         survival_s=params.survival_s,
@@ -220,7 +191,8 @@ def _add_common(sub, scenario_default=None):
         sub.add_argument("--scenario", default=scenario_default,
                          help="scenario preset name or JSON path")
     sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    sub.add_argument("--workers", type=int, default=1, help="worker threads")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="worker threads; only hom-sim uses them")
     sub.add_argument("--out", required=True, help="output file path")
 
 

@@ -14,7 +14,10 @@ probability p_j; the product of all p_j is the total survival.
 Mesh layers act fiber by fiber: fixing the occupations of all modes outside
 one coupled pair leaves an (n_pair + 1)-dimensional block on which the 2x2
 coupling acts through its symmetric-power representation, so a layer never
-touches amplitudes outside its pairs' fibers.
+touches amplitudes outside its pairs' fibers.  A fiber grows from its head,
+the basis row with no atom in the pair's first mode: moving p atoms across
+the pair gives its p-th row, whose combinadic rank differs from the head's
+in one `fock.rank_table` term, so no sort or search is needed.
 """
 
 import math
@@ -25,9 +28,9 @@ import numpy as np
 
 from . import lossmodel
 from .errors import ValidationError
-from .fock import basis_array, multiset_dimension, state_rank
+from .fock import basis_array, multiset_dimension, rank_table, state_rank
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary
-from .parallel import parallel_map, spawn_seeds
+from .parallel import spawn_seeds
 
 
 @dataclass(frozen=True)
@@ -84,19 +87,10 @@ class BenchmarkResult:
         return float(self.p_totals.mean())
 
 
-def uniform_state(n, m, random_phases=False, seed=None):
-    """Normalized state with uniform probability over the whole basis.
-
-    By default all amplitudes are equal, positive, and real; with
-    `random_phases` each amplitude carries an independent uniform phase.
-    """
+def uniform_state(n, m):
+    """Normalized state with equal, positive, real amplitudes over the whole basis."""
     dim = multiset_dimension(n, m)
-    if random_phases:
-        rng = np.random.default_rng(seed)
-        amps = np.exp(2j * np.pi * rng.random(dim))
-    else:
-        amps = np.ones(dim, dtype=complex)
-    return SimState(amplitudes=amps / np.sqrt(dim), n=n, m=m)
+    return SimState(amplitudes=np.ones(dim, dtype=complex) / np.sqrt(dim), n=n, m=m)
 
 
 def basis_state(state):
@@ -132,54 +126,66 @@ def apply_decay(state, diag, t):
 def _pair_fibers(n, m, mode):
     """Basis indices grouped into fibers of the coupled pair (mode, mode+1).
 
-    Returns a tuple of (n_pair, rows) where rows[f, p] is the basis index of
-    the f-th fiber's state with p atoms in `mode` and n_pair - p in the
-    partner mode.
+    Returns a tuple of (n_pair, rows) for n_pair = 1..n, where rows[f, p] is
+    the basis index of the f-th fiber's state with p atoms in `mode` and
+    n_pair - p in the partner mode.  Row 0 of a fiber is its head.
     """
     arr = basis_array(n, m)
-    rest = np.delete(arr, (mode, mode + 1), axis=1)
-    uniq, inv = np.unique(rest, axis=0, return_inverse=True)
-    pair_occ = n - uniq.sum(axis=1)
-    idx = np.full((len(uniq), n + 1), -1, dtype=np.int64)
-    idx[inv, arr[:, mode]] = np.arange(arr.shape[0])
+    heads = np.flatnonzero(arr[:, mode] == 0)
+    after = n - arr[:, :mode].sum(axis=1)[heads]  # atoms after `mode` in each head
+    term = rank_table(n, m)[mode]
     groups = []
-    for value in np.unique(pair_occ):
-        rows = np.ascontiguousarray(idx[pair_occ == value][:, : value + 1])
+    for n_pair in range(1, n + 1):
+        fiber = arr[heads, mode + 1] == n_pair
+        # moving p atoms into `mode` changes only that mode's rank term
+        shift = term[after[fiber, None] - np.arange(n_pair + 1)] - term[after[fiber, None]]
+        rows = heads[fiber, None] + shift
         rows.setflags(write=False)
-        groups.append((int(value), rows))
+        groups.append((n_pair, rows))
     return tuple(groups)
 
 
+@lru_cache(maxsize=None)
+def _block_terms(n_pair):
+    """`_pair_block`'s coefficients and exponents on axes (p_out, p_in, i), and scales."""
+    p_out, p_in, i = np.ogrid[: n_pair + 1, : n_pair + 1, : n_pair + 1]
+    exponents = np.broadcast_arrays(i, p_in - i, p_out - i, n_pair - p_in - p_out + i)
+    valid = np.min(exponents, axis=0) >= 0
+    e00, e10, e01, e11 = (np.where(valid, e, 0) for e in exponents)
+    binom = np.array([[math.comb(a, b) for b in range(n_pair + 1)] for a in range(n_pair + 1)])
+    coef = np.where(valid, binom[p_in, e00] * binom[n_pair - p_in, e01], 0).astype(float)
+    # scales from exact integers, rounded once
+    weight = [math.factorial(p) * math.factorial(n_pair - p) for p in range(n_pair + 1)]
+    scale = np.array([[math.sqrt(w_out / w_in) for w_in in weight] for w_out in weight])
+    return coef, (e00, e10, e01, e11), scale
+
+
+def _cmul(x, y):
+    # rounds each real product, as scalar arithmetic does; vectorized complex
+    # multiplication may fuse a multiply and an add and change the last bit
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
 def _pair_block(t2, n_pair):
-    """Symmetric-power representation of a 2x2 coupling on n_pair bosons."""
-    block = np.zeros((n_pair + 1, n_pair + 1), dtype=complex)
-    for p_in in range(n_pair + 1):
-        q_in = n_pair - p_in
-        for p_out in range(n_pair + 1):
-            q_out = n_pair - p_out
-            acc = 0.0 + 0.0j
-            for i in range(max(0, p_out - q_in), min(p_in, p_out) + 1):
-                acc += (
-                    math.comb(p_in, i)
-                    * math.comb(q_in, p_out - i)
-                    * t2[0, 0] ** i
-                    * t2[1, 0] ** (p_in - i)
-                    * t2[0, 1] ** (p_out - i)
-                    * t2[1, 1] ** (q_in - p_out + i)
-                )
-            scale = math.sqrt(
-                math.factorial(p_out)
-                * math.factorial(q_out)
-                / (math.factorial(p_in) * math.factorial(q_in))
-            )
-            block[p_out, p_in] = scale * acc
-    return block
+    """Symmetric-power representation of (..., 2, 2) couplings on n_pair bosons.
+
+    Entry [p_out, p_in] is sqrt(p_out! q_out! / (p_in! q_in!)) times the sum,
+    in increasing i, of binomial(p_in, i) binomial(q_in, p_out - i)
+    t00^i t10^(p_in - i) t01^(p_out - i) t11^(q_in - p_out + i).
+    """
+    coef, (e00, e10, e01, e11), scale = _block_terms(n_pair)
+    k = np.arange(n_pair + 1)
+    t00, t10, t01, t11 = (t2[..., r, c, None] ** k for r, c in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    terms = coef * t00[..., e00]
+    for power, exponent in ((t10, e10), (t01, e01), (t11, e11)):
+        terms = _cmul(terms, power[..., exponent])
+    # C order: matmul takes the same BLAS path for every block
+    return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
 def apply_layer(state, couplings):
     """Apply one mesh layer of disjoint adjacent-pair couplings."""
     seen = set()
-    amps = state.amplitudes.copy()
     for coupling in couplings:
         lo, hi = coupling.pair
         if hi != lo + 1 or hi >= state.m:
@@ -187,14 +193,13 @@ def apply_layer(state, couplings):
         if lo in seen or hi in seen:
             raise ValidationError(f"overlapping couplings on mode pair {coupling.pair}")
         seen.update((lo, hi))
-        if coupling.theta == 0.0 and coupling.phi == 0.0:
-            continue
-        t2 = coupling_matrix(coupling.theta, coupling.phi)
-        for n_pair, rows in _pair_fibers(state.n, state.m, lo):
-            if n_pair == 0:
-                continue
-            block = _pair_block(t2, n_pair)
-            amps[rows] = amps[rows] @ block.T
+    active = [c for c in couplings if c.theta != 0.0 or c.phi != 0.0]
+    t2 = np.reshape([coupling_matrix(c.theta, c.phi) for c in active], (-1, 2, 2))
+    blocks = {n_pair: _pair_block(t2, n_pair) for n_pair in range(1, state.n + 1)}
+    amps = state.amplitudes.copy()
+    for index, coupling in enumerate(active):
+        for n_pair, rows in _pair_fibers(state.n, state.m, coupling.pair[0]):
+            amps[rows] = amps[rows] @ blocks[n_pair][index].T
     return SimState(amplitudes=amps, n=state.n, m=state.m)
 
 
@@ -237,36 +242,30 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb, apply_phases=True):
     return state, trace
 
 
-def _one_realization(args):
-    n, m, t_step, tau_tb, random_phases, seedseq = args
-    child_u, child_phase = seedseq.spawn(2)
-    u = haar_random_unitary(m, child_u)
+def _one_realization(n, m, t_step, tau_tb, seedseq):
+    # the realization's first spawned child seeds its unitary
+    u = haar_random_unitary(m, seedseq.spawn(1)[0])
     plan = clements_decompose(u)
-    initial = uniform_state(n, m, random_phases=random_phases, seed=child_phase)
-    _, trace = run_circuit(
-        initial, plan, t_step=t_step, tau_bg=math.inf, tau_tb=tau_tb, apply_phases=False
-    )
+    _, trace = run_circuit(uniform_state(n, m), plan, t_step, math.inf, tau_tb, apply_phases=False)
     return trace
 
 
-def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed, workers=1, random_phases=False):
+def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     """Average stepped-circuit survival over random circuits vs the model.
 
     Each realization decomposes a fresh Haar unitary and runs the circuit
     from the uniform initial state with background loss switched off.  Times
     are measured in units of the step duration, so only the ratio of the
-    pair lifetime to the execution time t_exec = M t_step matters.
+    pair lifetime to the execution time t_exec = M t_step matters; it must
+    be a finite positive number.
     """
     if realizations < 1:
         raise ValidationError(f"need at least one realization, got {realizations}")
+    if not (math.isfinite(tau_tb_over_texec) and tau_tb_over_texec > 0.0):
+        raise ValidationError(f"tau_tb / t_exec must be finite and positive: {tau_tb_over_texec}")
     t_step = 1.0
     tau_tb = tau_tb_over_texec * m * t_step
-    seeds = spawn_seeds(seed, realizations)
-    traces = parallel_map(
-        _one_realization,
-        [(n, m, t_step, tau_tb, random_phases, s) for s in seeds],
-        workers=workers,
-    )
+    traces = [_one_realization(n, m, t_step, tau_tb, s) for s in spawn_seeds(seed, realizations)]
     p_j = np.vstack([t.p_j for t in traces])
     p_totals = np.asarray([t.p_total for t in traces])
     model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite")

@@ -4,8 +4,8 @@ A state of N atoms in M modes is an occupation vector (n_0, ..., n_{M-1}).
 Modes come in pairs: mode ``2s + sigma`` with sigma in {0, 1} addresses the
 two internal states of lattice site ``s``, so M modes span M/2 sites.  The
 canonical basis order is descending lexicographic on occupation vectors,
-starting from (N, 0, ..., 0); ranks are computed combinadically in O(M)
-binomial evaluations.
+starting from (N, 0, ..., 0); ranks are combinadic, one cached binomial
+lookup per mode.
 """
 
 from dataclasses import dataclass
@@ -119,20 +119,34 @@ def collision_free_array(n, m):
     return _occupation_rows(combinations(range(m), n), comb(m, n), n, m)
 
 
+@lru_cache(maxsize=64)
+def rank_table(n, m):
+    """Rank terms T[j, s] = binomial(s + m - j - 2, m - j - 1), s atoms after mode j.
+
+    A row's basis rank is the sum over modes j of T[j, atoms in modes > j].
+    """
+    table = [[comb(s + m - j - 2, m - j - 1) if s else 0 for s in range(n + 1)] for j in range(m)]
+    dtype = np.int64 if comb(n + m, n) < 2**63 else object
+    return np.array(table, dtype=dtype).reshape(m, n + 1)
+
+
+def basis_rank(states):
+    """Canonical basis index of every (..., M) occupation row, with no loop.
+
+    The term for mode j depends only on the atoms in modes 0..j: one lookup
+    per mode in a cached binomial table.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    if states.size and states.min() < 0:
+        raise ValidationError("negative occupation in a state to rank")
+    totals = states.sum(axis=-1, keepdims=True)
+    table = rank_table(int(totals.max(initial=0)), states.shape[-1])
+    return table[np.arange(states.shape[-1]), totals - np.cumsum(states, axis=-1)].sum(axis=-1)
+
+
 def state_rank(state):
     """Index of `state` in the canonical basis order."""
-    occ = state.occupations
-    n = state.total
-    m = state.m
-    rank = 0
-    remaining = n
-    for j, nj in enumerate(occ):
-        tail_modes = m - j - 1
-        excess = remaining - nj - 1
-        if excess >= 0 and tail_modes >= 0:
-            rank += comb(excess + tail_modes, tail_modes)
-        remaining -= nj
-    return rank
+    return int(basis_rank(state.occupations))
 
 
 def state_unrank(index, n, m):

@@ -231,6 +231,8 @@ def fit_bunching(measured, survival_s, p_lic0, trials=10**6, seed=0, resamples=2
     """
     if measured.trials_kept <= 0:
         raise ValidationError("measured outcomes carry no trials")
+    if trials < 1:
+        raise ValidationError(f"need at least one Monte Carlo trial, got {trials}")
     model = _McObjective(survival_s, p_lic0, trials, seed)
 
     def solve(target):

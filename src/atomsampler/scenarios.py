@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ValidationError
-from .hom import HomParams
+from .hom import HomOutcomes, HomParams
 from .lossmodel import ClassicalScenario, LossScenario, PhotonicScenario
 
 PRESETS = {
@@ -85,11 +85,22 @@ def load_bundle(source):
 def load_hom_params(source):
     """Two-atom experiment parameters from a preset name or JSON path."""
     data = _read_preset(HOM_PRESETS[source]) if source in HOM_PRESETS else _read_json(source)
+    if not isinstance(data, dict):
+        raise ValidationError("hom parameter file must hold a JSON object")
     fields = {k: _as_float("hom", k, v) for k, v in data.items()}
     try:
         return HomParams(**fields)
     except TypeError as exc:
         raise ValidationError(f"hom parameter file: {exc}") from exc
+
+
+def load_hom_counts(path):
+    """Measured outcome counts {"n0", "n1", "n2"} from a JSON file."""
+    data = _read_json(path)
+    counts = [data.get(k) for k in ("n0", "n1", "n2")] if isinstance(data, dict) else [None]
+    if not all(type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts):
+        raise ValidationError(f"counts file needs non-negative integers n0, n1, n2, got {data!r}")
+    return HomOutcomes.from_counts(*map(int, counts))
 
 
 def sample_counts_path():

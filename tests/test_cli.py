@@ -176,6 +176,14 @@ def test_exactsim_worker_invariance(tmp_path):
     assert payload_lines(solo) == payload_lines(pooled)
 
 
+@pytest.mark.parametrize("ratio", ["-1", "0", "nan", "inf"])
+def test_exactsim_rejects_bad_lifetime_ratio(tmp_path, capsys, ratio):
+    assert run("exactsim", "--n", 2, "--m", 4, "--tau-tb", ratio, "--realizations", 2,
+               "--out", tmp_path / "bench.csv") == 2
+    assert "validation error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hom_sim_and_fit(tmp_path):
     sim_out = tmp_path / "hom.json"
     assert run("hom-sim", "--trials", 50_000, "--seed", 1, "--out", sim_out) == 0
@@ -205,6 +213,41 @@ def test_validation_exit_code(tmp_path, capsys):
     assert run("hom-fit", "--data", data, "--out", tmp_path / "f.json") == 2
     capsys.readouterr()
     assert not (tmp_path / "f.json").exists()
+
+
+def test_hom_fit_rejects_zero_trials(tmp_path, capsys):
+    assert run("hom-fit", "--trials", 0, "--out", tmp_path / "fit.json") == 2
+    assert "validation error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["hom-sim", "hom-fit"])
+@pytest.mark.parametrize("content", ["[0.84, 0.71, 0.5]", "3.5", '"hom"'])
+def test_hom_rejects_scenario_that_is_not_an_object(tmp_path, capsys, command, content):
+    scenario = tmp_path / "in" / "hom.json"
+    scenario.parent.mkdir()
+    scenario.write_text(content)
+    out = tmp_path / "out.json"
+    assert run(command, "--scenario", scenario, "--trials", 1000, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [
+    {"n0": 40, "n2": 19},
+    [40, 41, 19],
+    {"n0": 40, "n1": -1, "n2": 19},
+    {"n0": 40, "n1": 4.5, "n2": 19},
+    {"n0": 40, "n1": "41", "n2": 19},
+])
+def test_hom_fit_rejects_malformed_counts(tmp_path, capsys, counts):
+    data = tmp_path / "in" / "counts.json"
+    data.parent.mkdir()
+    data.write_text(json.dumps(counts))
+    out = tmp_path / "fit.json"
+    assert run("hom-fit", "--data", data, "--trials", 1000, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_io_error_exit_code(tmp_path, capsys):

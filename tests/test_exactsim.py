@@ -5,6 +5,8 @@ import pytest
 
 from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
+    _pair_block,
+    _pair_fibers,
     apply_decay,
     apply_layer,
     apply_output_phases,
@@ -15,7 +17,7 @@ from atomsampler.exactsim import (
     run_circuit,
     uniform_state,
 )
-from atomsampler.fock import FockState, enumerate_basis, state_rank
+from atomsampler.fock import FockState, basis_array, enumerate_basis, state_rank
 from atomsampler.interferometer import (
     LocalCoupling,
     clements_decompose,
@@ -23,6 +25,7 @@ from atomsampler.interferometer import (
     reconstruct,
 )
 from atomsampler.lossmodel import p_step_twobody
+from atomsampler.permanent import permanent_naive
 from atomsampler.sampling import outcome_probability
 
 
@@ -176,19 +179,47 @@ def test_single_run_consistent_with_benchmark_spread():
     assert abs(trace.p_total - reference.mean_p_total) <= 3.0 * spread
 
 
-def test_benchmark_worker_invariance():
-    lone = benchmark_vs_model(2, 4, 0.5, realizations=6, seed=9, workers=1)
-    many = benchmark_vs_model(2, 4, 0.5, realizations=6, seed=9, workers=3)
-    assert np.array_equal(lone.p_j, many.p_j)
-
-
-def test_benchmark_random_phase_flag():
-    flat = benchmark_vs_model(2, 4, 0.5, realizations=4, seed=3, random_phases=False)
-    noisy = benchmark_vs_model(2, 4, 0.5, realizations=4, seed=3, random_phases=True)
-    # the first step only sees amplitude magnitudes, which match
-    assert np.allclose(flat.p_j[:, 0], noisy.p_j[:, 0], atol=1e-12)
-
-
 def test_benchmark_validates_realizations():
     with pytest.raises(ValidationError):
         benchmark_vs_model(2, 4, 1.0, realizations=0, seed=0)
+
+
+@pytest.mark.parametrize("ratio", [-1.0, 0.0, math.nan, math.inf])
+def test_benchmark_rejects_bad_lifetime_ratio(ratio):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        benchmark_vs_model(2, 4, ratio, realizations=1, seed=0)
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 2), (2, 5), (4, 8), (5, 20)])
+def test_pair_fibers_partition_the_paired_states(n, m):
+    arr = basis_array(n, m)
+    for mode in range(m - 1):
+        others = np.delete(np.arange(m), [mode, mode + 1])
+        seen = []
+        for n_pair, rows in _pair_fibers(n, m, mode):
+            states = arr[rows]  # (fibers, n_pair + 1, m)
+            assert np.all(states[..., mode] == np.arange(n_pair + 1))
+            assert np.all(states[..., mode + 1] == n_pair - states[..., mode])
+            assert np.all(states[..., others] == states[:, :1, others])
+            seen.append(rows.ravel())
+        paired = np.flatnonzero(arr[:, mode] + arr[:, mode + 1] >= 1)
+        assert np.array_equal(np.sort(np.concatenate(seen)), paired)
+
+
+def test_pair_block_matches_permanents():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    for k in range(1, 7):
+        blocks = _pair_block(stack, k)
+        for t2, block in zip(stack, blocks):
+            assert np.array_equal(_pair_block(t2, k), block)
+            for p_out in range(k + 1):
+                for p_in in range(k + 1):
+                    rows = [0] * p_out + [1] * (k - p_out)
+                    cols = [0] * p_in + [1] * (k - p_in)
+                    norm = math.sqrt(
+                        math.factorial(p_in) * math.factorial(k - p_in)
+                        * math.factorial(p_out) * math.factorial(k - p_out)
+                    )
+                    expected = permanent_naive(t2[np.ix_(rows, cols)]) / norm
+                    assert block[p_out, p_in] == pytest.approx(expected, rel=1e-12, abs=1e-12)

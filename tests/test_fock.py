@@ -9,6 +9,7 @@ from atomsampler.errors import SizeCapError, ValidationError
 from atomsampler.fock import (
     FockState,
     basis_array,
+    basis_rank,
     collision_free_array,
     enumerate_basis,
     is_collision_free,
@@ -23,6 +24,23 @@ def test_multiset_dimension_values():
     assert multiset_dimension(0, 5) == 1
     assert multiset_dimension(2, 4) == 10
     assert multiset_dimension(4, 16) == 3876
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (3, 4), (4, 8), (5, 20)])
+def test_basis_rank_numbers_the_basis(n, m):
+    arr = basis_array(n, m)
+    assert np.array_equal(basis_rank(arr), np.arange(len(arr)))
+    assert np.array_equal(basis_rank(arr[::-1].reshape(-1, 1, m))[:, 0], np.arange(len(arr))[::-1])
+
+
+def test_basis_rank_rejects_negative_occupations():
+    with pytest.raises(ValidationError):
+        basis_rank([[2, -1, 1]])
+
+
+def test_state_rank_is_exact_beyond_int64():
+    state = FockState((0,) * 40 + (60,))
+    assert state_rank(state) == multiset_dimension(60, 41) - 1 > 2**63
 
 
 def test_multiset_dimension_rejects_bad_args():

@@ -137,6 +137,13 @@ def test_fit_distinguishable_reference():
     assert fit.p_bunch == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_fit_rejects_too_few_trials(trials):
+    measured = HomOutcomes.from_counts(39, 42, 19)
+    with pytest.raises(ValidationError, match="trial"):
+        fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=trials)
+
+
 def test_fit_rejects_empty_counts():
     with pytest.raises(ValidationError):
         HomOutcomes.from_counts(0, 0, 0)
