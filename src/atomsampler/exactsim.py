@@ -17,7 +17,18 @@ coupling acts through its symmetric-power representation, so a layer never
 touches amplitudes outside its pairs' fibers.  A fiber grows from its head,
 the basis row with no atom in the pair's first mode: moving p atoms across
 the pair gives its p-th row, whose combinadic rank differs from the head's
-in one `fock.rank_table` term, so no sort or search is needed.
+in one `fock.rank_table` term, so no sort or search is needed.  The fibers
+of a pair are kept as one flat index: a coupling gathers its amplitudes
+once, multiplies each n_pair's contiguous slice by its block and scatters
+them back.  Couplings of one layer share no mode but their fibers share
+basis rows, so they are applied one after another.
+
+`run_circuit` checks every layer before the first step, evaluates the pair
+blocks of all couplings of the plan in one call per n_pair and reuses the
+decay factor exp(-H t_step) across runs with the same (n, m, t_step, tau),
+such as the realizations of `benchmark_vs_model`.  It steps through the same
+layer kernel as `apply_layer`, and its survival ratios and amplitudes are
+bit-identical to a loop of `apply_decay` and `apply_layer`.
 """
 
 import math
@@ -126,23 +137,30 @@ def apply_decay(state, diag, t):
 def _pair_fibers(n, m, mode):
     """Basis indices grouped into fibers of the coupled pair (mode, mode+1).
 
-    Returns a tuple of (n_pair, rows) for n_pair = 1..n, where rows[f, p] is
-    the basis index of the f-th fiber's state with p atoms in `mode` and
-    n_pair - p in the partner mode.  Row 0 of a fiber is its head.
+    Returns (flat, groups).  `flat` is one read-only index array holding
+    every fiber; `groups` is a tuple of (n_pair, rows) for n_pair = 1..n in
+    the order of `flat`, where rows, a (fibers, n_pair + 1) view into it,
+    has rows[f, p] the basis index of the f-th fiber's state with p atoms in
+    `mode` and n_pair - p in the partner mode.  Row 0 of a fiber is its head.
     """
     arr = basis_array(n, m)
     heads = np.flatnonzero(arr[:, mode] == 0)
     after = n - arr[:, :mode].sum(axis=1)[heads]  # atoms after `mode` in each head
+    paired = arr[heads, mode + 1]
     term = rank_table(n, m)[mode]
-    groups = []
+    pieces = []
     for n_pair in range(1, n + 1):
-        fiber = arr[heads, mode + 1] == n_pair
+        fiber = paired == n_pair
         # moving p atoms into `mode` changes only that mode's rank term
         shift = term[after[fiber, None] - np.arange(n_pair + 1)] - term[after[fiber, None]]
-        rows = heads[fiber, None] + shift
-        rows.setflags(write=False)
-        groups.append((n_pair, rows))
-    return tuple(groups)
+        pieces.append(heads[fiber, None] + shift)
+    flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
+    flat.setflags(write=False)
+    groups, start = [], 0
+    for n_pair, piece in enumerate(pieces, start=1):
+        groups.append((n_pair, flat[start : start + piece.size].reshape(piece.shape)))
+        start += piece.size
+    return flat, tuple(groups)
 
 
 @lru_cache(maxsize=None)
@@ -183,23 +201,66 @@ def _pair_block(t2, n_pair):
     return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
-def apply_layer(state, couplings):
-    """Apply one mesh layer of disjoint adjacent-pair couplings."""
+def _check_layer(couplings, m):
     seen = set()
     for coupling in couplings:
         lo, hi = coupling.pair
-        if hi != lo + 1 or hi >= state.m:
-            raise ValidationError(f"coupling pair {coupling.pair} is invalid for m={state.m}")
+        if hi != lo + 1 or hi >= m:
+            raise ValidationError(f"coupling pair {coupling.pair} is invalid for m={m}")
         if lo in seen or hi in seen:
             raise ValidationError(f"overlapping couplings on mode pair {coupling.pair}")
         seen.update((lo, hi))
-    active = [c for c in couplings if c.theta != 0.0 or c.phi != 0.0]
-    t2 = np.reshape([coupling_matrix(c.theta, c.phi) for c in active], (-1, 2, 2))
-    blocks = {n_pair: _pair_block(t2, n_pair) for n_pair in range(1, state.n + 1)}
-    amps = state.amplitudes.copy()
-    for index, coupling in enumerate(active):
-        for n_pair, rows in _pair_fibers(state.n, state.m, coupling.pair[0]):
-            amps[rows] = amps[rows] @ blocks[n_pair][index].T
+
+
+def _plan_steps(layers, n):
+    """Each layer as (modes, blocks): the first modes of its acting couplings
+    and, per n_pair = 1..n, their stacked pair blocks.
+
+    An idle coupling (theta = phi = 0) is the identity and is dropped.  Each
+    n_pair's blocks are evaluated in one call over the couplings of all
+    layers; a layer's blocks are views into that stack.
+    """
+    active = [[c for c in layer if c.theta != 0.0 or c.phi != 0.0] for layer in layers]
+    t2 = np.reshape(
+        [coupling_matrix(c.theta, c.phi) for layer in active for c in layer], (-1, 2, 2)
+    )
+    stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
+    steps, start = [], 0
+    for layer in active:
+        stop = start + len(layer)
+        steps.append(([c.pair[0] for c in layer], [stack[start:stop] for stack in stacks]))
+        start = stop
+    return steps
+
+
+def _apply_couplings(amps, n, m, modes, blocks):
+    """Apply, in place and in order, the couplings on pairs (mode, mode + 1).
+
+    blocks[n_pair - 1][i] is the pair block of the coupling on modes[i].
+    """
+    for index, mode in enumerate(modes):
+        flat, groups = _pair_fibers(n, m, mode)
+        fibers = amps[flat]
+        out = np.empty_like(fibers)
+        start = 0
+        for (n_pair, rows), block in zip(groups, blocks):
+            part = slice(start, start + rows.size)
+            # (F, k) @ block.T, the zgemm orientation every payload was computed in
+            np.matmul(
+                fibers[part].reshape(rows.shape),
+                block[index].T,
+                out=out[part].reshape(rows.shape),
+            )
+            start = part.stop
+        amps[flat] = out
+
+
+def apply_layer(state, couplings):
+    """Apply one mesh layer of disjoint adjacent-pair couplings."""
+    _check_layer(couplings, state.m)
+    [(modes, blocks)] = _plan_steps([couplings], state.n)
+    amps = state.amplitudes.astype(complex)
+    _apply_couplings(amps, state.n, state.m, modes, blocks)
     return SimState(amplitudes=amps, n=state.n, m=state.m)
 
 
@@ -217,24 +278,42 @@ def outcome_probabilities(state):
     return np.abs(state.amplitudes) ** 2
 
 
+@lru_cache(maxsize=4)
+def _decay_factor(n, m, t_step, tau_bg, tau_tb):
+    """Read-only exp(-rate t_step) for every basis state, as `apply_decay` applies it."""
+    factor = np.exp(-build_decay_diagonal(n, m, tau_bg, tau_tb).rates * t_step)
+    factor.setflags(write=False)
+    return factor
+
+
 def run_circuit(initial, plan, t_step, tau_bg, tau_tb, apply_phases=True):
     """Alternate decay and coherent layers; record per-step survival.
 
     Decay acts before each layer.  Output phases are applied after the last
-    layer; they change no survival ratio.
+    layer; they change no survival ratio.  Every layer is checked before the
+    first step.
     """
     if plan.m != initial.m:
         raise ValidationError(
             f"plan has {plan.m} modes but the state has {initial.m}"
         )
-    diag = build_decay_diagonal(initial.n, initial.m, tau_bg, tau_tb)
-    state = initial
-    ratios = []
+    if t_step < 0.0:
+        raise ValidationError(f"time must be non-negative, got {t_step}")
     for layer in plan.layers:
-        before = state.norm_squared()
-        state = apply_decay(state, diag, t_step)
-        state = apply_layer(state, layer)
-        ratios.append(state.norm_squared() / before)
+        _check_layer(layer, plan.m)
+    n, m = initial.n, initial.m
+    factor = _decay_factor(n, m, t_step, tau_bg, tau_tb)
+    amps = initial.amplitudes.astype(complex)
+    norm = initial.norm_squared()
+    ratios = []
+    for modes, blocks in _plan_steps(plan.layers, n):
+        amps *= factor
+        _apply_couplings(amps, n, m, modes, blocks)
+        # this step's ending norm is the next step's starting norm
+        after = float(np.vdot(amps, amps).real)
+        ratios.append(after / norm)
+        norm = after
+    state = SimState(amplitudes=amps, n=n, m=m)
     if apply_phases:
         state = apply_output_phases(state, plan.output_phases)
     p_j = np.asarray(ratios)

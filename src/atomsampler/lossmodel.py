@@ -259,9 +259,12 @@ def r_classical(classical, n):
 def crossover(scenario, classical, n_range=(2, 200), model="auto"):
     """Smallest N where the atom machine outpaces the classical sampler.
 
-    Returns None when no crossover occurs inside `n_range` (inclusive).
+    Returns None when no crossover occurs inside `n_range` (inclusive); an
+    empty range is a ValidationError.
     """
     lo, hi = n_range
+    if hi < lo:
+        raise ValidationError(f"empty atom-number range: n_min={lo} > n_max={hi}")
     for n in range(lo, hi + 1):
         if r_nisq(scenario, n, model=model) > r_classical(classical, n):
             return n

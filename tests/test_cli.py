@@ -42,6 +42,13 @@ def test_rates_lossless_equals_ideal(tmp_path):
         assert float(atomic) == r_ideal(loss, int(n))
 
 
+def test_rates_rejects_empty_atom_range(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    assert run("rates", "--n-min", "5", "--n-max", "2", "--out", out) == 2
+    assert "empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_rejects_malformed_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     good = json.loads(json.dumps({

@@ -19,6 +19,7 @@ from atomsampler.exactsim import (
 )
 from atomsampler.fock import FockState, basis_array, enumerate_basis, state_rank
 from atomsampler.interferometer import (
+    CircuitPlan,
     LocalCoupling,
     clements_decompose,
     haar_random_unitary,
@@ -133,10 +134,62 @@ def test_run_circuit_first_step_background_bound():
     assert trace.p_total == pytest.approx(np.prod(trace.p_j), rel=1e-10)
 
 
+def _layer_by_layer(initial, plan, t_step, tau_bg, tau_tb):
+    # reference: the public one-step functions, one layer at a time
+    diag = build_decay_diagonal(initial.n, initial.m, tau_bg, tau_tb)
+    state, ratios = initial, []
+    for layer in plan.layers:
+        before = state.norm_squared()
+        state = apply_decay(state, diag, t_step)
+        state = apply_layer(state, layer)
+        ratios.append(state.norm_squared() / before)
+    return state, np.asarray(ratios)
+
+
+def _with_idle_couplings(plan, index, count):
+    # the first `count` couplings of layer `index` become the identity on their pairs
+    layers = list(plan.layers)
+    idle = tuple(LocalCoupling(c.layer, c.pair, 0.0, 0.0) for c in layers[index][:count])
+    layers[index] = idle + tuple(layers[index][count:])
+    return CircuitPlan(m=plan.m, layers=tuple(layers), output_phases=plan.output_phases)
+
+
+@pytest.mark.parametrize("n,m,seed", [(3, 8, 5), (4, 10, 6)])
+@pytest.mark.parametrize("tau_bg", [math.inf, 7.0])
+@pytest.mark.parametrize("idle", [0, 1, 99])  # 99: the whole layer is idle
+def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle):
+    plan = _with_idle_couplings(clements_decompose(haar_random_unitary(m, seed=seed)), 2, idle)
+    initial = uniform_state(n, m)
+    for _ in range(2):  # the second run reuses the kept decay factor
+        final, trace = run_circuit(initial, plan, 0.3, tau_bg, 1.7, apply_phases=False)
+        expected, ratios = _layer_by_layer(initial, plan, 0.3, tau_bg, 1.7)
+        assert np.array_equal(trace.p_j, ratios)
+        assert np.array_equal(final.amplitudes, expected.amplitudes)
+    phased, _ = run_circuit(initial, plan, 0.3, tau_bg, 1.7)
+    assert np.array_equal(
+        phased.amplitudes, apply_output_phases(expected, plan.output_phases).amplitudes
+    )
+
+
+@pytest.mark.parametrize(
+    "pair,message", [((2, 3), "overlap"), ((5, 6), "invalid"), ((0, 2), "invalid")]
+)
+def test_run_circuit_rejects_bad_pair_in_a_later_layer(pair, message):
+    plan = clements_decompose(haar_random_unitary(6, seed=3))
+    layers = list(plan.layers)
+    last = layers[-1]
+    layers[-1] = tuple(last) + (LocalCoupling(layer=last[0].layer, pair=pair, theta=0.4, phi=0.2),)
+    bad = CircuitPlan(m=6, layers=tuple(layers), output_phases=plan.output_phases)
+    with pytest.raises(ValidationError, match=message):
+        run_circuit(uniform_state(2, 6), bad, 1.0, math.inf, 1.0)
+
+
 def test_run_circuit_validates_dimensions():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     with pytest.raises(ValidationError):
         run_circuit(uniform_state(2, 6), plan, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="non-negative"):
+        run_circuit(uniform_state(2, 4), plan, -0.5, 1.0, 1.0)
 
 
 def test_decaying_norm_is_monotone():
@@ -195,15 +248,21 @@ def test_pair_fibers_partition_the_paired_states(n, m):
     arr = basis_array(n, m)
     for mode in range(m - 1):
         others = np.delete(np.arange(m), [mode, mode + 1])
-        seen = []
-        for n_pair, rows in _pair_fibers(n, m, mode):
+        flat, groups = _pair_fibers(n, m, mode)
+        assert not flat.flags.writeable
+        start = 0
+        for n_pair, rows in groups:
+            # each group is the next stretch of the flat index, viewed as fiber rows
+            assert rows.base is flat
+            assert np.array_equal(rows.ravel(), flat[start : start + rows.size])
+            start += rows.size
             states = arr[rows]  # (fibers, n_pair + 1, m)
             assert np.all(states[..., mode] == np.arange(n_pair + 1))
             assert np.all(states[..., mode + 1] == n_pair - states[..., mode])
             assert np.all(states[..., others] == states[:, :1, others])
-            seen.append(rows.ravel())
+        assert start == flat.size
         paired = np.flatnonzero(arr[:, mode] + arr[:, mode + 1] >= 1)
-        assert np.array_equal(np.sort(np.concatenate(seen)), paired)
+        assert np.array_equal(np.sort(flat), paired)
 
 
 def test_pair_block_matches_permanents():

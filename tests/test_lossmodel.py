@@ -242,6 +242,13 @@ def test_crossover_values():
     assert conservative_star is None or conservative_star > star
 
 
+def test_crossover_rejects_empty_range():
+    star = crossover(SOTA.loss, SOTA.classical)
+    assert crossover(SOTA.loss, SOTA.classical, n_range=(star, star)) == star
+    with pytest.raises(ValidationError, match="empty"):
+        crossover(SOTA.loss, SOTA.classical, n_range=(5, 2))
+
+
 def test_scenario_validation():
     with pytest.raises(ValidationError):
         LossScenario(0.0, 360.0, 0.4, 0.5, 0.1, 0.99, 0.99)
