@@ -32,8 +32,8 @@ print(f"uniform-mixture estimate at these sizes: {collision_free_mass(2, 4):.4f}
 # sampling is reproducible: the seed fixes every draw
 shots = draw_samples(restricted, shots=20000, seed=77)
 counts = {}
-for s in shots:
-    counts[s.occupations] = counts.get(s.occupations, 0) + 1
+for row in map(tuple, shots.tolist()):  # one occupation row per shot
+    counts[row] = counts.get(row, 0) + 1
 print("\nempirical frequencies vs conditional probabilities:")
 for state, p in restricted.outcomes:
     freq = counts.get(state.occupations, 0) / len(shots)

@@ -61,7 +61,8 @@ def _write_json(path, payload):
 def cmd_rates(args):
     bundle = scenarios.load_bundle(args.scenario)
     lines = [_timestamp_line(args.command, args.seed), "N,r_atomic,r_photonic,r_classical"]
-    for n in range(args.n_min, args.n_max + 1):
+    ns = range(args.n_min, args.n_max + 1)
+    for n in ns:
         atomic = lossmodel.r_nisq(bundle.loss, n, model=args.model)
         photonic = lossmodel.r_photonic(bundle.photonic, n)
         classical = lossmodel.r_classical(bundle.classical, n)
@@ -70,11 +71,7 @@ def cmd_rates(args):
         bundle.loss, bundle.classical, n_range=(args.n_min, args.n_max), model=args.model
     )
     lines.append(f"# crossover_n = {star if star is not None else 'none'}")
-    finite_ns = [
-        n
-        for n in range(args.n_min, args.n_max + 1)
-        if args.model == "finite" or (args.model == "auto" and n <= lossmodel.FINITE_MODEL_LIMIT)
-    ]
+    finite_ns = [n for n in ns if not lossmodel.uses_closed_form(n, args.model)]
     if finite_ns:
         worst = max(
             lossmodel.excluded_occupancy_mass(
@@ -89,6 +86,8 @@ def cmd_rates(args):
 
 def _default_input_state(n, m):
     """One atom per site in the plus mode when room allows, else packed."""
+    if n < 0:
+        raise ValidationError(f"atom number must be >= 0, got {n}")
     occ = [0] * m
     if n > 0 and 2 * (n - 1) < m:
         for s in range(n):
@@ -106,10 +105,9 @@ def cmd_sample(args):
     u = haar_random_unitary(args.m, seed_u)
     input_state = _default_input_state(args.n, args.m)
     dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
-    states = sampling.draw_samples(dist, args.shots, seed_draw) if args.shots else []
+    rows = sampling.draw_samples(dist, args.shots, seed_draw).tolist() if args.shots else []
     lines = [_timestamp_line(args.command, args.seed), ",".join(f"m{j}" for j in range(args.m))]
-    for state in states:
-        lines.append(",".join(map(str, state.occupations)))
+    lines.extend(",".join(map(str, row)) for row in rows)
     _atomic_write(args.out, "\n".join(lines) + "\n")
     _write_json(Path(args.out).with_suffix(".unitary.json"), unitary_to_json(u))
     return 0
@@ -192,7 +190,7 @@ def _add_common(sub, scenario_default=None):
                          help="scenario preset name or JSON path")
     sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads; only hom-sim uses them")
+                     help="worker threads, at least 1; only hom-sim uses them")
     sub.add_argument("--out", required=True, help="output file path")
 
 
@@ -259,6 +257,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         return args.handler(args)
     except (ValidationError, json.JSONDecodeError) as exc:
         print(f"{args.command}: validation error: {exc}", file=sys.stderr)

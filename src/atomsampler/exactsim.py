@@ -23,7 +23,8 @@ once, multiplies each n_pair's contiguous slice by its block and scatters
 them back.  Couplings of one layer share no mode but their fibers share
 basis rows, so they are applied one after another.
 
-`run_circuit` checks every layer before the first step, evaluates the pair
+`run_circuit` checks every layer before the first step (with
+`interferometer.check_layer`, as `apply_layer` does), evaluates the pair
 blocks of all couplings of the plan in one call per n_pair and reuses the
 decay factor exp(-H t_step) across runs with the same (n, m, t_step, tau),
 such as the realizations of `benchmark_vs_model`.  It steps through the same
@@ -40,7 +41,7 @@ import numpy as np
 from . import lossmodel
 from .errors import ValidationError
 from .fock import basis_array, multiset_dimension, rank_table, state_rank
-from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary
+from .interferometer import check_layer, clements_decompose, coupling_matrix, haar_random_unitary
 from .parallel import spawn_seeds
 
 
@@ -201,17 +202,6 @@ def _pair_block(t2, n_pair):
     return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
-def _check_layer(couplings, m):
-    seen = set()
-    for coupling in couplings:
-        lo, hi = coupling.pair
-        if hi != lo + 1 or hi >= m:
-            raise ValidationError(f"coupling pair {coupling.pair} is invalid for m={m}")
-        if lo in seen or hi in seen:
-            raise ValidationError(f"overlapping couplings on mode pair {coupling.pair}")
-        seen.update((lo, hi))
-
-
 def _plan_steps(layers, n):
     """Each layer as (modes, blocks): the first modes of its acting couplings
     and, per n_pair = 1..n, their stacked pair blocks.
@@ -257,7 +247,7 @@ def _apply_couplings(amps, n, m, modes, blocks):
 
 def apply_layer(state, couplings):
     """Apply one mesh layer of disjoint adjacent-pair couplings."""
-    _check_layer(couplings, state.m)
+    check_layer(couplings, state.m)
     [(modes, blocks)] = _plan_steps([couplings], state.n)
     amps = state.amplitudes.astype(complex)
     _apply_couplings(amps, state.n, state.m, modes, blocks)
@@ -300,7 +290,7 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb, apply_phases=True):
     if t_step < 0.0:
         raise ValidationError(f"time must be non-negative, got {t_step}")
     for layer in plan.layers:
-        _check_layer(layer, plan.m)
+        check_layer(layer, plan.m)
     n, m = initial.n, initial.m
     factor = _decay_factor(n, m, t_step, tau_bg, tau_tb)
     amps = initial.amplitudes.astype(complex)

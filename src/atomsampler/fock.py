@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SizeCapError, ValidationError
 
-#: Largest basis size `enumerate_basis` will materialize.
+#: Largest basis `basis_array` and `enumerate_basis` will materialize.
 BASIS_CAP = 10**7
 
 
@@ -75,13 +75,13 @@ def multiset_dimension(n, m):
     return comb(m + n - 1, n)
 
 
-def enumerate_basis(n, m, cap=BASIS_CAP):
+def enumerate_basis(n, m):
     """All N-particle Fock states over M modes in canonical order.
 
     The order is descending lexicographic on occupation vectors; the list
     index of each state equals its `state_rank`.
     """
-    return [FockState(tuple(row)) for row in basis_array(n, m, cap=cap)]
+    return [FockState(tuple(row)) for row in basis_array(n, m)]
 
 
 def _occupation_rows(mode_tuples, dim, n, m):
@@ -100,12 +100,12 @@ def _basis_array_cached(n, m):
     return out
 
 
-def basis_array(n, m, cap=BASIS_CAP):
+def basis_array(n, m):
     """Canonical basis as a read-only (dim, M) integer array."""
     dim = multiset_dimension(n, m)
-    if dim > cap:
+    if dim > BASIS_CAP:
         raise SizeCapError(
-            f"basis of {dim} states for n={n}, m={m} exceeds the cap of {cap}"
+            f"basis of {dim} states for n={n}, m={m} exceeds the cap of {BASIS_CAP}"
         )
     return _basis_array_cached(n, m)
 

@@ -16,6 +16,10 @@ Addressing and position-reconstruction failures are removed by
 post-selection and only scale the number of kept trials.  The quantum purity
 gamma (probability that the atoms are indistinguishable) relates to bunching
 through P_bunch = gamma + (1 - gamma) / 2.
+
+Both Monte Carlo paths draw in blocks of `MC_BLOCK` trials: the forward
+model spreads its blocks over `parallel_map`'s threads, and the fit keeps
+only the counts and draws it needs from each block.
 """
 
 import math
@@ -102,27 +106,14 @@ def hom_analytic(params):
     return HomOutcomes(trials_kept=0, p0=p0, p1=p1, p2=p2)
 
 
-def _simulate_block(params, block, seed, reconstruction_failure):
+def _simulate_block(params, block, seed):
     rng = np.random.default_rng(seed)
     u = rng.random((block, 6))
-    addressed = u[:, 0] < params.p_addr
-    reconstructed = u[:, 1] < params.p_rec
+    kept = (u[:, 0] < params.p_addr) & (u[:, 1] < params.p_rec)
     alive1 = u[:, 2] < params.survival_s
     alive2 = u[:, 3] < params.survival_s
     bunched = u[:, 4] < params.p_bunch
     destroyed = u[:, 5] < params.p_lic0
-
-    if reconstruction_failure == "discard":
-        kept = addressed & reconstructed
-        miscounted = np.zeros(block, dtype=bool)
-    elif reconstruction_failure == "miscount":
-        kept = addressed
-        miscounted = ~reconstructed
-    else:
-        raise ValidationError(
-            f"unknown reconstruction_failure mode {reconstruction_failure!r}"
-        )
-
     both = kept & alive1 & alive2
     one = kept & (alive1 ^ alive2)
     none = kept & ~(alive1 | alive2)
@@ -130,23 +121,18 @@ def _simulate_block(params, block, seed, reconstruction_failure):
     zero_out = (pair_bunched & destroyed) | none
     one_out = (pair_bunched & ~destroyed) | one
     two_out = both & ~bunched
-    if reconstruction_failure == "miscount":
-        zero_out = (zero_out & ~miscounted) | (kept & miscounted)
-        one_out &= ~miscounted
-        two_out &= ~miscounted
     return np.array(
         [int(zero_out.sum()), int(one_out.sum()), int(two_out.sum()), int(kept.sum())]
     )
 
 
-def hom_monte_carlo(params, trials, seed, workers=1, reconstruction_failure="discard"):
+def hom_monte_carlo(params, trials, seed, workers=1):
     """Forward Monte Carlo of the interference sequence.
 
     Trials are processed in fixed-size blocks with seeds split from the root
-    seed, so the result does not depend on the worker count.  Reconstruction
-    failures are discarded by default; the "miscount" mode instead records
-    them as zero-atom detections (how the original analysis treated them is
-    not documented, so no fidelity claim is attached to either choice).
+    seed, so the result does not depend on the worker count.  Trials whose
+    addressing or position reconstruction fails are discarded, as the
+    post-selection of the analytic model assumes.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
@@ -155,9 +141,7 @@ def hom_monte_carlo(params, trials, seed, workers=1, reconstruction_failure="dis
         blocks.append(trials % MC_BLOCK)
     seeds = spawn_seeds(seed, len(blocks))
     tallies = parallel_map(
-        lambda args: _simulate_block(params, args[0], args[1], reconstruction_failure),
-        list(zip(blocks, seeds)),
-        workers=workers,
+        lambda args: _simulate_block(params, *args), list(zip(blocks, seeds)), workers=workers
     )
     n0, n1, n2, kept = np.sum(tallies, axis=0)
     if kept == 0:
@@ -195,21 +179,28 @@ class _McObjective:
     random numbers): survival splits the kept trials into two-, one-, and
     zero-survivor classes, and the bunching threshold moves through the
     sorted pair-coupler draws, so each evaluation costs two binary searches.
+    The draws come in `MC_BLOCK`-row chunks of one generator, which equal
+    one (trials, 4) draw.
     """
 
     def __init__(self, survival_s, p_lic0, trials, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        u = rng.random((trials, 4))
-        alive1 = u[:, 0] < survival_s
-        alive2 = u[:, 1] < survival_s
-        both = alive1 & alive2
-        self.n_one = int((alive1 ^ alive2).sum())
-        self.n_none = int((~(alive1 | alive2)).sum())
+        self.n_one = self.n_none = 0
+        pair_draws, destroyed = [], []
+        for start in range(0, trials, MC_BLOCK):
+            u = rng.random((min(MC_BLOCK, trials - start), 4))
+            alive1 = u[:, 0] < survival_s
+            alive2 = u[:, 1] < survival_s
+            both = alive1 & alive2
+            self.n_one += int((alive1 ^ alive2).sum())
+            self.n_none += int((~(alive1 | alive2)).sum())
+            pair_draws.append(u[both, 2])
+            destroyed.append(u[both, 3] < p_lic0)
         self.kept = trials
-        pair_draws = u[both, 2]
-        destroyed = u[both, 3] < p_lic0
-        self.sorted_pair = np.sort(pair_draws)
-        self.sorted_pair_destroyed = np.sort(pair_draws[destroyed])
+        pair_draws = np.concatenate(pair_draws)
+        self.sorted_pair_destroyed = np.sort(pair_draws[np.concatenate(destroyed)])
+        pair_draws.sort()  # in place, so no unsorted copy is held
+        self.sorted_pair = pair_draws
         self.n_both = len(pair_draws)
 
     def probabilities(self, p_bunch):

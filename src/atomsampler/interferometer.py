@@ -12,6 +12,7 @@ deep with M(M-1)/2 couplings in total, followed by one diagonal layer of
 output phases.  Layers alternate between even pairs (0,1), (2,3), ... and odd
 pairs (1,2), (3,4), ...; couplings that come out as the identity (theta = 0)
 are kept in place so every plan has the same fixed mesh shape.
+`check_layer` owns the rule a mesh layer obeys, for every consumer of plans.
 
 Hardware-wise a coupling is a composite pulse: a site-resolved phase imprint
 A(phi), a global Hadamard H = exp(-i sigma_x pi/4), a second imprint A(theta),
@@ -25,6 +26,9 @@ import numpy as np
 from .errors import ValidationError
 
 TWO_PI = 2.0 * np.pi
+
+#: Largest max-abs defect of U†U from the identity `clements_decompose` accepts.
+UNITARITY_TOL = 1e-10
 
 _HADAMARD = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -212,7 +216,7 @@ def _schedule_mesh(m, ordered):
     return tuple(layers)
 
 
-def clements_decompose(u, tol=1e-10):
+def clements_decompose(u):
     """Factor a unitary into the canonical rectangular coupling mesh.
 
     Returns a CircuitPlan such that `reconstruct(plan)` equals `u` to within
@@ -225,9 +229,9 @@ def clements_decompose(u, tol=1e-10):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise ValidationError(
-            f"matrix is not unitary: max-abs defect {defect:.3e} exceeds {tol:.1e}"
+            f"matrix is not unitary: max-abs defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     m = u.shape[0]
     work = u.copy()
@@ -256,12 +260,17 @@ def clements_decompose(u, tol=1e-10):
     return CircuitPlan(m=m, layers=layers, output_phases=output_phases)
 
 
-def _check_disjoint(layer):
+def check_layer(layer, m):
+    """Check one mesh layer on M modes.
+
+    Every coupling must sit on an adjacent pair (lo, lo + 1) with
+    0 <= lo and lo + 1 < M, and no two couplings may share a mode.
+    """
     seen = set()
     for coupling in layer:
         lo, hi = coupling.pair
-        if hi != lo + 1:
-            raise ValidationError(f"coupling pair {coupling.pair} is not adjacent")
+        if hi != lo + 1 or lo < 0 or hi >= m:
+            raise ValidationError(f"coupling pair {coupling.pair} is invalid for m={m}")
         if lo in seen or hi in seen:
             raise ValidationError(f"overlapping couplings on mode pair {coupling.pair}")
         seen.update((lo, hi))
@@ -280,12 +289,10 @@ def reconstruct(plan):
     """Multiply out a plan: layers in order, then the output phases."""
     u = np.eye(plan.m, dtype=complex)
     for layer in plan.layers:
-        _check_disjoint(layer)
+        check_layer(layer, plan.m)
         step = np.eye(plan.m, dtype=complex)
         for coupling in layer:
             lo = coupling.pair[0]
-            if lo + 1 >= plan.m:
-                raise ValidationError(f"pair {coupling.pair} outside of {plan.m} modes")
             step[lo : lo + 2, lo : lo + 2] = coupling_matrix(coupling.theta, coupling.phi)
         u = step @ u
     return np.exp(1j * plan.output_phases)[:, None] * u

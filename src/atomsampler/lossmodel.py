@@ -32,6 +32,17 @@ from .errors import ValidationError
 FINITE_MODEL_LIMIT = 40
 
 
+def uses_closed_form(n, model):
+    """Whether `model` ("auto", "finite" or "closed") evaluates N atoms in closed form.
+
+    "auto" keeps the finite-size sum up to `FINITE_MODEL_LIMIT` atoms; any
+    other model name is a ValidationError.
+    """
+    if model not in ("auto", "finite", "closed"):
+        raise ValidationError(f"unknown model {model!r}")
+    return model == "closed" or (model == "auto" and n > FINITE_MODEL_LIMIT)
+
+
 def _require_positive_time(name, value):
     if not value > 0.0:
         raise ValidationError(f"{name} must be positive, got {value}")
@@ -158,19 +169,17 @@ def p_step_twobody_closed(c, t, tau_tb):
     return math.exp(1.5 / c * math.expm1(-t / tau_tb))
 
 
-def p_step_twobody(n, m, t, tau_tb, model="auto", finite_limit=FINITE_MODEL_LIMIT):
+def p_step_twobody(n, m, t, tau_tb, model="auto"):
     """Per-step survival against two-body loss.
 
     The finite-size form weights each (k2, k3) sector by exp(-(k2 + 3 k3)
     t / tau_tb) and renormalizes by the mass of the included sectors, so it
-    equals one at t = 0.  Above `finite_limit` particles (or on request) the
-    large-N closed form with c = M / N^2 is used instead.
+    equals one at t = 0.  Where `uses_closed_form` says so, the large-N
+    closed form with c = M / N^2 is used instead.
     """
     if t < 0.0:
         raise ValidationError(f"time must be non-negative, got {t}")
-    if model not in ("auto", "finite", "closed"):
-        raise ValidationError(f"unknown model {model!r}")
-    if model == "closed" or (model == "auto" and n > finite_limit):
+    if uses_closed_form(n, model):
         return p_step_twobody_closed(m / n**2, t, tau_tb)
     terms = _occupancy_sector(n, m)
     # sum the same float weights for mass and decay so t = 0 gives exactly 1
@@ -204,7 +213,7 @@ def p_survival(scenario, n, model="auto"):
         raise ValidationError(f"need n >= 1, got {n}")
     t = scenario.t_step
     c = scenario.mode_ratio_c
-    if model == "closed" or (model == "auto" and n > FINITE_MODEL_LIMIT):
+    if uses_closed_form(n, model):
         # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact
         return math.exp(
             -c * n**3 * t / scenario.tau_bg

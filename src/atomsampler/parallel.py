@@ -19,7 +19,7 @@ def spawn_seeds(seed, count):
 def parallel_map(fn, items, workers=1):
     """Map `fn` over `items`, returning results in input order."""
     items = list(items)
-    if workers is None or workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

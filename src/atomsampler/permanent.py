@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SizeCapError, ValidationError
 
-#: Glynn evaluation refuses matrices larger than this by default.
+#: Glynn evaluation refuses matrices larger than this.
 GLYNN_CAP = 28
 
 #: The permutation sum is only sane for tiny matrices.
@@ -114,17 +114,17 @@ def permanents_glynn(stack):
     return out
 
 
-def permanent_glynn(a, cap=GLYNN_CAP):
+def permanent_glynn(a):
     """Permanent of a complex square matrix via Glynn's formula.
 
-    Cost doubles with every row; the default cap keeps runaway inputs out.
+    Cost doubles with every row; `GLYNN_CAP` keeps runaway inputs out.
     """
-    a, n = _checked_square(a, cap, "permanent_glynn")
+    a, n = _checked_square(a, GLYNN_CAP, "permanent_glynn")
     return complex(_glynn_batch(a[None])[0])
 
 
-def permanent_naive(a, cap=NAIVE_CAP):
-    """Permanent by explicit permutation sum; oracle for small matrices."""
-    a, n = _checked_square(a, cap, "permanent_naive")
+def permanent_naive(a):
+    """Permanent by explicit permutation sum; oracle for small matrices up to `NAIVE_CAP`."""
+    a, n = _checked_square(a, NAIVE_CAP, "permanent_naive")
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     return complex(a[np.arange(n), perms].prod(axis=1).sum())

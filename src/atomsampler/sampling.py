@@ -11,8 +11,9 @@ post-selection keeps only outcomes with every mode singly occupied.
 
 Distributions are array-first: outcomes are rows of a (D, M) occupation
 array and their probabilities a (D,) vector, computed by the batched Glynn
-kernel over stacks of submatrices.  `FockState` objects are built only
-where a caller asks for them: drawn samples and `OutputDistribution.outcomes`.
+kernel over stacks of submatrices; `draw_samples` returns rows of the same
+kind.  `FockState` objects are built only where a caller asks for them:
+the input state and `OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
@@ -53,9 +54,6 @@ class OutputDistribution:
             (FockState(row), p)
             for row, p in zip(self.states.tolist(), self.probs.tolist())
         )
-
-    def probabilities(self):
-        return self.probs
 
 
 def _mode_indices(state):
@@ -98,7 +96,7 @@ def prod_factorials(state):
     return out
 
 
-def output_distribution(u, input_state, collision_free_only=False, cap=BASIS_CAP):
+def output_distribution(u, input_state, collision_free_only=False):
     """Exact distribution over all outcomes, in canonical basis order.
 
     The full distribution sums to one; under collision-free post-selection
@@ -114,11 +112,11 @@ def output_distribution(u, input_state, collision_free_only=False, cap=BASIS_CAP
     if u.shape != (m, m):
         raise ValidationError(f"state length {m} does not match the unitary shape {u.shape}")
     count = comb(m, n) if collision_free_only else multiset_dimension(n, m)
-    if count > cap:
-        raise SizeCapError(f"{count} outcomes exceed the configured cap of {cap}")
+    if count > BASIS_CAP:
+        raise SizeCapError(f"{count} outcomes exceed the cap of {BASIS_CAP}")
     if n > GLYNN_CAP:
         raise SizeCapError(f"permanents capped at N <= {GLYNN_CAP}, got N = {n}")
-    states = collision_free_array(n, m) if collision_free_only else basis_array(n, m, cap=cap)
+    states = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
 
     factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
     input_norm = prod_factorials(input_state)
@@ -147,8 +145,9 @@ def output_distribution(u, input_state, collision_free_only=False, cap=BASIS_CAP
 def draw_samples(dist, shots, seed):
     """I.i.d. draws from a distribution, conditioned on its total mass.
 
-    Deterministic for a fixed seed; inverse-CDF over the canonical outcome
-    order.
+    Returns the drawn outcomes as the rows of a read-only (shots, M) integer
+    array.  Deterministic for a fixed seed; inverse-CDF over the canonical
+    outcome order.
     """
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
@@ -159,7 +158,9 @@ def draw_samples(dist, shots, seed):
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(shots), side="right")
     idx = np.minimum(idx, len(probs) - 1)
-    return [FockState(row) for row in dist.states[idx].tolist()]
+    rows = dist.states[idx]
+    rows.setflags(write=False)
+    return rows
 
 
 def collision_free_mass(n, m):

@@ -109,6 +109,32 @@ def test_sample_negative_shots_exit_and_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_sample_rejects_negative_atom_number(tmp_path, capsys, n):
+    assert run("sample", "--n", n, "--m", 4, "--out", tmp_path / "neg.csv") == 2
+    assert "atom number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates"],
+        ["sample", "--n", 2, "--m", 4],
+        ["decompose", "--m", 4],
+        ["exactsim", "--n", 2, "--m", 4, "--realizations", 1],
+        ["hom-sim", "--trials", 10],
+        ["hom-fit", "--trials", 10],
+    ],
+    ids=["rates", "sample", "decompose", "exactsim", "hom-sim", "hom-fit"],
+)
+def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, argv, workers):
+    assert run(*argv, "--workers", workers, "--out", tmp_path / "out") == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_vacuum(tmp_path):
     out = tmp_path / "vacuum.csv"
     assert run("sample", "--n", 0, "--m", 4, "--shots", 3, "--out", out) == 0

@@ -82,13 +82,14 @@ def test_apply_layer_identity_and_hom():
 
 
 def test_apply_layer_rejects_overlap():
+    # and every other broken pair: negative, not adjacent, past the last mode
     state = uniform_state(2, 4)
-    layer = [
-        LocalCoupling(layer=0, pair=(0, 1), theta=0.2, phi=0.1),
-        LocalCoupling(layer=0, pair=(1, 2), theta=0.2, phi=0.1),
-    ]
-    with pytest.raises(ValidationError, match="overlap"):
-        apply_layer(state, layer)
+    first = LocalCoupling(layer=0, pair=(0, 1), theta=0.2, phi=0.1)
+    for pair, message in (((1, 2), "overlap"), ((-1, 0), "invalid"), ((1, 3), "invalid"),
+                          ((3, 4), "invalid")):
+        layer = [first, LocalCoupling(layer=0, pair=pair, theta=0.2, phi=0.1)]
+        with pytest.raises(ValidationError, match=message):
+            apply_layer(state, layer)
 
 
 def test_norm_conservation_without_decay():
@@ -172,7 +173,8 @@ def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle
 
 
 @pytest.mark.parametrize(
-    "pair,message", [((2, 3), "overlap"), ((5, 6), "invalid"), ((0, 2), "invalid")]
+    "pair,message",
+    [((2, 3), "overlap"), ((5, 6), "invalid"), ((0, 2), "invalid"), ((-1, 0), "invalid")],
 )
 def test_run_circuit_rejects_bad_pair_in_a_later_layer(pair, message):
     plan = clements_decompose(haar_random_unitary(6, seed=3))
@@ -182,6 +184,15 @@ def test_run_circuit_rejects_bad_pair_in_a_later_layer(pair, message):
     bad = CircuitPlan(m=6, layers=tuple(layers), output_phases=plan.output_phases)
     with pytest.raises(ValidationError, match=message):
         run_circuit(uniform_state(2, 6), bad, 1.0, math.inf, 1.0)
+
+
+def test_lossless_run_circuit_drift_bound():
+    # stated bound: a lossless run keeps every p_j and the final norm within 1e-12 of 1
+    plan = clements_decompose(haar_random_unitary(20, seed=5))
+    final, trace = run_circuit(uniform_state(5, 20), plan, 1.0, math.inf, math.inf)
+    assert trace.steps == 20
+    assert np.max(np.abs(trace.p_j - 1.0)) <= 1e-12
+    assert abs(final.norm_squared() - 1.0) <= 1e-12
 
 
 def test_run_circuit_validates_dimensions():

@@ -64,8 +64,9 @@ def test_basis_is_descending_lexicographic():
 
 
 def test_enumerate_basis_cap():
-    with pytest.raises(SizeCapError, match="12650"):
-        enumerate_basis(4, 22, cap=1000)
+    # C(49, 10) = 8217822536 states; the cap is checked before anything is built
+    with pytest.raises(SizeCapError, match="8217822536"):
+        enumerate_basis(10, 40)
 
 
 def test_rank_examples():

@@ -90,16 +90,6 @@ def test_monte_carlo_degenerate():
         hom_monte_carlo(EXPERIMENT, 0, seed=0)
 
 
-def test_miscount_mode_differs_when_reconstruction_fails():
-    params = HomParams(0.84, 0.71, 0.462, p_addr=1.0, p_rec=0.8)
-    discard = hom_monte_carlo(params, 200_000, seed=4)
-    miscount = hom_monte_carlo(params, 200_000, seed=4, reconstruction_failure="miscount")
-    assert miscount.trials_kept > discard.trials_kept
-    assert miscount.p0 > discard.p0
-    with pytest.raises(ValidationError):
-        hom_monte_carlo(params, 1000, seed=0, reconstruction_failure="guess")
-
-
 def test_fit_recovers_exact_analytic_input():
     analytic = hom_analytic(EXPERIMENT)
     measured = HomOutcomes(trials_kept=10_000, p0=analytic.p0, p1=analytic.p1, p2=analytic.p2)

@@ -182,13 +182,14 @@ def test_reconstruct_single_coupling():
 
 
 def test_reconstruct_rejects_overlapping_couplings():
-    layer = (
-        LocalCoupling(layer=0, pair=(0, 1), theta=0.3, phi=0.0),
-        LocalCoupling(layer=0, pair=(1, 2), theta=0.4, phi=0.0),
-    )
-    plan = CircuitPlan(m=3, layers=(layer,), output_phases=np.zeros(3))
-    with pytest.raises(ValidationError, match="overlap"):
-        reconstruct(plan)
+    # and every other broken pair: negative, not adjacent, past the last mode
+    first = LocalCoupling(layer=0, pair=(0, 1), theta=0.3, phi=0.0)
+    for pair, message in (((1, 2), "overlap"), ((-1, 0), "invalid"), ((1, 3), "invalid"),
+                          ((2, 3), "invalid")):
+        layer = (first, LocalCoupling(layer=0, pair=pair, theta=0.4, phi=0.0))
+        plan = CircuitPlan(m=3, layers=(layer,), output_phases=np.zeros(3))
+        with pytest.raises(ValidationError, match=message):
+            reconstruct(plan)
 
 
 def test_plan_json_round_trip():

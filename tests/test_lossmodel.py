@@ -120,6 +120,12 @@ def test_p_step_twobody_model_switch():
     assert finite != closed
     with pytest.raises(ValidationError):
         p_step_twobody(4, 16, 0.1, 1.0, model="fancy")
+    for n in (10, 50):  # on both sides of the finite/closed switch
+        for rate in (p_survival, r_nisq):
+            with pytest.raises(ValidationError, match="unknown model"):
+                rate(SOTA.loss, n, model="bogus")
+    with pytest.raises(ValidationError, match="unknown model"):
+        crossover(SOTA.loss, SOTA.classical, model="bogus")
 
 
 def test_finite_and_closed_models_agree_at_large_n():
