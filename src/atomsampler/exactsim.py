@@ -113,12 +113,23 @@ def basis_state(state):
 
 
 def build_decay_diagonal(n, m, tau_bg, tau_tb):
-    """Loss rates for every basis state from its site occupancies."""
+    """Loss rates for every basis state from its site occupancies.
+
+    The pair term sum_s n_s (n_s - 1) is added up one site at a time in a
+    basis-length integer vector, so the narrow occupation table is never
+    widened as a whole and no (dim, M/2) temporary is built.
+    """
     if m % 2 != 0:
         raise ValidationError(f"mode count {m} is odd; the site pairing needs even M")
     arr = basis_array(n, m)
-    sites = arr.reshape(arr.shape[0], m // 2, 2).sum(axis=2)
-    pair_terms = (sites * (sites - 1)).sum(axis=1)
+    pair_terms = np.zeros(len(arr), dtype=np.int64)
+    site = np.empty_like(pair_terms)
+    term = np.empty_like(pair_terms)
+    for s in range(m // 2):
+        np.add(arr[:, 2 * s], arr[:, 2 * s + 1], out=site, dtype=np.int64)
+        np.subtract(site, 1, out=term)
+        term *= site
+        pair_terms += term
     rates = n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
     return DecayDiagonal(rates=rates, n=n, m=m)
 
@@ -146,7 +157,7 @@ def _pair_fibers(n, m, mode):
     """
     arr = basis_array(n, m)
     heads = np.flatnonzero(arr[:, mode] == 0)
-    after = n - arr[:, :mode].sum(axis=1)[heads]  # atoms after `mode` in each head
+    after = n - arr[:, :mode].sum(axis=1, dtype=np.intp)[heads]  # atoms after `mode` in each head
     paired = arr[heads, mode + 1]
     term = rank_table(n, m)[mode]
     pieces = []
@@ -155,6 +166,7 @@ def _pair_fibers(n, m, mode):
         # moving p atoms into `mode` changes only that mode's rank term
         shift = term[after[fiber, None] - np.arange(n_pair + 1)] - term[after[fiber, None]]
         pieces.append(heads[fiber, None] + shift)
+    # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
     flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
     flat.setflags(write=False)
     groups, start = [], 0

@@ -10,7 +10,7 @@ lookup per mode.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb
 
 import numpy as np
@@ -84,24 +84,46 @@ def enumerate_basis(n, m):
     return [FockState(tuple(row)) for row in basis_array(n, m)]
 
 
+#: Atom indices and occupation counts held at one time while filling a table
+#: (8 MiB of each).
+FILL_CHUNK = 1 << 20
+
+
 def _occupation_rows(mode_tuples, dim, n, m):
-    """(dim, M) occupation array from `dim` mode-index tuples of length n."""
-    # flat index row * M + mode of every atom, counted in one pass
-    flat = np.fromiter(chain.from_iterable(mode_tuples), dtype=np.intp, count=dim * n)
-    flat += np.repeat(np.arange(0, dim * m, m), n)
-    return np.bincount(flat, minlength=dim * m).reshape(dim, m).astype(np.int64, copy=False)
+    """Read-only (dim, M) occupation table from `dim` mode-index tuples of length n.
+
+    Rows are counted in chunks of at most `FILL_CHUNK` entries and stored in
+    the smallest unsigned type that holds n, so no full-size wide temporary
+    is built.
+    """
+    out = np.empty((dim, m), dtype=np.min_scalar_type(n))
+    step = max(1, min(dim, FILL_CHUNK // max(n, m, 1)))
+    # flat index row * M + mode of every atom in a chunk, counted in one pass
+    offsets = np.repeat(np.arange(0, step * m, m), n)
+    for start in range(0, dim, step):
+        rows = min(step, dim - start)
+        flat = np.fromiter(
+            chain.from_iterable(islice(mode_tuples, rows)), dtype=np.intp, count=rows * n
+        )
+        flat += offsets[: rows * n]
+        out[start : start + rows] = np.bincount(flat, minlength=rows * m).reshape(rows, m)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=32)
 def _basis_array_cached(n, m):
     dim = multiset_dimension(n, m)
-    out = _occupation_rows(combinations_with_replacement(range(m), n), dim, n, m)
-    out.setflags(write=False)
-    return out
+    return _occupation_rows(combinations_with_replacement(range(m), n), dim, n, m)
 
 
 def basis_array(n, m):
-    """Canonical basis as a read-only (dim, M) integer array."""
+    """Canonical basis as a read-only (dim, M) occupation table.
+
+    The type is the smallest unsigned integer that holds n: uint8 up to
+    n = 255.  Widen before arithmetic that can leave its range, such as
+    differences or products.
+    """
     dim = multiset_dimension(n, m)
     if dim > BASIS_CAP:
         raise SizeCapError(
@@ -111,10 +133,11 @@ def basis_array(n, m):
 
 
 def collision_free_array(n, m):
-    """Singly occupied N-particle patterns over M modes as a (binomial(M, N), M) array.
+    """Singly occupied N-particle patterns over M modes as a read-only (binomial(M, N), M) table.
 
     Rows follow `itertools.combinations` order of the occupied modes, which
-    is descending lexicographic on occupation vectors like the full basis.
+    is descending lexicographic on occupation vectors like the full basis;
+    the type is that of `basis_array`.
     """
     return _occupation_rows(combinations(range(m), n), comb(m, n), n, m)
 

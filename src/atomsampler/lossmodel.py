@@ -23,6 +23,7 @@ the same conventions so the curves can be compared directly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import ValidationError
@@ -134,15 +135,19 @@ def p_pairs_trios(n, m, k2, k3, exact=False):
     return value if exact else float(value)
 
 
+@lru_cache(maxsize=256)
 def _occupancy_sector(n, m):
-    """All (k2, k3, probability) terms with site occupancy capped at three."""
-    terms = []
-    for k3 in range(n // 3 + 1):
-        for k2 in range((n - 3 * k3) // 2 + 1):
-            p = p_pairs_trios(n, m, k2, k3, exact=True)
-            if p:
-                terms.append((k2, k3, p))
-    return terms
+    """All (k2, k3, probability) terms with site occupancy capped at three.
+
+    Kept per (n, m): a rate curve asks for the same sector from `r_nisq`,
+    `crossover` and `excluded_occupancy_mass`.
+    """
+    return tuple(
+        (k2, k3, p)
+        for k3 in range(n // 3 + 1)
+        for k2 in range((n - 3 * k3) // 2 + 1)
+        if (p := p_pairs_trios(n, m, k2, k3, exact=True))
+    )
 
 
 def truncated_sector_mass(n, m, exact=False):

@@ -25,6 +25,7 @@ with random complex x, y at n = 20 the relative gap stays below 1e-11
 all permutations.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -63,55 +64,103 @@ def glynn_batch_size(n):
     return max(1, WORKSPACE // (max(n, 1) << low))
 
 
-def _glynn_batch(a):
-    """Permanents of a (D, n, n) complex stack, n >= 1, in one vectorized pass."""
-    d, n = a.shape[:2]
-    low = min(n - 1, LOW_SIGNS)
-    # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
-    sums = np.empty((1 << low, d, n), dtype=complex)
-    sums[0] = 0.0
+class _Workspace:
+    """Named scratch buffers, allocated once and reused for every batch.
+
+    `take(name, shape)` returns a C-contiguous view onto the start of the
+    buffer called `name`, so a short last batch gets the same memory layout
+    as a fresh array of its shape; a buffer is only reallocated when a
+    larger shape is asked for.  Contents are whatever the last user left.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    @staticmethod
+    def _allocate(size, dtype):
+        return np.empty(size, dtype=dtype)
+
+    def take(self, name, shape, dtype=complex):
+        size = int(np.prod(shape))
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = self._allocate(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _parity(low):
+    """Read-only parities of the 2^low low sign patterns, in doubling order."""
     parity = np.empty(1 << low)
     parity[0] = 1.0
     for i in range(low):
         h = 1 << i
+        np.negative(parity[:h], out=parity[h : 2 * h])
+    parity.setflags(write=False)
+    return parity
+
+
+def _glynn_batch(a, ws):
+    """Permanents of a (D, n, n) complex stack, n >= 1, in one vectorized pass."""
+    d, n = a.shape[:2]
+    low = min(n - 1, LOW_SIGNS)
+    parity = _parity(low)
+    # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
+    sums = ws.take("sums", (1 << low, d, n))
+    sums[0] = 0.0
+    for i in range(low):
+        h = 1 << i
         np.subtract(sums[:h], a[:, i + 1], out=sums[h : 2 * h])
         sums[:h] += a[:, i + 1]
-        np.negative(parity[:h], out=parity[h : 2 * h])
     # (D, n, 2^low): each column's offsets contiguous for the product below
-    offsets = np.ascontiguousarray(sums.transpose(1, 2, 0))
+    offsets = ws.take("offsets", (d, n, 1 << low))
+    np.copyto(offsets, sums.transpose(1, 2, 0))
     high = a[:, low + 1 :]
+    base = ws.take("base", (d, n))
+    prods = ws.take("prods", (d, 1 << low))
+    factor = ws.take("factor", (d, 1 << low))
     total = np.zeros(d, dtype=complex)
     for k in range(1 << (n - 1 - low)):
         signs = 1.0 - 2.0 * ((k >> np.arange(n - 1 - low)) & 1)
-        base = a[:, 0] + np.einsum("h,dhj->dj", signs, high)
-        prods = (offsets[:, 0] + base[:, :1]) * parity
+        np.einsum("h,dhj->dj", signs, high, out=base)
+        base += a[:, 0]
+        np.add(offsets[:, 0], base[:, :1], out=prods)
+        prods *= parity
         for j in range(1, n):
-            prods *= offsets[:, j] + base[:, j : j + 1]
+            np.add(offsets[:, j], base[:, j : j + 1], out=factor)
+            prods *= factor
         total += signs.prod() * prods.sum(axis=1)
     return total / (1 << (n - 1))
+
+
+def _glynn_batches(stack, ws):
+    """Permanents of a (D, n, n) complex stack in batches sharing `ws`; n = 0 gives 1."""
+    d, n = stack.shape[:2]
+    out = np.ones(d, dtype=complex)
+    if n == 0:
+        return out
+    batch = glynn_batch_size(n)
+    for i in range(0, d, batch):
+        out[i : i + batch] = _glynn_batch(stack[i : i + batch], ws)
+    return out
 
 
 def permanents_glynn(stack):
     """Permanents of a (D, n, n) stack of complex matrices via Glynn's formula.
 
     n = 0 gives the empty product 1 for every matrix.  Large stacks are
-    processed in batches of `glynn_batch_size(n)` matrices.
+    processed in batches of `glynn_batch_size(n)` matrices that share one
+    set of scratch buffers.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(
             f"permanents_glynn needs a (D, n, n) stack, got shape {stack.shape}"
         )
-    d, n = stack.shape[:2]
+    n = stack.shape[1]
     if n > GLYNN_CAP:
         raise SizeCapError(f"permanents_glynn capped at n <= {GLYNN_CAP}, got n = {n}")
-    out = np.ones(d, dtype=complex)
-    if n == 0:
-        return out
-    batch = glynn_batch_size(n)
-    for i in range(0, d, batch):
-        out[i : i + batch] = _glynn_batch(stack[i : i + batch])
-    return out
+    return _glynn_batches(stack, _Workspace())
 
 
 def permanent_glynn(a):
@@ -120,7 +169,7 @@ def permanent_glynn(a):
     Cost doubles with every row; `GLYNN_CAP` keeps runaway inputs out.
     """
     a, n = _checked_square(a, GLYNN_CAP, "permanent_glynn")
-    return complex(_glynn_batch(a[None])[0])
+    return complex(_glynn_batch(a[None], _Workspace())[0])
 
 
 def permanent_naive(a):

@@ -10,10 +10,11 @@ columns repeat input modes with multiplicity q_i.  Collision-free
 post-selection keeps only outcomes with every mode singly occupied.
 
 Distributions are array-first: outcomes are rows of a (D, M) occupation
-array and their probabilities a (D,) vector, computed by the batched Glynn
-kernel over stacks of submatrices; `draw_samples` returns rows of the same
-kind.  `FockState` objects are built only where a caller asks for them:
-the input state and `OutputDistribution.outcomes`.
+table (`fock.basis_array`'s narrow unsigned type) and their probabilities a
+(D,) vector, computed by the batched Glynn kernel over stacks of
+submatrices; `draw_samples` returns rows of the same kind.  `FockState`
+objects are built only where a caller asks for them: the input state and
+`OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
@@ -29,15 +30,15 @@ from .fock import (
     collision_free_array,
     multiset_dimension,
 )
-from .permanent import GLYNN_CAP, glynn_batch_size, permanent_glynn, permanents_glynn
+from .permanent import GLYNN_CAP, _Workspace, _glynn_batches, glynn_batch_size, permanent_glynn
 
 
 @dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Exact outcome probabilities for one input state and circuit.
 
-    `states` is a read-only (D, M) integer array of outcome occupations in
-    canonical order, `probs` the read-only (D,) array of their
+    `states` is a read-only (D, M) unsigned integer table of outcome
+    occupations in canonical order, `probs` the read-only (D,) array of their
     probabilities.
     """
 
@@ -104,7 +105,9 @@ def output_distribution(u, input_state, collision_free_only=False):
     columns, so their submatrices are gathered from row and column index
     arrays into (B, N, N) stacks of `glynn_batch_size(N)` outcomes at a
     time, which bounds the memory held, and handed to the batched Glynn
-    kernel.  N = 0 (the vacuum) has the single outcome of probability one.
+    kernel.  The stack, the factorial lookups and the kernel's buffers live
+    in one workspace reused for every batch.  N = 0 (the vacuum) has the
+    single outcome of probability one.
     """
     u = np.asarray(u, dtype=complex)
     n = input_state.total
@@ -121,17 +124,20 @@ def output_distribution(u, input_state, collision_free_only=False):
     factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
     input_norm = prod_factorials(input_state)
     columns = u[:, _mode_indices(input_state)]
-    modes = np.arange(m)
     probs = np.empty(count)
     batch = glynn_batch_size(n)
+    tiled_modes = np.tile(np.arange(m), min(batch, count))
+    ws = _Workspace()
     for i in range(0, count, batch):
         rows = states[i : i + batch]
+        b = len(rows)
         # each row holds N atoms, so its expanded mode indices fill one line of N
-        row_modes = np.repeat(np.tile(modes, len(rows)), rows.ravel()).reshape(len(rows), n)
-        perms = permanents_glynn(columns[row_modes])
-        norms = factorials[rows].prod(axis=1) * input_norm
-        probs[i : i + batch] = np.abs(perms) ** 2 / norms
-    states.setflags(write=False)
+        row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
+        # indices are in range by construction; mode="clip" writes straight into `out`
+        stack = np.take(columns, row_modes, axis=0, out=ws.take("stack", (b, n, n)), mode="clip")
+        perms = _glynn_batches(stack, ws)
+        norms = np.take(factorials, rows, out=ws.take("norms", (b, m), float), mode="clip")
+        probs[i : i + b] = np.abs(perms) ** 2 / (norms.prod(axis=1) * input_norm)
     probs.setflags(write=False)
     return OutputDistribution(
         input=input_state,
@@ -145,8 +151,8 @@ def output_distribution(u, input_state, collision_free_only=False):
 def draw_samples(dist, shots, seed):
     """I.i.d. draws from a distribution, conditioned on its total mass.
 
-    Returns the drawn outcomes as the rows of a read-only (shots, M) integer
-    array.  Deterministic for a fixed seed; inverse-CDF over the canonical
+    Returns the drawn outcomes as the rows of a read-only (shots, M) array
+    of the type of `dist.states`.  Deterministic for a fixed seed; inverse-CDF over the canonical
     outcome order.
     """
     if shots < 0:

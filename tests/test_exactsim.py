@@ -44,6 +44,16 @@ def test_decay_diagonal_entries():
         build_decay_diagonal(2, 3, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n,m", [(3, 8), (4, 10), (5, 20)])
+@pytest.mark.parametrize("tau_bg", [math.inf, 3.0])
+def test_decay_diagonal_equals_whole_table_formula(n, m, tau_bg):
+    # reference: the (dim, M/2) site-count formula on the widened table
+    arr = basis_array(n, m).astype(np.int64)
+    sites = arr.reshape(arr.shape[0], m // 2, 2).sum(axis=2)
+    expected = n / (2.0 * tau_bg) + (sites * (sites - 1)).sum(axis=1) / (4.0 * 5.0)
+    assert np.array_equal(build_decay_diagonal(n, m, tau_bg, 5.0).rates, expected)
+
+
 def test_apply_decay_laws():
     pair = basis_state(FockState((1, 1, 0, 0)))
     diag = build_decay_diagonal(2, 4, tau_bg=math.inf, tau_tb=0.7)

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from atomsampler import fock
 from atomsampler.errors import SizeCapError, ValidationError
 from atomsampler.fock import (
     FockState,
@@ -140,3 +141,28 @@ def test_basis_arrays_match_itertools_reference(n, m):
     singles = collision_free_array(n, m)
     assert singles.tolist() == [occupations(c) for c in combinations(range(m), n)]
     assert singles.shape == (comb(m, n), m)
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 5), (5, 20), (255, 1), (255, 2)])
+def test_occupation_tables_are_read_only_uint8_up_to_255_atoms(n, m):
+    for table in (basis_array(n, m), collision_free_array(n, m)):
+        assert table.dtype == np.uint8
+        assert not table.flags.writeable
+
+
+def test_basis_array_beyond_255_atoms():
+    arr = basis_array(300, 2)
+    assert arr.dtype == np.uint16
+    assert arr.tolist() == [[300 - k, k] for k in range(301)]
+    assert np.array_equal(basis_rank(arr), np.arange(301))
+    assert collision_free_array(300, 300).tolist() == [[1] * 300]
+
+
+def test_occupation_tables_filled_across_chunks(monkeypatch):
+    # at most ten entries per chunk: one or two rows at a time
+    monkeypatch.setattr(fock, "FILL_CHUNK", 10)
+    n, m = 3, 5
+    full = fock._basis_array_cached.__wrapped__(n, m)
+    assert full.tolist() == basis_array(n, m).tolist()
+    singles = collision_free_array(n, m)
+    assert singles.tolist() == [[int(j in c) for j in range(m)] for c in combinations(range(m), n)]

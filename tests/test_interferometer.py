@@ -121,6 +121,19 @@ def test_decompose_round_trip(m):
     assert unitarity_defect(reconstruct(plan)) < 1e-12
 
 
+def test_decompose_depth_stays_within_m_layers():
+    # the mesh schedule depends on M only: every kind of unitary gets the same
+    # layers, and there are never more than M of them
+    for m in range(1, 65):
+        shuffle = np.random.default_rng(m).permutation(m)
+        layouts = set()
+        for u in (haar_random_unitary(m, seed=m), np.eye(m), np.eye(m)[shuffle]):
+            plan = clements_decompose(u)
+            assert plan.depth <= m
+            layouts.add(tuple(tuple(c.pair for c in layer) for layer in plan.layers))
+        assert len(layouts) == 1
+
+
 def test_layer_structure_alternates_parity():
     plan = clements_decompose(haar_random_unitary(7, seed=19))
     for idx, layer in enumerate(plan.layers):

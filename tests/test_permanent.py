@@ -4,10 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from atomsampler import permanent
 from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
-from atomsampler.fock import FockState, basis_rank, enumerate_basis
+from atomsampler.fock import (
+    FockState,
+    basis_array,
+    basis_rank,
+    collision_free_array,
+    enumerate_basis,
+)
 from atomsampler.interferometer import coupling_matrix, haar_random_unitary
 from atomsampler.permanent import (
+    _glynn_batch,
+    _glynn_batches,
+    _Workspace,
     glynn_batch_size,
     permanent_glynn,
     permanent_naive,
@@ -19,6 +29,7 @@ from atomsampler.sampling import (
     draw_samples,
     outcome_probability,
     output_distribution,
+    prod_factorials,
     sampling_submatrix,
 )
 
@@ -111,6 +122,54 @@ def test_permanents_glynn_stack_matches_naive():
 def test_permanents_glynn_empty_cases():
     assert np.array_equal(permanents_glynn(np.zeros((3, 0, 0))), np.ones(3))
     assert permanents_glynn(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def _fresh_batches(stack, batch):
+    """Permanents of `stack`, one fresh `_Workspace` per `batch` matrices."""
+    return np.concatenate(
+        [_glynn_batch(stack[i : i + batch], _Workspace()) for i in range(0, len(stack), batch)]
+    )
+
+
+# batches of four; every case below has at least three and a short last one
+@pytest.mark.parametrize(
+    "n,m,collision_free_only",
+    [(1, 14, False), (1, 14, True), (2, 6, False), (2, 6, True),
+     (5, 7, False), (5, 7, True), (13, 2, False), (13, 15, True), (14, 15, True)],
+)
+def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, collision_free_only):
+    # n = 13 fills the low signs, n = 14 walks one high sign
+    low = min(n - 1, permanent.LOW_SIGNS)
+    monkeypatch.setattr(permanent, "WORKSPACE", 4 * (n << low))
+    batch = glynn_batch_size(n)
+    assert batch == 4
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((14, n, n)) + 1j * rng.standard_normal((14, n, n))
+    u = haar_random_unitary(m, seed=n)
+    inp = FockState((n,) + (0,) * (m - 1) if m < n else (1,) * n + (0,) * (m - n))
+    table = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
+    states = [FockState(tuple(row)) for row in table.tolist()]
+    assert len(states) >= 3 * batch and len(states) % batch
+    subs = np.array([sampling_submatrix(u, inp, s) for s in states])
+    norms = np.array([prod_factorials(inp) * prod_factorials(s) for s in states], dtype=float)
+    expected_probs = np.abs(_fresh_batches(subs, batch)) ** 2 / norms
+    expected_perms = _fresh_batches(stack, batch)
+
+    # from here on every scratch buffer starts as NaN, so a value read before
+    # the current batch wrote it shows up in the results
+    def nan_buffer(size, dtype):
+        return np.full(size, np.nan, dtype=dtype)
+
+    monkeypatch.setattr(_Workspace, "_allocate", staticmethod(nan_buffer))
+    assert np.array_equal(permanents_glynn(stack), expected_perms)
+    dist = output_distribution(u, inp, collision_free_only)
+    assert np.array_equal(dist.probs, expected_probs)
+    # one workspace reused across two stacks after being poisoned with NaN
+    ws = _Workspace()
+    _glynn_batches(stack, ws)
+    for buf in ws._buffers.values():
+        buf.fill(np.nan)
+    assert np.array_equal(_glynn_batches(stack[:-3], ws), expected_perms[:-3])
 
 
 @pytest.mark.parametrize("sizes", [(7, 7), (8, 8), (6, 9)])
