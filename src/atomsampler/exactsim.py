@@ -29,7 +29,8 @@ blocks of all couplings of the plan in one call per n_pair and reuses the
 decay factor exp(-H t_step) across runs with the same (n, m, t_step, tau),
 such as the realizations of `benchmark_vs_model`.  It steps through the same
 layer kernel as `apply_layer`, and its survival ratios and amplitudes are
-bit-identical to a loop of `apply_decay` and `apply_layer`.
+bit-identical to a loop of `apply_decay` and `apply_layer`.  The output
+phases, which no p_j depends on, are left to `apply_output_phases`.
 """
 
 import math
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import lossmodel
 from .errors import ValidationError
-from .fock import basis_array, multiset_dimension, rank_table, state_rank
+from .fock import basis_array, multiset_dimension, rank_table, site_count, state_rank
 from .interferometer import check_layer, clements_decompose, coupling_matrix, haar_random_unitary
 from .parallel import spawn_seeds
 
@@ -119,13 +120,12 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
     basis-length integer vector, so the narrow occupation table is never
     widened as a whole and no (dim, M/2) temporary is built.
     """
-    if m % 2 != 0:
-        raise ValidationError(f"mode count {m} is odd; the site pairing needs even M")
+    sites = site_count(m)
     arr = basis_array(n, m)
     pair_terms = np.zeros(len(arr), dtype=np.int64)
     site = np.empty_like(pair_terms)
     term = np.empty_like(pair_terms)
-    for s in range(m // 2):
+    for s in range(sites):
         np.add(arr[:, 2 * s], arr[:, 2 * s + 1], out=site, dtype=np.int64)
         np.subtract(site, 1, out=term)
         term *= site
@@ -267,9 +267,19 @@ def apply_layer(state, couplings):
 
 
 def apply_output_phases(state, phases):
-    """Apply per-mode output phases; diagonal, norm preserving."""
+    """Apply per-mode output phases; diagonal, norm preserving.
+
+    Adds phases[j] n_j one mode at a time, so the table is never widened.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (state.m,):
+        raise ValidationError(f"need {state.m} output phases, got shape {phases.shape}")
     arr = basis_array(state.n, state.m)
-    total_phase = arr @ np.asarray(phases, dtype=float)
+    total_phase = np.zeros(len(arr))
+    term = np.empty_like(total_phase)
+    for j, phase in enumerate(phases):
+        np.multiply(arr[:, j], phase, out=term)
+        total_phase += term
     return SimState(
         amplitudes=state.amplitudes * np.exp(1j * total_phase), n=state.n, m=state.m
     )
@@ -288,12 +298,12 @@ def _decay_factor(n, m, t_step, tau_bg, tau_tb):
     return factor
 
 
-def run_circuit(initial, plan, t_step, tau_bg, tau_tb, apply_phases=True):
+def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
     """Alternate decay and coherent layers; record per-step survival.
 
-    Decay acts before each layer.  Output phases are applied after the last
-    layer; they change no survival ratio.  Every layer is checked before the
-    first step.
+    Decay acts before each layer.  The plan's output phases, which change no
+    survival ratio, are left to `apply_output_phases`.  Every layer is
+    checked before the first step.
     """
     if plan.m != initial.m:
         raise ValidationError(
@@ -316,8 +326,6 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb, apply_phases=True):
         ratios.append(after / norm)
         norm = after
     state = SimState(amplitudes=amps, n=n, m=m)
-    if apply_phases:
-        state = apply_output_phases(state, plan.output_phases)
     p_j = np.asarray(ratios)
     trace = SurvivalTrace(p_j=p_j, p_total=float(np.prod(p_j)), steps=len(ratios))
     return state, trace
@@ -327,7 +335,7 @@ def _one_realization(n, m, t_step, tau_tb, seedseq):
     # the realization's first spawned child seeds its unitary
     u = haar_random_unitary(m, seedseq.spawn(1)[0])
     plan = clements_decompose(u)
-    _, trace = run_circuit(uniform_state(n, m), plan, t_step, math.inf, tau_tb, apply_phases=False)
+    _, trace = run_circuit(uniform_state(n, m), plan, t_step, math.inf, tau_tb)
     return trace
 
 

@@ -4,8 +4,8 @@ A state of N atoms in M modes is an occupation vector (n_0, ..., n_{M-1}).
 Modes come in pairs: mode ``2s + sigma`` with sigma in {0, 1} addresses the
 two internal states of lattice site ``s``, so M modes span M/2 sites.  The
 canonical basis order is descending lexicographic on occupation vectors,
-starting from (N, 0, ..., 0); ranks are combinadic, one cached binomial
-lookup per mode.
+starting from (N, 0, ..., 0); ranks are combinadic, one lookup per mode in
+the cached `rank_table` that `state_unrank` walks back.
 """
 
 from dataclasses import dataclass
@@ -173,34 +173,35 @@ def state_rank(state):
 
 
 def state_unrank(index, n, m):
-    """Inverse of `state_rank` for the (n, m) basis."""
+    """Inverse of `state_rank`: greedy on each `rank_table` row, which grows with s."""
     dim = multiset_dimension(n, m)
     if not 0 <= index < dim:
         raise ValidationError(f"rank {index} out of range for dimension {dim}")
     occ = []
-    remaining = n
+    after = n  # atoms in mode j and beyond
     rank = index
-    for j in range(m - 1):
-        tail_modes = m - j - 1
-        # walk candidate occupations from largest down; each heads a block of
-        # multiset_dimension(remaining - nj, tail_modes) states
-        for nj in range(remaining, -1, -1):
-            block = comb(remaining - nj + tail_modes - 1, tail_modes - 1)
-            if rank < block:
-                occ.append(nj)
-                remaining -= nj
-                break
-            rank -= block
-    occ.append(remaining)
+    for row in rank_table(n, m)[:-1]:
+        a = after
+        while row[a] > rank:
+            a -= 1
+        rank -= row[a]
+        occ.append(after - a)
+        after = a
+    occ.append(after)
     return FockState(tuple(occ))
+
+
+def site_count(m):
+    """Lattice sites spanned by M modes; site s is modes 2s and 2s+1, so M must be even."""
+    if m % 2 != 0:
+        raise ValidationError(f"mode count {m} is odd; sites need mode pairs")
+    return m // 2
 
 
 def site_occupancy(state):
     """Fold mode occupations into per-site counts (site s = modes 2s, 2s+1)."""
-    if state.m % 2 != 0:
-        raise ValidationError(f"mode count {state.m} is odd; sites need mode pairs")
     occ = state.occupations
-    counts = tuple(occ[2 * s] + occ[2 * s + 1] for s in range(state.m // 2))
+    counts = tuple(occ[2 * s] + occ[2 * s + 1] for s in range(site_count(state.m)))
     return SiteOccupancy(
         site_counts=counts,
         k2=sum(1 for c in counts if c == 2),

@@ -18,8 +18,9 @@ gamma (probability that the atoms are indistinguishable) relates to bunching
 through P_bunch = gamma + (1 - gamma) / 2.
 
 Both Monte Carlo paths draw in blocks of `MC_BLOCK` trials: the forward
-model spreads its blocks over `parallel_map`'s threads, and the fit keeps
-only the counts and draws it needs from each block.
+model spreads its blocks over `parallel_map`'s threads and reads its counts
+with `HomOutcomes.from_counts`, and the fit keeps only the counts and draws
+it needs from each block.
 """
 
 import math
@@ -31,6 +32,9 @@ from .errors import DegenerateSampleError, ValidationError
 from .parallel import spawn_seeds, parallel_map
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Width of the P_bunch bracket at which the golden-section fit stops.
+GOLDEN_TOL = 1e-4
 
 MC_BLOCK = 1 << 16
 
@@ -143,24 +147,19 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     tallies = parallel_map(
         lambda args: _simulate_block(params, *args), list(zip(blocks, seeds)), workers=workers
     )
-    n0, n1, n2, kept = np.sum(tallies, axis=0)
+    n0, n1, n2, kept = np.sum(tallies, axis=0).tolist()
     if kept == 0:
         raise DegenerateSampleError("post-selection removed every trial")
-    return HomOutcomes(
-        trials_kept=int(kept),
-        p0=n0 / kept,
-        p1=n1 / kept,
-        p2=n2 / kept,
-        counts=(int(n0), int(n1), int(n2)),
-    )
+    # every kept trial ends with zero, one or two atoms, so n0 + n1 + n2 = kept
+    return HomOutcomes.from_counts(n0, n1, n2)
 
 
-def _golden_section(objective, lo, hi, tol=1e-4):
+def _golden_section(objective, lo, hi):
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

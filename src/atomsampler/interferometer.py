@@ -277,15 +277,6 @@ def check_layer(layer, m):
         seen.update((lo, hi))
 
 
-def embed_coupling(m, pair, theta, phi):
-    """Coupling on one adjacent pair embedded into an M x M identity."""
-    out = np.eye(m, dtype=complex)
-    block = coupling_matrix(theta, phi)
-    lo = pair[0]
-    out[lo : lo + 2, lo : lo + 2] = block
-    return out
-
-
 def reconstruct(plan):
     """Multiply out a plan: layers in order, then the output phases."""
     u = np.eye(plan.m, dtype=complex)

@@ -9,15 +9,17 @@ k2 sites hold pairs and k3 sites hold trios is
     P(k2, k3) = 4^k3 C(S, k3) 3^k2 C(S - k3, k2) 2^(N - 2 k2 - 3 k3)
                 C(S - k2 - k3, N - 2 k2 - 3 k3) / C(M + N - 1, N)
 
-with S = M / 2 sites; for large N at fixed c = M / N^2 this tends to a
-Poisson law with mean 3 / (2 c).  Occupancies above three are dropped; the
-neglected probability mass is available via `excluded_occupancy_mass`.
+with S = M / 2 sites, as an exact `Fraction`; for large N at fixed
+c = M / N^2 it tends to a Poisson law with mean 3 / (2 c).  Occupancies
+above three are dropped; the neglected probability mass is available via
+`excluded_occupancy_mass`.
 
 Sampling rates: the lossless machine draws collision-free events at
 (1/e) / (c N^2 t_step + t_init + t_det); preparation and detection
 inefficiencies contribute (eta_init eta_det)^N and the survival factor
 multiplies on top.  Photonic and classical-computer competitor rates follow
-the same conventions so the curves can be compared directly.
+the same conventions so the curves can be compared directly.  Of all
+scenario values only the lifetimes tau_bg and tau_tb may be infinite.
 """
 
 import math
@@ -27,6 +29,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ValidationError
+from .fock import site_count
 
 #: Largest N evaluated with the finite-size pair/trio sum before switching
 #: to the large-N closed form.
@@ -44,9 +47,14 @@ def uses_closed_form(n, model):
     return model == "closed" or (model == "auto" and n > FINITE_MODEL_LIMIT)
 
 
-def _require_positive_time(name, value):
+def _require_positive(name, value):
     if not value > 0.0:
         raise ValidationError(f"{name} must be positive, got {value}")
+
+
+def _require_finite_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def _require_probability(name, value):
@@ -68,12 +76,12 @@ class LossScenario:
     mode_ratio_c: float = 1.0
 
     def __post_init__(self):
-        for name in ("t_step", "tau_bg", "tau_tb", "t_init", "t_det"):
-            _require_positive_time(name, getattr(self, name))
+        for name in ("tau_bg", "tau_tb"):
+            _require_positive(name, getattr(self, name))
+        for name in ("t_step", "t_init", "t_det", "mode_ratio_c"):
+            _require_finite_positive(name, getattr(self, name))
         for name in ("eta_init", "eta_det"):
             _require_probability(name, getattr(self, name))
-        if not self.mode_ratio_c > 0.0:
-            raise ValidationError(f"mode_ratio_c must be positive, got {self.mode_ratio_c}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,7 @@ class PhotonicScenario:
     eta_c: float
 
     def __post_init__(self):
-        if not self.r0 > 0.0:
-            raise ValidationError(f"r0 must be positive, got {self.r0}")
+        _require_finite_positive("r0", self.r0)
         _require_probability("eta_f", self.eta_f)
         _require_probability("eta_c", self.eta_c)
 
@@ -98,31 +105,27 @@ class ClassicalScenario:
     a_tilde: float
 
     def __post_init__(self):
-        if not self.a_tilde > 0.0:
-            raise ValidationError(f"a_tilde must be positive, got {self.a_tilde}")
+        _require_finite_positive("a_tilde", self.a_tilde)
 
 
-def even_mode_count(n, c=1.0):
+def even_mode_count(n, c):
     """Even mode count nearest to c * n^2, for site-paired combinatorics."""
     return 2 * round(c * n * n / 2.0)
 
 
-def p_pairs_trios(n, m, k2, k3, exact=False):
-    """Probability of exactly k2 pair sites and k3 trio sites.
+def p_pairs_trios(n, m, k2, k3):
+    """Exact probability (a `Fraction`) of exactly k2 pair sites and k3 trio sites.
 
     Evaluated under the uniform bosonic mixture over M modes (M/2 sites)
-    with exact integer combinatorics; unsatisfiable configurations get
-    probability zero.  Set `exact` for the rational value.
+    with integer combinatorics; unsatisfiable configurations get zero.
     """
-    if m % 2 != 0:
-        raise ValidationError(f"mode count {m} is odd; the site pairing needs even M")
+    sites = site_count(m)
     if k2 < 0 or k3 < 0:
         raise ValidationError(f"negative occupancy counts k2={k2}, k3={k3}")
-    sites = m // 2
     singles = n - 2 * k2 - 3 * k3
     free_sites = sites - k2 - k3
     if singles < 0 or free_sites < 0 or singles > free_sites:
-        return Fraction(0) if exact else 0.0
+        return Fraction(0)
     numerator = (
         4**k3
         * comb(sites, k3)
@@ -131,8 +134,7 @@ def p_pairs_trios(n, m, k2, k3, exact=False):
         * 2**singles
         * comb(free_sites, singles)
     )
-    value = Fraction(numerator, comb(m + n - 1, n))
-    return value if exact else float(value)
+    return Fraction(numerator, comb(m + n - 1, n))
 
 
 @lru_cache(maxsize=256)
@@ -146,19 +148,18 @@ def _occupancy_sector(n, m):
         (k2, k3, p)
         for k3 in range(n // 3 + 1)
         for k2 in range((n - 3 * k3) // 2 + 1)
-        if (p := p_pairs_trios(n, m, k2, k3, exact=True))
+        if (p := p_pairs_trios(n, m, k2, k3))
     )
 
 
-def truncated_sector_mass(n, m, exact=False):
-    """Total probability of states with no site holding four or more atoms."""
-    total = sum(p for _, _, p in _occupancy_sector(n, m))
-    return total if exact else float(total)
+def truncated_sector_mass(n, m):
+    """Exact probability (a `Fraction`) that no site holds four or more atoms."""
+    return sum((p for _, _, p in _occupancy_sector(n, m)), Fraction(0))
 
 
 def excluded_occupancy_mass(n, m):
     """Probability mass dropped by ignoring quartet and higher occupancies."""
-    return float(1 - truncated_sector_mass(n, m, exact=True))
+    return float(1 - truncated_sector_mass(n, m))
 
 
 def poisson_pair_limit(c, k2):

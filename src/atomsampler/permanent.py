@@ -1,6 +1,6 @@
 """Matrix permanents.
 
-`permanents_glynn` is the one Glynn kernel.  It evaluates Glynn's formula
+`_glynn_batch` is the one Glynn kernel.  It evaluates Glynn's formula
 
     perm(A) = 2^-(n-1) sum_d (prod_i d_i) prod_j (sum_i d_i a_ij)
 
@@ -20,6 +20,9 @@ Drift bound: on the rank-one closed form perm(x y^T) = n! prod x prod y
 with random complex x, y at n = 20 the relative gap stays below 1e-11
 (about 1e-15 in practice; tested).
 
+`permanents_glynn` holds the only loop over a stack, in batches of
+`glynn_batch_size(n)` matrices sharing one `_Workspace`;
+`output_distribution` gathers one batch at a time itself.
 `permanent_glynn` is the checked single-matrix entry point and
 `permanent_naive` the factorial-time cross-check, summing row products over
 all permutations.
@@ -101,8 +104,10 @@ def _parity(low):
 
 
 def _glynn_batch(a, ws):
-    """Permanents of a (D, n, n) complex stack, n >= 1, in one vectorized pass."""
+    """Permanents of a (D, n, n) complex stack in one vectorized pass; n = 0 gives 1."""
     d, n = a.shape[:2]
+    if n == 0:
+        return np.ones(d, dtype=complex)
     low = min(n - 1, LOW_SIGNS)
     parity = _parity(low)
     # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
@@ -133,18 +138,6 @@ def _glynn_batch(a, ws):
     return total / (1 << (n - 1))
 
 
-def _glynn_batches(stack, ws):
-    """Permanents of a (D, n, n) complex stack in batches sharing `ws`; n = 0 gives 1."""
-    d, n = stack.shape[:2]
-    out = np.ones(d, dtype=complex)
-    if n == 0:
-        return out
-    batch = glynn_batch_size(n)
-    for i in range(0, d, batch):
-        out[i : i + batch] = _glynn_batch(stack[i : i + batch], ws)
-    return out
-
-
 def permanents_glynn(stack):
     """Permanents of a (D, n, n) stack of complex matrices via Glynn's formula.
 
@@ -157,10 +150,15 @@ def permanents_glynn(stack):
         raise ValidationError(
             f"permanents_glynn needs a (D, n, n) stack, got shape {stack.shape}"
         )
-    n = stack.shape[1]
+    d, n = stack.shape[:2]
     if n > GLYNN_CAP:
         raise SizeCapError(f"permanents_glynn capped at n <= {GLYNN_CAP}, got n = {n}")
-    return _glynn_batches(stack, _Workspace())
+    out = np.empty(d, dtype=complex)
+    batch = glynn_batch_size(n)
+    ws = _Workspace()
+    for i in range(0, d, batch):
+        out[i : i + batch] = _glynn_batch(stack[i : i + batch], ws)
+    return out
 
 
 def permanent_glynn(a):

@@ -11,10 +11,10 @@ post-selection keeps only outcomes with every mode singly occupied.
 
 Distributions are array-first: outcomes are rows of a (D, M) occupation
 table (`fock.basis_array`'s narrow unsigned type) and their probabilities a
-(D,) vector, computed by the batched Glynn kernel over stacks of
-submatrices; `draw_samples` returns rows of the same kind.  `FockState`
-objects are built only where a caller asks for them: the input state and
-`OutputDistribution.outcomes`.
+(D,) vector, computed by the Glynn kernel over stacks of submatrices of
+one kernel batch each; `draw_samples` returns rows of the same kind.
+`FockState` objects are built only where a caller asks for them: the input
+state and `OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .fock import (
     collision_free_array,
     multiset_dimension,
 )
-from .permanent import GLYNN_CAP, _Workspace, _glynn_batches, glynn_batch_size, permanent_glynn
+from .permanent import GLYNN_CAP, _Workspace, _glynn_batch, glynn_batch_size, permanent_glynn
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +104,9 @@ def output_distribution(u, input_state, collision_free_only=False):
     `total_mass` is the retained probability.  All outcomes share the input
     columns, so their submatrices are gathered from row and column index
     arrays into (B, N, N) stacks of `glynn_batch_size(N)` outcomes at a
-    time, which bounds the memory held, and handed to the batched Glynn
-    kernel.  The stack, the factorial lookups and the kernel's buffers live
-    in one workspace reused for every batch.  N = 0 (the vacuum) has the
+    time, which bounds the memory held, and each stack goes to the Glynn
+    kernel as one batch.  The stack, the factorial lookups and the kernel's
+    buffers live in one workspace reused for every batch.  N = 0 (the vacuum) has the
     single outcome of probability one.
     """
     u = np.asarray(u, dtype=complex)
@@ -135,7 +135,7 @@ def output_distribution(u, input_state, collision_free_only=False):
         row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
         # indices are in range by construction; mode="clip" writes straight into `out`
         stack = np.take(columns, row_modes, axis=0, out=ws.take("stack", (b, n, n)), mode="clip")
-        perms = _glynn_batches(stack, ws)
+        perms = _glynn_batch(stack, ws)
         norms = np.take(factorials, rows, out=ws.take("norms", (b, m), float), mode="clip")
         probs[i : i + b] = np.abs(perms) ** 2 / (norms.prod(axis=1) * input_norm)
     probs.setflags(write=False)

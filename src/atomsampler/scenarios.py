@@ -7,7 +7,8 @@ field names of the corresponding dataclass::
      "photonic": {...PhotonicScenario...},
      "classical": {...ClassicalScenario...}}
 
-Numeric values may be given as the string "inf" to switch a loss channel off.
+The lifetimes tau_bg and tau_tb may be the string "inf" to switch a loss
+channel off; the two-atom parameters are one flat `HomParams` object.
 Presets "conservative", "state-of-the-art", and "lossless" ship with the
 package, as do the two-atom interference parameters ("hom-experiment") and a
 small measured-counts sample.
@@ -70,28 +71,22 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _read_preset(filename):
-    ref = resources.files("atomsampler.presets").joinpath(filename)
-    return json.loads(ref.read_text(encoding="utf-8"))
+def _read_source(source, presets):
+    """JSON data of a shipped preset named in `presets`, or of a file path."""
+    if source in presets:
+        ref = resources.files("atomsampler.presets").joinpath(presets[source])
+        return json.loads(ref.read_text(encoding="utf-8"))
+    return _read_json(source)
 
 
 def load_bundle(source):
     """Scenario bundle from a preset name or a JSON file path."""
-    if source in PRESETS:
-        return bundle_from_dict(_read_preset(PRESETS[source]))
-    return bundle_from_dict(_read_json(source))
+    return bundle_from_dict(_read_source(source, PRESETS))
 
 
 def load_hom_params(source):
     """Two-atom experiment parameters from a preset name or JSON path."""
-    data = _read_preset(HOM_PRESETS[source]) if source in HOM_PRESETS else _read_json(source)
-    if not isinstance(data, dict):
-        raise ValidationError("hom parameter file must hold a JSON object")
-    fields = {k: _as_float("hom", k, v) for k, v in data.items()}
-    try:
-        return HomParams(**fields)
-    except TypeError as exc:
-        raise ValidationError(f"hom parameter file: {exc}") from exc
+    return _build(HomParams, "hom", _read_source(source, HOM_PRESETS))
 
 
 def load_hom_counts(path):

@@ -108,8 +108,8 @@ def test_criterion_05_pair_trio_exactness():
         for k3 in range(n // 3 + 1):
             for k2 in range((n - 3 * k3) // 2 + 1):
                 expected = Fraction(tallies.get((k2, k3), 0), dim)
-                ok &= p_pairs_trios(n, m, k2, k3, exact=True) == expected
-        ok &= truncated_sector_mass(n, m, exact=True) == Fraction(in_sector, dim)
+                ok &= p_pairs_trios(n, m, k2, k3) == expected
+        ok &= truncated_sector_mass(n, m) == Fraction(in_sector, dim)
     report(5, "pair/trio probabilities match exhaustive enumeration exactly", ok)
 
 

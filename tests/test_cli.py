@@ -49,14 +49,18 @@ def test_rates_rejects_empty_atom_range(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_rates_rejects_malformed_scenario(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    good = json.loads(json.dumps({
+def valid_scenario():
+    return {
         "loss": {"t_step": 33e-6, "tau_bg": 360.0, "tau_tb": 0.4, "t_init": 0.5,
                  "t_det": 0.1, "eta_init": 0.99, "eta_det": 0.99, "mode_ratio_c": 1.0},
         "photonic": {"r0": 76e6, "eta_f": 0.14, "eta_c": 0.999},
         "classical": {"a_tilde": 3e-15},
-    }))
+    }
+
+
+def test_rates_rejects_malformed_scenario(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    good = valid_scenario()
     good["loss"]["t_step"] = "soon"
     bad.write_text(json.dumps(good))
     assert run("rates", "--scenario", bad, "--out", tmp_path / "r.csv") == 2
@@ -65,6 +69,22 @@ def test_rates_rejects_malformed_scenario(tmp_path, capsys):
     bad.write_text('{"loss": [1, 2')  # truncated JSON: parse error with position
     assert run("rates", "--scenario", bad, "--out", tmp_path / "r.csv") == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,field", [
+    ("loss", "t_step"), ("loss", "t_init"), ("loss", "t_det"), ("loss", "mode_ratio_c"),
+    ("photonic", "r0"), ("classical", "a_tilde"),
+])
+def test_rates_rejects_infinite_scenario_value(tmp_path, capsys, section, field):
+    # only the lifetimes tau_bg and tau_tb may be "inf"; the `lossless` preset relies on that
+    scenario = valid_scenario()
+    scenario[section][field] = "inf"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    out = tmp_path / "r.csv"
+    assert run("rates", "--scenario", bad, "--out", out) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_frequencies_match_distribution(tmp_path):

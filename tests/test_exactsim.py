@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,28 @@ def test_output_phases_only_rotate_amplitudes():
     assert np.allclose(np.abs(rotated.amplitudes), np.abs(state.amplitudes))
 
 
+def test_output_phases_never_widen_the_occupation_table():
+    n, m = 5, 20
+    table = basis_array(n, m)  # cached before tracing, as every call after the first finds it
+    rng = np.random.default_rng(11)
+    state = uniform_state(n, m)
+    phases = rng.uniform(-np.pi, np.pi, m)
+    tracemalloc.start()
+    try:
+        rotated = apply_output_phases(state, phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.shape[0] * m * np.dtype(float).itemsize  # one (dim, M) float64 table
+    widened = state.amplitudes * np.exp(1j * (table.astype(float) @ phases))
+    assert np.max(np.abs(rotated.amplitudes - widened)) <= 1e-12
+
+
+def test_output_phases_need_one_phase_per_mode():
+    with pytest.raises(ValidationError):
+        apply_output_phases(uniform_state(2, 4), np.zeros(3))
+
+
 def test_run_circuit_first_step_background_bound():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     inp = basis_state(FockState((1, 0, 1, 0)))  # collision free
@@ -172,14 +195,10 @@ def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle
     plan = _with_idle_couplings(clements_decompose(haar_random_unitary(m, seed=seed)), 2, idle)
     initial = uniform_state(n, m)
     for _ in range(2):  # the second run reuses the kept decay factor
-        final, trace = run_circuit(initial, plan, 0.3, tau_bg, 1.7, apply_phases=False)
+        final, trace = run_circuit(initial, plan, 0.3, tau_bg, 1.7)
         expected, ratios = _layer_by_layer(initial, plan, 0.3, tau_bg, 1.7)
         assert np.array_equal(trace.p_j, ratios)
         assert np.array_equal(final.amplitudes, expected.amplitudes)
-    phased, _ = run_circuit(initial, plan, 0.3, tau_bg, 1.7)
-    assert np.array_equal(
-        phased.amplitudes, apply_output_phases(expected, plan.output_phases).amplitudes
-    )
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from atomsampler import fock
 from atomsampler.errors import SizeCapError, ValidationError
+from atomsampler.exactsim import build_decay_diagonal
 from atomsampler.fock import (
     FockState,
     basis_array,
@@ -15,10 +17,12 @@ from atomsampler.fock import (
     enumerate_basis,
     is_collision_free,
     multiset_dimension,
+    rank_table,
     site_occupancy,
     state_rank,
     state_unrank,
 )
+from atomsampler.lossmodel import p_pairs_trios
 
 
 def test_multiset_dimension_values():
@@ -82,6 +86,25 @@ def test_rank_unrank_bijection(n, m):
         assert state_unrank(idx, n, m) == state
 
 
+def test_unrank_walks_the_rank_table_at_large_sizes(monkeypatch):
+    # dimension about 1e28: the table holds Python integers
+    n, m = 40, 60
+    rng = random.Random(20260)
+    indices = [rng.randrange(multiset_dimension(n, m)) for _ in range(200)]
+    reads = []
+
+    def spy(*args):
+        reads.append(args)
+        return rank_table(*args)
+
+    monkeypatch.setattr(fock, "rank_table", spy)
+    states = [state_unrank(i, n, m) for i in indices]
+    assert reads == [(n, m)] * len(indices)
+    monkeypatch.undo()
+    assert [state_rank(s) for s in states] == indices
+    assert all(s.total == n and s.m == m for s in states)
+
+
 def test_unrank_range_check():
     with pytest.raises(ValidationError):
         state_unrank(10, 2, 2)
@@ -111,6 +134,19 @@ def test_site_occupancy_examples():
 def test_site_occupancy_rejects_odd_mode_count():
     with pytest.raises(ValidationError):
         site_occupancy(FockState((1, 0, 1)))
+
+
+def test_every_site_rule_consumer_rejects_odd_mode_count_alike():
+    messages = []
+    for call in (
+        lambda: site_occupancy(FockState((1, 0, 1))),
+        lambda: p_pairs_trios(2, 3, 0, 0),
+        lambda: build_decay_diagonal(2, 3, 1.0, 1.0),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == ["mode count 3 is odd; sites need mode pairs"] * 3
 
 
 def test_site_counts_sum_to_n():

@@ -10,7 +10,6 @@ from atomsampler.interferometer import (
     clements_decompose,
     composite_pulse,
     coupling_matrix,
-    embed_coupling,
     haar_random_unitary,
     plan_from_json,
     plan_to_json,
@@ -191,7 +190,6 @@ def test_reconstruct_single_coupling():
     coupling = LocalCoupling(layer=0, pair=(0, 1), theta=np.pi / 2.0, phi=0.0)
     plan = CircuitPlan(m=2, layers=((coupling,),), output_phases=np.zeros(2))
     assert np.allclose(reconstruct(plan), coupling_matrix(np.pi / 2.0, 0.0))
-    assert np.allclose(embed_coupling(2, (0, 1), np.pi / 2.0, 0.0), reconstruct(plan))
 
 
 def test_reconstruct_rejects_overlapping_couplings():

@@ -46,7 +46,7 @@ def enumerated_sector_probability(n, m, k2, k3):
 def test_pairs_trios_exact_against_enumeration(n, m):
     for k3 in range(n // 3 + 1):
         for k2 in range((n - 3 * k3) // 2 + 1):
-            assert p_pairs_trios(n, m, k2, k3, exact=True) == enumerated_sector_probability(
+            assert p_pairs_trios(n, m, k2, k3) == enumerated_sector_probability(
                 n, m, k2, k3
             )
 
@@ -68,7 +68,7 @@ def test_sector_mass_matches_enumeration():
         1 for s in enumerate_basis(n, m) if site_occupancy(s).max_occ <= 3
     )
     expected = Fraction(total, multiset_dimension(n, m))
-    assert truncated_sector_mass(n, m, exact=True) == expected
+    assert truncated_sector_mass(n, m) == expected
     assert excluded_occupancy_mass(n, m) == pytest.approx(float(1 - expected), abs=1e-15)
 
 

@@ -16,7 +16,6 @@ from atomsampler.fock import (
 from atomsampler.interferometer import coupling_matrix, haar_random_unitary
 from atomsampler.permanent import (
     _glynn_batch,
-    _glynn_batches,
     _Workspace,
     glynn_batch_size,
     permanent_glynn,
@@ -164,12 +163,14 @@ def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, co
     assert np.array_equal(permanents_glynn(stack), expected_perms)
     dist = output_distribution(u, inp, collision_free_only)
     assert np.array_equal(dist.probs, expected_probs)
-    # one workspace reused across two stacks after being poisoned with NaN
+    # one workspace reused across the batches of a stack after being poisoned with NaN
     ws = _Workspace()
-    _glynn_batches(stack, ws)
+    _glynn_batch(stack[:batch], ws)
     for buf in ws._buffers.values():
         buf.fill(np.nan)
-    assert np.array_equal(_glynn_batches(stack[:-3], ws), expected_perms[:-3])
+    short = len(stack) - 3
+    reused = [_glynn_batch(stack[i : min(i + batch, short)], ws) for i in range(0, short, batch)]
+    assert np.array_equal(np.concatenate(reused), expected_perms[:-3])
 
 
 @pytest.mark.parametrize("sizes", [(7, 7), (8, 8), (6, 9)])
