@@ -37,7 +37,7 @@ from .interferometer import (
     haar_random_unitary,
     reconstruct,
 )
-from .permanent import permanent_glynn, permanent_naive, permanents_glynn
+from .permanent import permanent_glynn, permanent_naive, permanents_of_rows
 from .sampling import (
     OutputDistribution,
     collision_free_mass,

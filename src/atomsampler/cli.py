@@ -115,8 +115,7 @@ def cmd_sample(args):
 
 def cmd_decompose(args):
     if args.data:
-        with open(args.data, encoding="utf-8") as fh:
-            u = unitary_from_json(json.load(fh))
+        u = unitary_from_json(scenarios.read_json(args.data))
     elif args.m:
         u = haar_random_unitary(args.m, args.seed)
     else:
@@ -259,8 +258,10 @@ def main(argv=None):
     try:
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
-    except (ValidationError, json.JSONDecodeError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{args.command}: validation error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

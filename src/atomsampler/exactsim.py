@@ -41,7 +41,8 @@ import numpy as np
 
 from . import lossmodel
 from .errors import ValidationError
-from .fock import basis_array, multiset_dimension, rank_table, site_count, state_rank
+from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
+                   state_rank)
 from .interferometer import check_layer, clements_decompose, coupling_matrix, haar_random_unitary
 from .parallel import spawn_seeds
 
@@ -102,13 +103,14 @@ class BenchmarkResult:
 
 def uniform_state(n, m):
     """Normalized state with equal, positive, real amplitudes over the whole basis."""
-    dim = multiset_dimension(n, m)
+    dim = check_size_cap(multiset_dimension(n, m), "amplitudes")
     return SimState(amplitudes=np.ones(dim, dtype=complex) / np.sqrt(dim), n=n, m=m)
 
 
 def basis_state(state):
     """SimState with all amplitude on one Fock basis state."""
-    amps = np.zeros(multiset_dimension(state.total, state.m), dtype=complex)
+    dim = check_size_cap(multiset_dimension(state.total, state.m), "amplitudes")
+    amps = np.zeros(dim, dtype=complex)
     amps[state_rank(state)] = 1.0
     return SimState(amplitudes=amps, n=state.total, m=state.m)
 
@@ -303,7 +305,7 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
 
     Decay acts before each layer.  The plan's output phases, which change no
     survival ratio, are left to `apply_output_phases`.  Every layer is
-    checked before the first step.
+    checked before the first step.  A step starting from zero norm has p_j = 0.
     """
     if plan.m != initial.m:
         raise ValidationError(
@@ -323,20 +325,12 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
         _apply_couplings(amps, n, m, modes, blocks)
         # this step's ending norm is the next step's starting norm
         after = float(np.vdot(amps, amps).real)
-        ratios.append(after / norm)
+        ratios.append(after / norm if norm else 0.0)
         norm = after
     state = SimState(amplitudes=amps, n=n, m=m)
     p_j = np.asarray(ratios)
     trace = SurvivalTrace(p_j=p_j, p_total=float(np.prod(p_j)), steps=len(ratios))
     return state, trace
-
-
-def _one_realization(n, m, t_step, tau_tb, seedseq):
-    # the realization's first spawned child seeds its unitary
-    u = haar_random_unitary(m, seedseq.spawn(1)[0])
-    plan = clements_decompose(u)
-    _, trace = run_circuit(uniform_state(n, m), plan, t_step, math.inf, tau_tb)
-    return trace
 
 
 def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
@@ -352,9 +346,14 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
         raise ValidationError(f"need at least one realization, got {realizations}")
     if not (math.isfinite(tau_tb_over_texec) and tau_tb_over_texec > 0.0):
         raise ValidationError(f"tau_tb / t_exec must be finite and positive: {tau_tb_over_texec}")
+    initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
     t_step = 1.0
     tau_tb = tau_tb_over_texec * m * t_step
-    traces = [_one_realization(n, m, t_step, tau_tb, s) for s in spawn_seeds(seed, realizations)]
+    traces = []
+    for child in spawn_seeds(seed, realizations):
+        # the realization's first spawned child seeds its unitary
+        plan = clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
+        traces.append(run_circuit(initial, plan, t_step, math.inf, tau_tb)[1])
     p_j = np.vstack([t.p_j for t in traces])
     p_totals = np.asarray([t.p_total for t in traces])
     model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite")

@@ -17,8 +17,15 @@ import numpy as np
 
 from .errors import SizeCapError, ValidationError
 
-#: Largest basis `basis_array` and `enumerate_basis` will materialize.
+#: Most rows, amplitudes or unitary entries an input-sized array may hold.
 BASIS_CAP = 10**7
+
+
+def check_size_cap(count, what):
+    """`count`, or `SizeCapError` if that many `what` exceed `BASIS_CAP`; its only comparison."""
+    if count > BASIS_CAP:
+        raise SizeCapError(f"{count} {what} exceed the cap of {BASIS_CAP}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -124,11 +131,7 @@ def basis_array(n, m):
     n = 255.  Widen before arithmetic that can leave its range, such as
     differences or products.
     """
-    dim = multiset_dimension(n, m)
-    if dim > BASIS_CAP:
-        raise SizeCapError(
-            f"basis of {dim} states for n={n}, m={m} exceeds the cap of {BASIS_CAP}"
-        )
+    check_size_cap(multiset_dimension(n, m), f"basis states for n={n}, m={m}")
     return _basis_array_cached(n, m)
 
 
@@ -139,7 +142,8 @@ def collision_free_array(n, m):
     is descending lexicographic on occupation vectors like the full basis;
     the type is that of `basis_array`.
     """
-    return _occupation_rows(combinations(range(m), n), comb(m, n), n, m)
+    dim = check_size_cap(comb(m, n), f"collision-free patterns for n={n}, m={m}")
+    return _occupation_rows(combinations(range(m), n), dim, n, m)
 
 
 @lru_cache(maxsize=64)

@@ -38,6 +38,9 @@ GOLDEN_TOL = 1e-4
 
 MC_BLOCK = 1 << 16
 
+#: Parametric bootstrap resamples behind `fit_bunching`'s sigma.
+BOOTSTRAP_RESAMPLES = 200
+
 
 @dataclass(frozen=True)
 class HomParams:
@@ -74,7 +77,7 @@ class HomOutcomes:
     def from_counts(cls, n0, n1, n2):
         total = n0 + n1 + n2
         if total <= 0:
-            raise ValidationError("outcome counts are all zero")
+            raise DegenerateSampleError("no trial kept: outcome counts are all zero")
         return cls(
             trials_kept=total,
             p0=n0 / total,
@@ -147,10 +150,8 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     tallies = parallel_map(
         lambda args: _simulate_block(params, *args), list(zip(blocks, seeds)), workers=workers
     )
-    n0, n1, n2, kept = np.sum(tallies, axis=0).tolist()
-    if kept == 0:
-        raise DegenerateSampleError("post-selection removed every trial")
     # every kept trial ends with zero, one or two atoms, so n0 + n1 + n2 = kept
+    n0, n1, n2, _ = np.sum(tallies, axis=0).tolist()
     return HomOutcomes.from_counts(n0, n1, n2)
 
 
@@ -211,13 +212,13 @@ class _McObjective:
         return np.array([n0, n1, n2]) / self.kept
 
 
-def fit_bunching(measured, survival_s, p_lic0, trials=10**6, seed=0, resamples=200):
+def fit_bunching(measured, survival_s, p_lic0, trials=10**6, seed=0):
     """Least-squares bunching probability from measured outcome fractions.
 
     Golden-section search over P_bunch in [1/2, 1] against Monte Carlo
     outcome probabilities generated at the fixed survival and collision
     parameters; the quoted sigma is the standard deviation over parametric
-    bootstrap resamples of the measured counts.
+    `BOOTSTRAP_RESAMPLES` bootstrap resamples of the measured counts.
     """
     if measured.trials_kept <= 0:
         raise ValidationError("measured outcomes carry no trials")
@@ -232,7 +233,7 @@ def fit_bunching(measured, survival_s, p_lic0, trials=10**6, seed=0, resamples=2
 
     best = solve(measured.triple())
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    draws = rng.multinomial(measured.trials_kept, measured.triple(), size=resamples)
+    draws = rng.multinomial(measured.trials_kept, measured.triple(), size=BOOTSTRAP_RESAMPLES)
     estimates = [solve(row / measured.trials_kept) for row in draws]
     return BunchingFit(
         p_bunch=best,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .fock import check_size_cap
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,6 +130,7 @@ def haar_random_unitary(m, seed):
     """
     if m < 1:
         raise ValidationError(f"mode count must be >= 1, got {m}")
+    check_size_cap(m * m, f"unitary entries for m={m}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -230,7 +232,7 @@ def clements_decompose(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # NaN entries give a NaN defect
         raise ValidationError(
             f"matrix is not unitary: max-abs defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
@@ -329,11 +331,11 @@ def unitary_to_json(u):
 
 
 def unitary_from_json(data):
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    u = re + 1j * im
-    if u.shape != (data["m"], data["m"]):
-        raise ValidationError(
-            f"unitary payload shape {u.shape} does not match m={data['m']}"
-        )
+    try:
+        m = data["m"]
+        u = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"unitary payload needs m, numeric re and im: {exc}") from exc
+    if u.shape != (m, m):
+        raise ValidationError(f"unitary payload shape {u.shape} does not match m={m}")
     return u

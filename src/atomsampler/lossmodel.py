@@ -109,8 +109,10 @@ class ClassicalScenario:
 
 
 def even_mode_count(n, c):
-    """Even mode count nearest to c * n^2, for site-paired combinatorics."""
-    return 2 * round(c * n * n / 2.0)
+    """Even mode count nearest to c * n^2, for site-paired combinatorics; at least one site."""
+    if not math.isfinite(c * n * n):
+        raise ValidationError(f"mode count c N^2 overflows at c = {c}, N = {n}")
+    return max(2, 2 * round(c * n * n / 2.0))
 
 
 def p_pairs_trios(n, m, k2, k3):
@@ -188,6 +190,8 @@ def p_step_twobody(n, m, t, tau_tb, model="auto"):
     if uses_closed_form(n, model):
         return p_step_twobody_closed(m / n**2, t, tau_tb)
     terms = _occupancy_sector(n, m)
+    if not terms:
+        raise ValidationError(f"every placement of {n} atoms in {m} modes puts four on a site")
     # sum the same float weights for mass and decay so t = 0 gives exactly 1
     weights = [float(p) for _, _, p in terms]
     decayed = sum(

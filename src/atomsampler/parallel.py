@@ -16,7 +16,7 @@ def spawn_seeds(seed, count):
     return np.random.SeedSequence(seed).spawn(count)
 
 
-def parallel_map(fn, items, workers=1):
+def parallel_map(fn, items, workers):
     """Map `fn` over `items`, returning results in input order."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:

@@ -20,12 +20,12 @@ Drift bound: on the rank-one closed form perm(x y^T) = n! prod x prod y
 with random complex x, y at n = 20 the relative gap stays below 1e-11
 (about 1e-15 in practice; tested).
 
-`permanents_glynn` holds the only loop over a stack, in batches of
-`glynn_batch_size(n)` matrices sharing one `_Workspace`;
-`output_distribution` gathers one batch at a time itself.
-`permanent_glynn` is the checked single-matrix entry point and
-`permanent_naive` the factorial-time cross-check, summing row products over
-all permutations.
+`permanents_of_rows` holds the package's only loop over Glynn batches, with
+one `_Workspace`, for every matrix whose rows repeat those of one column
+block by an occupation row, as boson-sampling outcomes do; it and callers
+that refuse early ask `check_glynn_cap`.  `permanent_glynn` is the checked
+single-matrix entry point and `permanent_naive` the factorial-time
+cross-check, summing row products over all permutations.
 """
 
 from functools import lru_cache
@@ -45,7 +45,7 @@ NAIVE_CAP = 9
 LOW_SIGNS = 12
 
 #: Complex elements of the (batch, n, 2^low) offset tensor held at one time
-#: (2 MiB); also sizes the submatrix stacks `output_distribution` gathers.
+#: (2 MiB); also sizes the submatrix stacks `permanents_of_rows` gathers.
 WORKSPACE = 1 << 17
 
 
@@ -61,6 +61,12 @@ def _checked_square(a, cap, name):
     return a, n
 
 
+def check_glynn_cap(n):
+    """Refuse N x N Glynn permanents above `GLYNN_CAP`; callers ask before building inputs."""
+    if n > GLYNN_CAP:
+        raise SizeCapError(f"permanents capped at N <= {GLYNN_CAP}, got N = {n}")
+
+
 def glynn_batch_size(n):
     """Matrices of size n the kernel evaluates in one step within `WORKSPACE`."""
     low = min(max(n - 1, 0), LOW_SIGNS)
@@ -68,7 +74,7 @@ def glynn_batch_size(n):
 
 
 class _Workspace:
-    """Named scratch buffers, allocated once and reused for every batch.
+    """Named complex scratch buffers, allocated once and reused for every batch.
 
     `take(name, shape)` returns a C-contiguous view onto the start of the
     buffer called `name`, so a short last batch gets the same memory layout
@@ -80,14 +86,14 @@ class _Workspace:
         self._buffers = {}
 
     @staticmethod
-    def _allocate(size, dtype):
-        return np.empty(size, dtype=dtype)
+    def _allocate(size):
+        return np.empty(size, dtype=complex)
 
-    def take(self, name, shape, dtype=complex):
+    def take(self, name, shape):
         size = int(np.prod(shape))
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[name] = self._allocate(size, dtype)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = self._allocate(size)
         return buf[:size].reshape(shape)
 
 
@@ -138,26 +144,34 @@ def _glynn_batch(a, ws):
     return total / (1 << (n - 1))
 
 
-def permanents_glynn(stack):
-    """Permanents of a (D, n, n) stack of complex matrices via Glynn's formula.
+def permanents_of_rows(columns, occupations):
+    """Permanents of the N x N matrices that repeat row j of `columns` occupations[d, j] times.
 
-    n = 0 gives the empty product 1 for every matrix.  Large stacks are
-    processed in batches of `glynn_batch_size(n)` matrices that share one
-    set of scratch buffers.
+    `columns` is (M, N), `occupations` (D, M) with non-negative rows summing
+    to N; N = 0 gives 1 per row.  Batches of `glynn_batch_size(N)` matrices
+    share one `_Workspace`, so the scratch memory does not grow with D.
     """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValidationError(
-            f"permanents_glynn needs a (D, n, n) stack, got shape {stack.shape}"
-        )
-    d, n = stack.shape[:2]
-    if n > GLYNN_CAP:
-        raise SizeCapError(f"permanents_glynn capped at n <= {GLYNN_CAP}, got n = {n}")
+    columns = np.asarray(columns, dtype=complex)
+    occupations = np.asarray(occupations)
+    if columns.ndim != 2 or occupations.shape[1:] != columns.shape[:1]:
+        raise ValidationError(f"need (M, N) and (D, M), got {columns.shape}, {occupations.shape}")
+    m, n = columns.shape
+    check_glynn_cap(n)
+    if occupations.size and (occupations.min() < 0 or np.any(occupations.sum(axis=1) != n)):
+        raise ValidationError(f"every occupation row needs non-negative entries summing to {n}")
+    d = len(occupations)
     out = np.empty(d, dtype=complex)
     batch = glynn_batch_size(n)
+    tiled_modes = np.tile(np.arange(m), min(batch, d))
     ws = _Workspace()
     for i in range(0, d, batch):
-        out[i : i + batch] = _glynn_batch(stack[i : i + batch], ws)
+        rows = occupations[i : i + batch]
+        b = len(rows)
+        # each row holds N atoms, so its expanded mode indices fill one line of N
+        row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
+        # indices are in range by construction; mode="clip" writes straight into `out`
+        stack = np.take(columns, row_modes, axis=0, out=ws.take("stack", (b, n, n)), mode="clip")
+        out[i : i + b] = _glynn_batch(stack, ws)
     return out
 
 

@@ -11,26 +11,20 @@ post-selection keeps only outcomes with every mode singly occupied.
 
 Distributions are array-first: outcomes are rows of a (D, M) occupation
 table (`fock.basis_array`'s narrow unsigned type) and their probabilities a
-(D,) vector, computed by the Glynn kernel over stacks of submatrices of
-one kernel batch each; `draw_samples` returns rows of the same kind.
+(D,) vector, from one `permanent.permanents_of_rows` call over that table;
+`draw_samples` returns rows of the same kind.
 `FockState` objects are built only where a caller asks for them: the input
 state and `OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DegenerateSampleError, SizeCapError, ValidationError
-from .fock import (
-    BASIS_CAP,
-    FockState,
-    basis_array,
-    collision_free_array,
-    multiset_dimension,
-)
-from .permanent import GLYNN_CAP, _Workspace, _glynn_batch, glynn_batch_size, permanent_glynn
+from .errors import DegenerateSampleError, ValidationError
+from .fock import FockState, basis_array, collision_free_array, multiset_dimension
+from .permanent import check_glynn_cap, permanent_glynn, permanents_of_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +85,7 @@ def outcome_probability(u, input_state, output_state):
 
 
 def prod_factorials(state):
-    out = 1
-    for n in state.occupations:
-        out *= factorial(n)
-    return out
+    return prod(map(factorial, state.occupations))
 
 
 def output_distribution(u, input_state, collision_free_only=False):
@@ -102,42 +93,25 @@ def output_distribution(u, input_state, collision_free_only=False):
 
     The full distribution sums to one; under collision-free post-selection
     `total_mass` is the retained probability.  All outcomes share the input
-    columns, so their submatrices are gathered from row and column index
-    arrays into (B, N, N) stacks of `glynn_batch_size(N)` outcomes at a
-    time, which bounds the memory held, and each stack goes to the Glynn
-    kernel as one batch.  The stack, the factorial lookups and the kernel's
-    buffers live in one workspace reused for every batch.  N = 0 (the vacuum) has the
-    single outcome of probability one.
+    columns of U, so one `permanents_of_rows` call over the occupation table
+    gives every amplitude; prod_j n_j! is multiplied in one mode at a time,
+    so the narrow table is never widened as a whole.  `check_glynn_cap`
+    refuses N before the table is built, and `fock` tables above its cap.
+    N = 0 (the vacuum) has the single outcome of probability one.
     """
     u = np.asarray(u, dtype=complex)
     n = input_state.total
     m = input_state.m
     if u.shape != (m, m):
         raise ValidationError(f"state length {m} does not match the unitary shape {u.shape}")
-    count = comb(m, n) if collision_free_only else multiset_dimension(n, m)
-    if count > BASIS_CAP:
-        raise SizeCapError(f"{count} outcomes exceed the cap of {BASIS_CAP}")
-    if n > GLYNN_CAP:
-        raise SizeCapError(f"permanents capped at N <= {GLYNN_CAP}, got N = {n}")
+    check_glynn_cap(n)  # before the table is built
     states = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
-
+    probs = np.abs(permanents_of_rows(u[:, _mode_indices(input_state)], states)) ** 2
     factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
-    input_norm = prod_factorials(input_state)
-    columns = u[:, _mode_indices(input_state)]
-    probs = np.empty(count)
-    batch = glynn_batch_size(n)
-    tiled_modes = np.tile(np.arange(m), min(batch, count))
-    ws = _Workspace()
-    for i in range(0, count, batch):
-        rows = states[i : i + batch]
-        b = len(rows)
-        # each row holds N atoms, so its expanded mode indices fill one line of N
-        row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
-        # indices are in range by construction; mode="clip" writes straight into `out`
-        stack = np.take(columns, row_modes, axis=0, out=ws.take("stack", (b, n, n)), mode="clip")
-        perms = _glynn_batch(stack, ws)
-        norms = np.take(factorials, rows, out=ws.take("norms", (b, m), float), mode="clip")
-        probs[i : i + b] = np.abs(perms) ** 2 / (norms.prod(axis=1) * input_norm)
+    norms = np.ones(len(states))
+    for j in range(m):
+        norms *= np.take(factorials, states[:, j])
+    probs /= norms * prod_factorials(input_state)
     probs.setflags(write=False)
     return OutputDistribution(
         input=input_state,

@@ -57,7 +57,7 @@ def _build(cls, section, data):
 
 def bundle_from_dict(data):
     for section in ("loss", "photonic", "classical"):
-        if section not in data:
+        if not isinstance(data, dict) or section not in data:
             raise ValidationError(f"scenario file is missing the {section!r} section")
     return ScenarioBundle(
         loss=_build(LossScenario, "loss", data["loss"]),
@@ -66,7 +66,7 @@ def bundle_from_dict(data):
     )
 
 
-def _read_json(path):
+def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -76,7 +76,7 @@ def _read_source(source, presets):
     if source in presets:
         ref = resources.files("atomsampler.presets").joinpath(presets[source])
         return json.loads(ref.read_text(encoding="utf-8"))
-    return _read_json(source)
+    return read_json(source)
 
 
 def load_bundle(source):
@@ -91,7 +91,7 @@ def load_hom_params(source):
 
 def load_hom_counts(path):
     """Measured outcome counts {"n0", "n1", "n2"} from a JSON file."""
-    data = _read_json(path)
+    data = read_json(path)
     counts = [data.get(k) for k in ("n0", "n1", "n2")] if isinstance(data, dict) else [None]
     if not all(type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts):
         raise ValidationError(f"counts file needs non-negative integers n0, n1, n2, got {data!r}")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from atomsampler import fock
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -175,6 +176,92 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,refused",
+    [
+        (["sample", "--n", 1, "--m", 40], "unitary entries"),
+        (["decompose", "--m", 40], "unitary entries"),
+        (["exactsim", "--n", 1, "--m", 40, "--realizations", 1], "unitary entries"),
+        (["exactsim", "--n", 3, "--m", 12, "--realizations", 1], "364 amplitudes"),
+    ],
+    ids=["sample-unitary", "decompose-unitary", "exactsim-unitary", "exactsim-state"],
+)
+def test_every_input_sized_allocation_exits_3_above_the_cap(
+    tmp_path, monkeypatch, capsys, argv, refused
+):
+    # 40^2 = 1600 unitary entries, or C(14, 3) = 364 amplitudes, pass a cap of 300;
+    # the real cap stops M = 10^6 the same way, with no 7 TiB draw
+    monkeypatch.setattr(fock, "BASIS_CAP", 300)
+    assert run(*argv, "--out", tmp_path / "out.csv") == 3
+    assert refused in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates"], ["sample", "--n", 2, "--m", 4], ["decompose", "--m", 4],
+    ["exactsim", "--n", 2, "--m", 4, "--realizations", 1], ["hom-sim", "--trials", 10],
+    ["hom-fit", "--trials", 10],
+], ids=["rates", "sample", "decompose", "exactsim", "hom-sim", "hom-fit"])
+def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
+    assert run(*argv, "--seed", -1, "--out", tmp_path / "out") == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("payload", [
+    {"m": 2, "im": [[0, 0], [0, 0]]},
+    {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    [1, 2],
+    {"m": 2, "re": [["a", 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"m": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+    {"m": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0, 0], [0, 0, 0]]},
+    {"m": 2, "re": [[float("nan"), 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+])
+def test_decompose_rejects_malformed_unitary(tmp_path, capsys, payload):
+    data = tmp_path / "in" / "u.json"
+    data.parent.mkdir()
+    data.write_text(json.dumps(payload))
+    out = tmp_path / "plan.json"
+    assert run("decompose", "--data", data, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rates_from_a_single_atom(tmp_path):
+    # c N^2 = 1 rounds to no site at all; the finite sum then needs one site
+    out = tmp_path / "r.csv"
+    assert run("rates", "--n-min", 1, "--n-max", 3, "--model", "finite", "--out", out) == 0
+    assert [row.split(",")[0] for row in payload_lines(out)[1:]] == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("c,message", [(1.7e308, "overflows"), (1e-12, "four on a site")])
+def test_rates_rejects_mode_ratio_outside_the_finite_model(tmp_path, capsys, c, message):
+    scenario = valid_scenario()
+    scenario["loss"]["mode_ratio_c"] = c
+    data = tmp_path / "in" / "s.json"
+    data.parent.mkdir()
+    data.write_text(json.dumps(scenario))
+    out = tmp_path / "r.csv"
+    assert run("rates", "--scenario", data, "--n-max", 4, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("rates", "--scenario"), ("hom-fit", "--data")])
+def test_input_that_is_not_json_text_exits_2(tmp_path, capsys, command, flag):
+    data = tmp_path / "in" / "binary.json"
+    data.parent.mkdir()
+    data.write_bytes(b"\xd0\x80\xff{")
+    out = tmp_path / "out.csv"
+    assert run(command, flag, data, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+    data.write_text("5")
+    assert run(command, flag, data, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_identity(tmp_path):
     upath = tmp_path / "id.json"
     upath.write_text(json.dumps(unitary_to_json(np.eye(4, dtype=complex))))
@@ -218,6 +305,16 @@ def test_exactsim_csv_matches_library_benchmark(tmp_path):
         assert float(value) == result.p_j[int(r), int(j) - 1]
     summary = json.loads((tmp_path / "bench.summary.json").read_text())
     assert summary["model_p_step"] == result.model_p_step
+
+
+def test_exactsim_reports_zero_survival_once_the_state_is_empty(tmp_path):
+    # every placement of 3 atoms on 2 sites holds a pair, which decays at once
+    out = tmp_path / "bench.csv"
+    assert run("exactsim", "--n", 3, "--m", 4, "--tau-tb", 1e-300,
+               "--realizations", 1, "--out", out) == 0
+    assert [float(row.split(",")[2]) for row in payload_lines(out)[1:]] == [0.0] * 4
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    assert summary["mean_p_total"] == 0.0
 
 
 def test_exactsim_worker_invariance(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 
 from atomsampler import fock
 from atomsampler.errors import SizeCapError, ValidationError
-from atomsampler.exactsim import build_decay_diagonal
+from atomsampler.exactsim import basis_state, build_decay_diagonal, uniform_state
 from atomsampler.fock import (
     FockState,
     basis_array,
@@ -22,6 +23,7 @@ from atomsampler.fock import (
     state_rank,
     state_unrank,
 )
+from atomsampler.interferometer import haar_random_unitary
 from atomsampler.lossmodel import p_pairs_trios
 
 
@@ -72,6 +74,30 @@ def test_enumerate_basis_cap():
     # C(49, 10) = 8217822536 states; the cap is checked before anything is built
     with pytest.raises(SizeCapError, match="8217822536"):
         enumerate_basis(10, 40)
+
+
+# each would hold at least 240 kB: 42 504 amplitudes, 15 504 x 20 table entries
+# or 300 x 300 unitary entries
+@pytest.mark.parametrize(
+    "allocate",
+    [
+        lambda: uniform_state(5, 20),
+        lambda: basis_state(FockState((5,) + (0,) * 19)),
+        lambda: collision_free_array(5, 20),
+        lambda: haar_random_unitary(300, seed=0),
+    ],
+    ids=["uniform_state", "basis_state", "collision_free_array", "haar_random_unitary"],
+)
+def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
+    monkeypatch.setattr(fock, "BASIS_CAP", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="exceed the cap of 1000"):
+            allocate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_rank_examples():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atomsampler import hom
 from atomsampler.errors import DegenerateSampleError, ValidationError
 from atomsampler.hom import (
     HomOutcomes,
@@ -99,11 +100,12 @@ def test_fit_recovers_exact_analytic_input():
 
 
 @pytest.mark.parametrize("target", [0.5, 0.6, 0.75, 0.9, 1.0])
-def test_fit_recovers_generated_data(target):
+def test_fit_recovers_generated_data(monkeypatch, target):
+    monkeypatch.setattr(hom, "BOOTSTRAP_RESAMPLES", 20)
     gamma = 2.0 * target - 1.0
     params = HomParams(survival_s=0.84, p_lic0=0.71, gamma=gamma)
     mc = hom_monte_carlo(params, 10**6, seed=17)
-    fit = fit_bunching(mc, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=23, resamples=20)
+    fit = fit_bunching(mc, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=23)
     assert fit.p_bunch == pytest.approx(target, abs=0.01)
 
 
@@ -115,7 +117,8 @@ def test_fit_on_reference_counts():
     assert fit.trials_kept == 100
 
 
-def test_fit_distinguishable_reference():
+def test_fit_distinguishable_reference(monkeypatch):
+    monkeypatch.setattr(hom, "BOOTSTRAP_RESAMPLES", 20)
     p2 = 0.84**2 / 2.0
     measured = HomOutcomes(
         trials_kept=5000,
@@ -123,7 +126,7 @@ def test_fit_distinguishable_reference():
         p1=hom_analytic(HomParams(0.84, 0.71, 0.0)).p1,
         p2=p2,
     )
-    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=5, resamples=20)
+    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=5)
     assert fit.p_bunch == pytest.approx(0.5, abs=0.01)
 
 

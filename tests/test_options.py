@@ -12,7 +12,6 @@ import atomsampler
 ALLOWED_DEFAULTS = [
     "cli._add_common.scenario_default",
     "cli.main.argv",
-    "hom.fit_bunching.resamples",
     "hom.fit_bunching.seed",
     "hom.fit_bunching.trials",
     "hom.hom_monte_carlo.workers",
@@ -22,8 +21,6 @@ ALLOWED_DEFAULTS = [
     "lossmodel.p_survival.model",
     "lossmodel.r_nisq.model",
     "lossmodel.r_photonic.depth",
-    "parallel.parallel_map.workers",
-    "permanent._Workspace.take.dtype",
     "sampling.output_distribution.collision_free_only",
 ]
 

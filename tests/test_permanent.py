@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from atomsampler import permanent
+from atomsampler import permanent, sampling
 from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
 from atomsampler.fock import (
     FockState,
@@ -20,7 +20,7 @@ from atomsampler.permanent import (
     glynn_batch_size,
     permanent_glynn,
     permanent_naive,
-    permanents_glynn,
+    permanents_of_rows,
 )
 from atomsampler.sampling import (
     collision_free_mass,
@@ -97,30 +97,39 @@ def test_permanent_input_validation():
         permanent_naive(np.eye(10))
 
 
-def test_permanents_glynn_input_validation():
+def test_permanents_of_rows_input_validation():
     with pytest.raises(ValidationError):
-        permanents_glynn(np.ones((4, 2, 3)))
+        permanents_of_rows(np.ones((3, 2)), np.ones((4, 2), dtype=int))
     with pytest.raises(ValidationError):
-        permanents_glynn(np.eye(3))
+        permanents_of_rows(np.ones(3), np.ones((4, 3), dtype=int))
+    # every row must hold N atoms, and none may be negative
+    with pytest.raises(ValidationError):
+        permanents_of_rows(np.ones((3, 2)), [[1, 1, 0], [2, 1, 0]])
+    with pytest.raises(ValidationError):
+        permanents_of_rows(np.ones((3, 2)), [[1, 1, 0], [3, -1, 0]])
+    # refused before any row is read
     with pytest.raises(SizeCapError):
-        permanents_glynn(np.eye(30)[None])
+        permanents_of_rows(np.ones((30, 29)), np.zeros((0, 30), dtype=np.uint8))
 
 
-def test_permanents_glynn_stack_matches_naive():
-    # a stack of three batches, so the batch boundaries are crossed
+def test_permanents_of_rows_matches_naive():
+    # three batches, the last one short, so the batch boundaries are crossed
     rng = np.random.default_rng(31)
-    n = 6
-    shape = (2 * glynn_batch_size(n) + 5, n, n)
-    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    perms = permanents_glynn(stack)
-    for i in range(0, len(stack), 97):
-        assert abs(perms[i] - permanent_naive(stack[i])) <= 1e-12 * max(1.0, abs(perms[i]))
-    assert perms[-1] == pytest.approx(permanent_glynn(stack[-1]), rel=1e-15)
+    n, m = 6, 8
+    table = basis_array(n, m)
+    batch = glynn_batch_size(n)
+    assert len(table) > 2 * batch and len(table) % batch
+    columns = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    perms = permanents_of_rows(columns, table)
+    for i in list(range(0, len(table), 97)) + [len(table) - 1]:
+        matrix = columns[np.repeat(np.arange(m), table[i])]
+        assert abs(perms[i] - permanent_naive(matrix)) <= 1e-12 * max(1.0, abs(perms[i]))
+    assert perms[-1] == pytest.approx(permanent_glynn(matrix), rel=1e-15)
 
 
-def test_permanents_glynn_empty_cases():
-    assert np.array_equal(permanents_glynn(np.zeros((3, 0, 0))), np.ones(3))
-    assert permanents_glynn(np.zeros((0, 4, 4))).shape == (0,)
+def test_permanents_of_rows_empty_cases():
+    assert np.array_equal(permanents_of_rows(np.zeros((4, 0)), np.zeros((3, 4), int)), np.ones(3))
+    assert permanents_of_rows(np.zeros((4, 4)), np.zeros((0, 4), np.uint8)).shape == (0,)
 
 
 def _fresh_batches(stack, batch):
@@ -151,16 +160,18 @@ def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, co
     assert len(states) >= 3 * batch and len(states) % batch
     subs = np.array([sampling_submatrix(u, inp, s) for s in states])
     norms = np.array([prod_factorials(inp) * prod_factorials(s) for s in states], dtype=float)
-    expected_probs = np.abs(_fresh_batches(subs, batch)) ** 2 / norms
+    expected_row_perms = _fresh_batches(subs, batch)
+    expected_probs = np.abs(expected_row_perms) ** 2 / norms
     expected_perms = _fresh_batches(stack, batch)
 
     # from here on every scratch buffer starts as NaN, so a value read before
     # the current batch wrote it shows up in the results
-    def nan_buffer(size, dtype):
-        return np.full(size, np.nan, dtype=dtype)
+    def nan_buffer(size):
+        return np.full(size, np.nan, dtype=complex)
 
     monkeypatch.setattr(_Workspace, "_allocate", staticmethod(nan_buffer))
-    assert np.array_equal(permanents_glynn(stack), expected_perms)
+    columns = u[:, np.repeat(np.arange(m), inp.occupations)]
+    assert np.array_equal(permanents_of_rows(columns, table), expected_row_perms)
     dist = output_distribution(u, inp, collision_free_only)
     assert np.array_equal(dist.probs, expected_probs)
     # one workspace reused across the batches of a stack after being poisoned with NaN
@@ -335,6 +346,16 @@ def test_output_distribution_input_checks():
     # one outcome, but its permanent is beyond the Glynn cap
     with pytest.raises(SizeCapError):
         output_distribution(np.eye(1), FockState((171,)))
+
+
+def test_output_distribution_checks_the_glynn_cap_before_the_table(monkeypatch):
+    # the 8 347 680-row outcome table would pass the size cap; N = 29 does not
+    def no_table(n, m):
+        raise AssertionError("the outcome table was built before the N cap was checked")
+
+    monkeypatch.setattr(sampling, "basis_array", no_table)
+    with pytest.raises(SizeCapError, match="N <= 28"):
+        output_distribution(np.eye(8), FockState((29,) + (0,) * 7))
 
 
 def test_output_distribution_collision_free():
