@@ -2,8 +2,11 @@
 
 Subcommands: rates, sample, decompose, exactsim, hom-sim, hom-fit.  Every
 command reads its parameters from flags and scenario files, derives all
-randomness from the single --seed, and writes complete output files through
-an atomic rename (no partial files on error).  Re-running the same
+randomness from the single --seed, and returns its output files, sidecars
+included, as (path, text) pairs; it writes nothing itself.  `main` hands
+them to `_write_files`, the package's only code that creates, renames or
+removes a file: all of a run's files appear, or none.  Outputs take the
+umask mode like any file the user creates.  Re-running the same
 configuration reproduces the payload byte for byte except for the
 timestamped `#` metadata line in CSV outputs.
 
@@ -14,13 +17,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
+from math import comb
 from pathlib import Path
 
 from . import exactsim, hom, lossmodel, sampling, scenarios
 from .errors import SizeCapError, ValidationError
-from .fock import FockState
+from .fock import FockState, check_size_cap, multiset_dimension
 from .interferometer import (
     clements_decompose,
     haar_random_unitary,
@@ -29,6 +32,7 @@ from .interferometer import (
     unitary_to_json,
 )
 from .parallel import spawn_seeds
+from .permanent import check_glynn_cap
 
 
 def _fmt(value):
@@ -41,21 +45,39 @@ def _timestamp_line(command, seed):
     return f"# {command} generated={stamp} seed={seed}"
 
 
-def _atomic_write(path, text):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _sidecar(out, suffix):
+    """`out` with its last suffix replaced; a nameless `out` is left for the writer to refuse."""
+    return Path(out).parent / (Path(out).stem + suffix)
+
+
+def _write_files(files):
+    """Write every (path, text) pair of a run, all or none.
+
+    Each text goes to a new temporary beside its target, named uniquely for
+    the run and created with the umask mode; the temporaries are renamed
+    into place only after all are written.  On any failure every temporary
+    and every target this run already renamed is removed.
+    """
+    token = os.urandom(8).hex()
+    staged, placed = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            tmp = f"{path}.{token}.tmp"
+            with open(tmp, "x", encoding="utf-8") as fh:
+                staged.append(tmp)
+                fh.write(text)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        # renames go in order, so the first len(placed) temporaries are targets now
+        for name in staged[len(placed):] + placed:
+            os.unlink(name)
         raise
-
-
-def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_rates(args):
@@ -80,8 +102,7 @@ def cmd_rates(args):
             for n in finite_ns
         )
         lines.append(f"# excluded_occupancy_mass_max = {_fmt(worst)}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
-    return 0
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
 def _default_input_state(n, m):
@@ -102,15 +123,20 @@ def _default_input_state(n, m):
 
 def cmd_sample(args):
     seed_u, seed_draw = spawn_seeds(args.seed, 2)
-    u = haar_random_unitary(args.m, seed_u)
     input_state = _default_input_state(args.n, args.m)
+    # refuse what output_distribution would, before the M x M draw
+    check_glynn_cap(args.n)
+    outcomes = comb(args.m, args.n) if args.collision_free else multiset_dimension(args.n, args.m)
+    check_size_cap(outcomes, f"outcomes for n={args.n}, m={args.m}")
+    u = haar_random_unitary(args.m, seed_u)
     dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
     rows = sampling.draw_samples(dist, args.shots, seed_draw).tolist() if args.shots else []
     lines = [_timestamp_line(args.command, args.seed), ",".join(f"m{j}" for j in range(args.m))]
     lines.extend(",".join(map(str, row)) for row in rows)
-    _atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_json(Path(args.out).with_suffix(".unitary.json"), unitary_to_json(u))
-    return 0
+    return [
+        (args.out, "\n".join(lines) + "\n"),
+        (_sidecar(args.out, ".unitary.json"), _json(unitary_to_json(u))),
+    ]
 
 
 def cmd_decompose(args):
@@ -120,9 +146,7 @@ def cmd_decompose(args):
         u = haar_random_unitary(args.m, args.seed)
     else:
         raise ValidationError("decompose needs --data with a unitary or --m to draw one")
-    plan = clements_decompose(u)
-    _write_json(args.out, plan_to_json(plan))
-    return 0
+    return [(args.out, _json(plan_to_json(clements_decompose(u))))]
 
 
 def cmd_exactsim(args):
@@ -137,15 +161,16 @@ def cmd_exactsim(args):
     for r in range(result.realizations):
         for j in range(result.p_j.shape[1]):
             lines.append(f"{r},{j + 1},{_fmt(result.p_j[r, j])}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
     summary = {
         "mean_p_total": result.mean_p_total,
         "model_p_step": result.model_p_step,
         "model_p_step_pow_M": result.model_p_step_pow_m,
         "excluded_occupancy_mass": result.excluded_occupancy_mass,
     }
-    _write_json(Path(args.out).with_suffix(".summary.json"), summary)
-    return 0
+    return [
+        (args.out, "\n".join(lines) + "\n"),
+        (_sidecar(args.out, ".summary.json"), _json(summary)),
+    ]
 
 
 def cmd_hom_sim(args):
@@ -159,8 +184,7 @@ def cmd_hom_sim(args):
         "p2": outcomes.p2,
         "counts": {"n0": n0, "n1": n1, "n2": n2},
     }
-    _write_json(args.out, payload)
-    return 0
+    return [(args.out, _json(payload))]
 
 
 def cmd_hom_fit(args):
@@ -179,8 +203,7 @@ def cmd_hom_fit(args):
         "gamma": fit.gamma,
         "trials_kept": fit.trials_kept,
     }
-    _write_json(args.out, payload)
-    return 0
+    return [(args.out, _json(payload))]
 
 
 def _add_common(sub, scenario_default=None):
@@ -260,7 +283,8 @@ def main(argv=None):
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         if args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.handler(args)
+        _write_files(args.handler(args))
+        return 0
     except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{args.command}: validation error: {exc}", file=sys.stderr)
         return 2

@@ -128,9 +128,7 @@ def _simulate_block(params, block, seed):
     zero_out = (pair_bunched & destroyed) | none
     one_out = (pair_bunched & ~destroyed) | one
     two_out = both & ~bunched
-    return np.array(
-        [int(zero_out.sum()), int(one_out.sum()), int(two_out.sum()), int(kept.sum())]
-    )
+    return np.array([int(zero_out.sum()), int(one_out.sum()), int(two_out.sum())])
 
 
 def hom_monte_carlo(params, trials, seed, workers=1):
@@ -150,8 +148,7 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     tallies = parallel_map(
         lambda args: _simulate_block(params, *args), list(zip(blocks, seeds)), workers=workers
     )
-    # every kept trial ends with zero, one or two atoms, so n0 + n1 + n2 = kept
-    n0, n1, n2, _ = np.sum(tallies, axis=0).tolist()
+    n0, n1, n2 = np.sum(tallies, axis=0).tolist()
     return HomOutcomes.from_counts(n0, n1, n2)
 
 

@@ -106,6 +106,9 @@ class ClassicalScenario:
 
     def __post_init__(self):
         _require_finite_positive("a_tilde", self.a_tilde)
+        # the rate falls with N, so a finite N = 1 rate bounds every other
+        if not math.isfinite(r_classical(self, 1)):
+            raise ValidationError(f"a_tilde = {self.a_tilde} overflows the classical rate at N = 1")
 
 
 def even_mode_count(n, c):

@@ -1,10 +1,12 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from atomsampler import fock
+from atomsampler import cli, fock
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -20,6 +22,18 @@ def run(*argv):
 def payload_lines(path):
     """File content with `#` metadata lines stripped."""
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+#: One small, valid run of every command, short of its --out.
+SMALL_RUNS = {
+    "rates": ["rates"],
+    "sample": ["sample", "--n", 2, "--m", 4],
+    "decompose": ["decompose", "--m", 4],
+    "exactsim": ["exactsim", "--n", 2, "--m", 4, "--realizations", 1],
+    "hom-sim": ["hom-sim", "--trials", 10],
+    "hom-fit": ["hom-fit", "--trials", 10],
+}
+every_command = pytest.mark.parametrize("argv", list(SMALL_RUNS.values()), ids=list(SMALL_RUNS))
 
 
 def test_rates_determinism_and_crossover(tmp_path):
@@ -138,18 +152,7 @@ def test_sample_rejects_negative_atom_number(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("workers", [0, -4])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["rates"],
-        ["sample", "--n", 2, "--m", 4],
-        ["decompose", "--m", 4],
-        ["exactsim", "--n", 2, "--m", 4, "--realizations", 1],
-        ["hom-sim", "--trials", 10],
-        ["hom-fit", "--trials", 10],
-    ],
-    ids=["rates", "sample", "decompose", "exactsim", "hom-sim", "hom-fit"],
-)
+@every_command
 def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, argv, workers):
     assert run(*argv, "--workers", workers, "--out", tmp_path / "out") == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
@@ -197,11 +200,7 @@ def test_every_input_sized_allocation_exits_3_above_the_cap(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["rates"], ["sample", "--n", 2, "--m", 4], ["decompose", "--m", 4],
-    ["exactsim", "--n", 2, "--m", 4, "--realizations", 1], ["hom-sim", "--trials", 10],
-    ["hom-fit", "--trials", 10],
-], ids=["rates", "sample", "decompose", "exactsim", "hom-sim", "hom-fit"])
+@every_command
 def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
     assert run(*argv, "--seed", -1, "--out", tmp_path / "out") == 2
     assert "--seed must be >= 0" in capsys.readouterr().err
@@ -227,6 +226,24 @@ def test_decompose_rejects_malformed_unitary(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", 5, "--m", 40], ["--n", 5, "--m", 40, "--collision-free"], ["--n", 30, "--m", 40]],
+    ids=["outcomes", "collision-free-outcomes", "glynn-cap"],
+)
+def test_sample_refuses_before_it_draws_the_unitary(tmp_path, monkeypatch, capsys, argv):
+    # C(44, 5) outcomes, C(40, 5) patterns and N = 30 > GLYNN_CAP are all known
+    # before the 40 x 40 Haar draw, so that draw must not happen
+    def no_draw(m, seed):
+        raise AssertionError("the unitary was drawn before the caps were checked")
+
+    monkeypatch.setattr(fock, "BASIS_CAP", 2000)
+    monkeypatch.setattr(cli, "haar_random_unitary", no_draw)
+    assert run("sample", *argv, "--out", tmp_path / "out.csv") == 3
+    assert "size cap exceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_from_a_single_atom(tmp_path):
     # c N^2 = 1 rounds to no site at all; the finite sum then needs one site
     out = tmp_path / "r.csv"
@@ -244,6 +261,19 @@ def test_rates_rejects_mode_ratio_outside_the_finite_model(tmp_path, capsys, c, 
     out = tmp_path / "r.csv"
     assert run("rates", "--scenario", data, "--n-max", 4, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rates_rejects_a_classical_rate_that_overflows(tmp_path, capsys):
+    # 2^-1 / (100 a_tilde) is infinite for the smallest subnormal a_tilde
+    scenario = valid_scenario()
+    scenario["classical"]["a_tilde"] = 5e-324
+    data = tmp_path / "in" / "s.json"
+    data.parent.mkdir()
+    data.write_text(json.dumps(scenario))
+    out = tmp_path / "r.csv"
+    assert run("rates", "--scenario", data, "--n-max", 4, "--out", out) == 2
+    assert "overflows" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -408,3 +438,50 @@ def test_io_error_exit_code(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run("sample", "--n", 2) == 2  # missing required flags
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,sidecar", [
+    (SMALL_RUNS["sample"], "out.unitary.json"),
+    (SMALL_RUNS["exactsim"], "out.summary.json"),
+], ids=["sample", "exactsim"])
+def test_a_sidecar_that_cannot_be_written_leaves_no_payload(tmp_path, capsys, argv, sidecar):
+    # the payload is renamed into place first; the sidecar's rename then fails
+    (tmp_path / sidecar).mkdir()
+    assert run(*argv, "--out", tmp_path / "out.csv") == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [sidecar]
+
+
+@pytest.mark.parametrize("out", [".", ""], ids=["dot", "empty"])
+def test_an_output_path_without_a_name_exits_4(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert run(*SMALL_RUNS["sample"], "--out", out) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@every_command
+def test_every_output_file_follows_the_umask(tmp_path, argv):
+    old = os.umask(0o022)
+    try:
+        assert run(*argv, "--out", tmp_path / "out.csv") == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes and set(modes.values()) == {0o644}, modes
+
+
+def test_each_run_stages_its_files_under_new_temporary_names(tmp_path, monkeypatch):
+    staged = []
+    replace = os.replace
+
+    def recorded(src, dst):
+        staged.append(os.path.basename(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    for _ in range(2):
+        assert run(*SMALL_RUNS["sample"], "--out", tmp_path / "out.csv") == 0
+    assert len(set(staged)) == 4
+    assert all(name.endswith(".tmp") for name in staged)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.unitary.json"]

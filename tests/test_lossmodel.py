@@ -266,6 +266,14 @@ def test_scenario_validation():
         ClassicalScenario(a_tilde=0.0)
 
 
+def test_classical_scenario_rejects_an_overflowing_rate():
+    # 2^-1 / (100 a) overflows below a of about 2.8e-311; the rate is largest at N = 1
+    with pytest.raises(ValidationError, match="overflows"):
+        ClassicalScenario(a_tilde=5e-324)
+    smallest_kept = ClassicalScenario(a_tilde=1e-310)
+    assert all(math.isfinite(r_classical(smallest_kept, n)) for n in range(1, 61))
+
+
 def test_even_mode_count():
     assert even_mode_count(4, 1.0) == 16
     assert even_mode_count(3, 1.0) == 8
