@@ -41,7 +41,6 @@ from .permanent import permanent_glynn, permanent_naive, permanents_of_rows
 from .sampling import (
     OutputDistribution,
     collision_free_mass,
-    distribution_to_json,
     draw_samples,
     outcome_probability,
     output_distribution,

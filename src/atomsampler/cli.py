@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from math import comb
 from pathlib import Path
 
+import numpy as np
+
 from . import exactsim, hom, lossmodel, sampling, scenarios
 from .errors import SizeCapError, ValidationError
 from .fock import FockState, check_size_cap, multiset_dimension
@@ -49,6 +51,23 @@ def _json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _csv_rows(table):
+    """The rows of an unsigned (S, M) integer table as CSV lines, each ending in a newline.
+
+    Every cell becomes a slot of w + 1 bytes, w the widest value's digit
+    count: the value's digits from a lookup table, left-aligned and padded
+    with 0 bytes, then the separator in the last slot byte.  Dropping the
+    0 bytes leaves the text, for one- and multi-digit cells alike.
+    """
+    vmax = int(table.max(initial=0))
+    width = len(str(vmax))
+    lut = np.array([str(v) for v in range(vmax + 1)], dtype=f"S{width + 1}")
+    cells = lut.view(np.uint8).reshape(vmax + 1, width + 1)[table]
+    cells[:, :, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    return cells[cells != 0].tobytes().decode("ascii")
+
+
 def _sidecar(out, suffix):
     """`out` with its last suffix replaced; a nameless `out` is left for the writer to refuse."""
     return Path(out).parent / (Path(out).stem + suffix)
@@ -59,11 +78,15 @@ def _write_files(files):
 
     Each text goes to a new temporary beside its target, named uniquely for
     the run and created with the umask mode; the temporaries are renamed
-    into place only after all are written.  On any failure every temporary
-    and every target this run already renamed is removed.
+    into place only after all are written.  Before a rename replaces an
+    existing target, the target gets a second name beside it (a hard link,
+    to the link itself where the target is a symlink).  On any failure
+    every temporary is removed, and every target this run already renamed
+    is removed or, if it replaced a file, swapped back for that file; so a
+    failed run leaves every earlier file as it was.
     """
     token = os.urandom(8).hex()
-    staged, placed = [], []
+    staged, placed, kept = [], [], {}
     try:
         for path, text in files:
             tmp = f"{path}.{token}.tmp"
@@ -71,13 +94,27 @@ def _write_files(files):
                 staged.append(tmp)
                 fh.write(text)
         for tmp, (path, _) in zip(staged, files):
+            old = f"{path}.{token}.old"
+            try:
+                os.link(path, old, follow_symlinks=False)
+                kept[path] = old
+            except FileNotFoundError:
+                pass
             os.replace(tmp, path)
             placed.append(path)
     except BaseException:
         # renames go in order, so the first len(placed) temporaries are targets now
-        for name in staged[len(placed):] + placed:
-            os.unlink(name)
+        for tmp in staged[len(placed):]:
+            os.unlink(tmp)
+        for path in placed:
+            if path in kept:
+                os.replace(kept.pop(path), path)
+            else:
+                os.unlink(path)
         raise
+    finally:
+        for old in kept.values():
+            os.unlink(old)
 
 
 def cmd_rates(args):
@@ -130,11 +167,10 @@ def cmd_sample(args):
     check_size_cap(outcomes, f"outcomes for n={args.n}, m={args.m}")
     u = haar_random_unitary(args.m, seed_u)
     dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
-    rows = sampling.draw_samples(dist, args.shots, seed_draw).tolist() if args.shots else []
-    lines = [_timestamp_line(args.command, args.seed), ",".join(f"m{j}" for j in range(args.m))]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    rows = _csv_rows(sampling.draw_samples(dist, args.shots, seed_draw)) if args.shots else ""
+    header = ",".join(f"m{j}" for j in range(args.m))
     return [
-        (args.out, "\n".join(lines) + "\n"),
+        (args.out, f"{_timestamp_line(args.command, args.seed)}\n{header}\n{rows}"),
         (_sidecar(args.out, ".unitary.json"), _json(unitary_to_json(u))),
     ]
 

@@ -150,11 +150,3 @@ def collision_free_mass(n, m):
     approaches exp(-N^2/M)-type behavior, about 1/e for M = N^2 and large N.
     """
     return comb(m, n) / multiset_dimension(n, m)
-
-
-def distribution_to_json(dist):
-    """JSON-ready outcome list: [{"state": [...], "probability": p}, ...]."""
-    return [
-        {"state": row, "probability": p}
-        for row, p in zip(dist.states.tolist(), dist.probs.tolist())
-    ]

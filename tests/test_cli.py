@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
 from atomsampler.lossmodel import r_ideal
+from atomsampler.permanent import GLYNN_CAP
 from atomsampler.sampling import outcome_probability
 from atomsampler.scenarios import load_bundle
 
@@ -124,6 +126,63 @@ def test_sample_frequencies_match_distribution(tmp_path):
     from conftest import merged_chisquare_pvalue
 
     assert merged_chisquare_pvalue(observed, expected) > 0.01
+
+
+#: SHA-256 of the `sample` payload after its `#` line, recorded from the
+#: per-row writer the table encoder replaced; the encoder must match it.
+SAMPLE_DIGESTS = {
+    "n5-m20": (
+        ["--n", 5, "--m", 20, "--shots", 10_000, "--seed", 1],
+        "cb6b512bde576ed893f51fdb45e2982c5471590d9f6e4df8b6834fce508220fb",
+    ),
+    "collision-free": (
+        ["--collision-free", "--n", 3, "--m", 9, "--shots", 2000, "--seed", 7],
+        "0c98586751926270e514ee9b1af70f6a0d0fa8121e926e641912a74697541fd4",
+    ),
+    "dense": (
+        ["--n", 4, "--m", 4, "--shots", 2000, "--seed", 2],
+        "51076ffce4e97aea8cec92755733512f85b7e7b73fce326b8bd085b7f49b3fa6",
+    ),
+    "vacuum": (
+        ["--n", 0, "--m", 4, "--shots", 3],
+        "4962fb077a785987e597a0bc40fec6d6515f0781898cc3fb457269846dde984e",
+    ),
+    "no-shots": (
+        ["--n", 2, "--m", 4, "--shots", 0],
+        "f2423e5e3a9bd3de73b0aeb17e0c1941c579531e5d4a304a8b1f394e7a8b29c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags,digest", list(SAMPLE_DIGESTS.values()), ids=list(SAMPLE_DIGESTS))
+def test_sample_payload_is_pinned(tmp_path, flags, digest):
+    out = tmp_path / "samples.csv"
+    assert run("sample", *flags, "--out", out) == 0
+    stamp, payload = out.read_bytes().split(b"\n", 1)
+    assert stamp.startswith(b"# sample ")
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def _joined_rows(table):
+    """The per-row reference the table encoder must match byte for byte."""
+    return "".join(",".join(map(str, row)) + "\n" for row in table.tolist())
+
+
+@pytest.mark.parametrize("shape", [(400, 20), (60, 1), (1, 37), (0, 6)],
+                         ids=["table", "one-column", "one-row", "no-rows"])
+def test_csv_rows_matches_the_per_row_join(shape):
+    # cells 0..GLYNN_CAP mix one- and two-digit widths in one table
+    table = np.random.default_rng(sum(shape)).integers(
+        0, GLYNN_CAP + 1, size=shape, dtype=np.uint8
+    )
+    assert cli._csv_rows(table) == _joined_rows(table)
+
+
+def test_csv_rows_of_mixed_widths_and_of_zeros():
+    mixed = np.array([[GLYNN_CAP, 0, 9], [10, 1, 28], [0, 0, 0]], dtype=np.uint8)
+    assert cli._csv_rows(mixed) == "28,0,9\n10,1,28\n0,0,0\n"
+    zeros = np.zeros((5, 4), dtype=np.uint8)
+    assert cli._csv_rows(zeros) == _joined_rows(zeros) == "0,0,0,0\n" * 5
 
 
 def test_sample_collision_free_and_empty(tmp_path):
@@ -450,6 +509,43 @@ def test_a_sidecar_that_cannot_be_written_leaves_no_payload(tmp_path, capsys, ar
     assert run(*argv, "--out", tmp_path / "out.csv") == 4
     assert "i/o error" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == [sidecar]
+
+
+@pytest.mark.parametrize("earlier", ["out.csv", "earlier.csv"], ids=["file", "symlink"])
+@pytest.mark.parametrize("argv,sidecar", [
+    (SMALL_RUNS["sample"], "out.unitary.json"),
+    (SMALL_RUNS["exactsim"], "out.summary.json"),
+], ids=["sample", "exactsim"])
+def test_a_failed_run_leaves_the_earlier_payload_as_it_was(tmp_path, capsys, argv, sidecar, earlier):
+    # the new payload replaces out.csv first; the sidecar's failure must swap the old one back,
+    # a symlink as the same symlink
+    out = tmp_path / "out.csv"
+    (tmp_path / earlier).write_bytes(b"old\n")
+    if earlier != out.name:
+        out.symlink_to(earlier)
+    (tmp_path / sidecar).mkdir()
+    assert run(*argv, "--out", out) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_bytes() == b"old\n"
+    assert out.is_symlink() == (earlier != out.name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({out.name, earlier, sidecar})
+
+
+def test_a_run_that_fails_on_its_last_rename_restores_every_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.csv"
+    assert run(*SMALL_RUNS["sample"], "--seed", 1, "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replace = os.replace
+
+    def failing(src, dst):
+        if str(dst).endswith(".unitary.json"):
+            raise OSError("no space left")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert run(*SMALL_RUNS["sample"], "--seed", 2, "--out", out) == 4
+    assert "no space left" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("out", [".", ""], ids=["dot", "empty"])

@@ -1,12 +1,13 @@
 """Property-based fuzzing of the command line.
 
 Every argument vector and input file, however malformed, must end in a
-documented exit code (0 success, 2 validation, 3 size cap, 4 I/O), leave no
-output or temporary file when the run fails (a sidecar path taken by a
-directory included), and emit only probability and survival values in
-[0, 1].  The size caps and the bootstrap count are patched small, so every
-size the strategies reach either runs in milliseconds or exits 3; examples
-are derandomized, so the suite sees the same inputs on every run.
+documented exit code (0 success, 2 validation, 3 size cap, 4 I/O) and emit
+only probability and survival values in [0, 1].  A failed run must leave
+the output directory as it found it: no new output or temporary file, and
+an earlier run's payload byte for byte, also when a directory takes a
+sidecar's path.  The size caps and the bootstrap count are patched small,
+so every size the strategies reach either runs in milliseconds or exits 3;
+examples are derandomized, so the suite sees the same inputs on every run.
 """
 
 import json
@@ -152,6 +153,11 @@ def _probabilities(command, out):
     return []
 
 
+def _snapshot(directory):
+    """Name and bytes of every entry in `directory`; None stands for a subdirectory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def small_caps():
     with pytest.MonkeyPatch.context() as patch:
@@ -180,16 +186,19 @@ def test_every_run_ends_in_a_documented_exit_code(command, data):
             (inputs / f"{kind}.json").write_bytes(content)
         out_dir = outputs if data.draw(st.integers(0, 9)) else outputs / "absent"
         out = out_dir / "result.csv"
+        # an earlier run's payload must survive a failed run byte for byte
+        if out_dir.exists() and data.draw(st.booleans()):
+            out.write_bytes(b"earlier run\n")
         # a directory where the sidecar belongs fails a two-file run on its second file
         if command in SIDECARS and out_dir.exists() and data.draw(st.booleans()):
             out.with_suffix(SIDECARS[command]).mkdir()
-        before = sorted(p.name for p in outputs.iterdir())
+        before = _snapshot(outputs)
         code = main([arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)])
         assert code in EXIT_CODES
-        written = sorted(p.name for p in outputs.iterdir())
+        written = _snapshot(outputs)
         if code != 0:
             assert written == before
             return
-        assert not [name for name in written if name.endswith(".tmp")]
+        assert not [name for name in written if name.endswith((".tmp", ".old"))]
         values = _probabilities(command, out)
         assert all(0.0 <= v <= 1.0 for v in values), values

@@ -24,7 +24,6 @@ from atomsampler.permanent import (
 )
 from atomsampler.sampling import (
     collision_free_mass,
-    distribution_to_json,
     draw_samples,
     outcome_probability,
     output_distribution,
@@ -414,16 +413,6 @@ def test_draw_samples_rejects_negative_shots():
     with pytest.raises(ValidationError):
         draw_samples(dist, -1, seed=0)
     assert draw_samples(dist, 0, seed=0).shape == (0, 2)
-
-
-def test_distribution_to_json():
-    import json
-
-    dist = output_distribution(HADAMARD, FockState((1, 1)))
-    payload = json.loads(json.dumps(distribution_to_json(dist)))
-    assert payload[0]["state"] == [2, 0]
-    assert payload[0]["probability"] == pytest.approx(0.5, abs=1e-12)
-    assert len(payload) == 3
 
 
 def test_collision_free_mass_values():
