@@ -25,7 +25,6 @@ from .fock import (
     multiset_dimension,
     site_occupancy,
     state_rank,
-    state_unrank,
 )
 from .interferometer import (
     CircuitPlan,
@@ -67,7 +66,6 @@ from .hom import (
     HomOutcomes,
     HomParams,
     bunching_from_p2,
-    expected_purity,
     fit_bunching,
     hom_analytic,
     hom_monte_carlo,

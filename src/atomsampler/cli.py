@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 size-cap error, 4 I/O error.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -83,8 +84,13 @@ def _write_files(files):
     to the link itself where the target is a symlink).  On any failure
     every temporary is removed, and every target this run already renamed
     is removed or, if it replaced a file, swapped back for that file; so a
-    failed run leaves every earlier file as it was.
+    failed run leaves every earlier file as it was.  A target that is a
+    directory is refused before anything is written.
     """
+    for path, _ in files:
+        # the hard link would fail first, with an error that names the link
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     token = os.urandom(8).hex()
     staged, placed, kept = [], [], {}
     try:

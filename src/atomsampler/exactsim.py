@@ -29,8 +29,8 @@ blocks of all couplings of the plan in one call per n_pair and reuses the
 decay factor exp(-H t_step) across runs with the same (n, m, t_step, tau),
 such as the realizations of `benchmark_vs_model`.  It steps through the same
 layer kernel as `apply_layer`, and its survival ratios and amplitudes are
-bit-identical to a loop of `apply_decay` and `apply_layer`.  The output
-phases, which no p_j depends on, are left to `apply_output_phases`.
+bit-identical to a loop of `apply_decay` and `apply_layer`.  The plan's
+output phases change no p_j and are not applied.
 """
 
 import math
@@ -74,7 +74,6 @@ class SurvivalTrace:
 
     p_j: np.ndarray
     p_total: float
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -268,25 +267,6 @@ def apply_layer(state, couplings):
     return SimState(amplitudes=amps, n=state.n, m=state.m)
 
 
-def apply_output_phases(state, phases):
-    """Apply per-mode output phases; diagonal, norm preserving.
-
-    Adds phases[j] n_j one mode at a time, so the table is never widened.
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (state.m,):
-        raise ValidationError(f"need {state.m} output phases, got shape {phases.shape}")
-    arr = basis_array(state.n, state.m)
-    total_phase = np.zeros(len(arr))
-    term = np.empty_like(total_phase)
-    for j, phase in enumerate(phases):
-        np.multiply(arr[:, j], phase, out=term)
-        total_phase += term
-    return SimState(
-        amplitudes=state.amplitudes * np.exp(1j * total_phase), n=state.n, m=state.m
-    )
-
-
 def outcome_probabilities(state):
     """|amplitude|^2 for every canonical basis state."""
     return np.abs(state.amplitudes) ** 2
@@ -304,8 +284,8 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
     """Alternate decay and coherent layers; record per-step survival.
 
     Decay acts before each layer.  The plan's output phases, which change no
-    survival ratio, are left to `apply_output_phases`.  Every layer is
-    checked before the first step.  A step starting from zero norm has p_j = 0.
+    survival ratio, are not applied.  Every layer is checked before the
+    first step.  A step starting from zero norm has p_j = 0.
     """
     if plan.m != initial.m:
         raise ValidationError(
@@ -329,7 +309,7 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
         norm = after
     state = SimState(amplitudes=amps, n=n, m=m)
     p_j = np.asarray(ratios)
-    trace = SurvivalTrace(p_j=p_j, p_total=float(np.prod(p_j)), steps=len(ratios))
+    trace = SurvivalTrace(p_j=p_j, p_total=float(np.prod(p_j)))
     return state, trace
 
 

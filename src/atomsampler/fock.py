@@ -5,7 +5,7 @@ Modes come in pairs: mode ``2s + sigma`` with sigma in {0, 1} addresses the
 two internal states of lattice site ``s``, so M modes span M/2 sites.  The
 canonical basis order is descending lexicographic on occupation vectors,
 starting from (N, 0, ..., 0); ranks are combinadic, one lookup per mode in
-the cached `rank_table` that `state_unrank` walks back.
+the cached `rank_table`.
 """
 
 from dataclasses import dataclass
@@ -49,13 +49,6 @@ class FockState:
     def m(self):
         """Mode count M."""
         return len(self.occupations)
-
-    def to_json(self):
-        return list(self.occupations)
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data))
 
     def __iter__(self):
         return iter(self.occupations)
@@ -174,25 +167,6 @@ def basis_rank(states):
 def state_rank(state):
     """Index of `state` in the canonical basis order."""
     return int(basis_rank(state.occupations))
-
-
-def state_unrank(index, n, m):
-    """Inverse of `state_rank`: greedy on each `rank_table` row, which grows with s."""
-    dim = multiset_dimension(n, m)
-    if not 0 <= index < dim:
-        raise ValidationError(f"rank {index} out of range for dimension {dim}")
-    occ = []
-    after = n  # atoms in mode j and beyond
-    rank = index
-    for row in rank_table(n, m)[:-1]:
-        a = after
-        while row[a] > rank:
-            a -= 1
-        rank -= row[a]
-        occ.append(after - a)
-        after = a
-    occ.append(after)
-    return FockState(tuple(occ))
 
 
 def site_count(m):

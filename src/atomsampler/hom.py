@@ -209,7 +209,7 @@ class _McObjective:
         return np.array([n0, n1, n2]) / self.kept
 
 
-def fit_bunching(measured, survival_s, p_lic0, trials=10**6, seed=0):
+def fit_bunching(measured, survival_s, p_lic0, trials, seed):
     """Least-squares bunching probability from measured outcome fractions.
 
     Golden-section search over P_bunch in [1/2, 1] against Monte Carlo
@@ -254,10 +254,3 @@ def purity_from_bunching(p_bunch):
     if p_bunch < 0.5:
         raise ValidationError(f"bunching probability below 1/2 is infeasible: {p_bunch}")
     return 2.0 * p_bunch - 1.0
-
-
-def expected_purity(p3d):
-    """Purity predicted from the 3D motional ground-state occupation."""
-    if not 0.0 <= p3d <= 1.0:
-        raise ValidationError(f"ground-state probability must lie in [0, 1], got {p3d}")
-    return p3d * p3d

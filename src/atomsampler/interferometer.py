@@ -111,10 +111,6 @@ class CircuitPlan:
     def coupling_count(self):
         return sum(len(layer) for layer in self.layers)
 
-    def couplings(self):
-        for layer in self.layers:
-            yield from layer
-
 
 def unitarity_defect(u):
     """Max-abs deviation of U†U from the identity."""

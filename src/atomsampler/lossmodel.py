@@ -180,7 +180,7 @@ def p_step_twobody_closed(c, t, tau_tb):
     return math.exp(1.5 / c * math.expm1(-t / tau_tb))
 
 
-def p_step_twobody(n, m, t, tau_tb, model="auto"):
+def p_step_twobody(n, m, t, tau_tb, model):
     """Per-step survival against two-body loss.
 
     The finite-size form weights each (k2, k3) sector by exp(-(k2 + 3 k3)
@@ -216,7 +216,7 @@ def circuit_steps(scenario, n):
     return scenario.mode_ratio_c * n * n
 
 
-def p_survival(scenario, n, model="auto"):
+def p_survival(scenario, n, model):
     """Probability that all N atoms survive the full circuit execution.
 
     (P_bg P_tb)^(c N^2); the two-body factor uses the finite-size sum on an

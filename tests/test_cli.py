@@ -504,7 +504,7 @@ def test_usage_error_exit_code(capsys):
     (SMALL_RUNS["exactsim"], "out.summary.json"),
 ], ids=["sample", "exactsim"])
 def test_a_sidecar_that_cannot_be_written_leaves_no_payload(tmp_path, capsys, argv, sidecar):
-    # the payload is renamed into place first; the sidecar's rename then fails
+    # a directory sidecar path is refused before the payload is written
     (tmp_path / sidecar).mkdir()
     assert run(*argv, "--out", tmp_path / "out.csv") == 4
     assert "i/o error" in capsys.readouterr().err
@@ -517,15 +517,16 @@ def test_a_sidecar_that_cannot_be_written_leaves_no_payload(tmp_path, capsys, ar
     (SMALL_RUNS["exactsim"], "out.summary.json"),
 ], ids=["sample", "exactsim"])
 def test_a_failed_run_leaves_the_earlier_payload_as_it_was(tmp_path, capsys, argv, sidecar, earlier):
-    # the new payload replaces out.csv first; the sidecar's failure must swap the old one back,
-    # a symlink as the same symlink
+    # the directory sidecar path is refused before anything is renamed; out.csv stays as it
+    # was, a symlink as the same symlink
     out = tmp_path / "out.csv"
     (tmp_path / earlier).write_bytes(b"old\n")
     if earlier != out.name:
         out.symlink_to(earlier)
     (tmp_path / sidecar).mkdir()
     assert run(*argv, "--out", out) == 4
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err and f"Is a directory: '{tmp_path / sidecar}'" in err
     assert out.read_bytes() == b"old\n"
     assert out.is_symlink() == (earlier != out.name)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({out.name, earlier, sidecar})
@@ -546,6 +547,29 @@ def test_a_run_that_fails_on_its_last_rename_restores_every_file(tmp_path, monke
     assert run(*SMALL_RUNS["sample"], "--seed", 2, "--out", out) == 4
     assert "no space left" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier.csv"], ids=["none", "symlink"])
+def test_a_run_that_fails_on_its_last_rename_undoes_its_first(tmp_path, monkeypatch, capsys, earlier):
+    # the payload is renamed into place, then the sidecar's rename fails: a payload
+    # the run created is removed, a symlink it replaced comes back as the same symlink
+    out = tmp_path / "out.csv"
+    if earlier:
+        (tmp_path / earlier).write_bytes(b"old\n")
+        out.symlink_to(earlier)
+    replace = os.replace
+
+    def failing(src, dst):
+        if str(dst).endswith(".unitary.json"):
+            raise OSError("no space left")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert run(*SMALL_RUNS["sample"], "--out", out) == 4
+    assert "no space left" in capsys.readouterr().err
+    if earlier:
+        assert out.is_symlink() and out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([earlier, out.name] if earlier else [])
 
 
 @pytest.mark.parametrize("out", [".", ""], ids=["dot", "empty"])

@@ -189,7 +189,7 @@ def test_every_run_ends_in_a_documented_exit_code(command, data):
         # an earlier run's payload must survive a failed run byte for byte
         if out_dir.exists() and data.draw(st.booleans()):
             out.write_bytes(b"earlier run\n")
-        # a directory where the sidecar belongs fails a two-file run on its second file
+        # a directory where the sidecar belongs fails a two-file run before it writes
         if command in SIDECARS and out_dir.exists() and data.draw(st.booleans()):
             out.with_suffix(SIDECARS[command]).mkdir()
         before = _snapshot(outputs)

@@ -94,7 +94,7 @@ def test_pair_distribution_converges_to_poisson():
 
 
 def test_p_step_twobody_boundaries():
-    assert p_step_twobody(4, 16, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert p_step_twobody(4, 16, 0.0, 1.0, model="auto") == pytest.approx(1.0, abs=1e-12)
     # strong-loss limit of the closed form: the collisionless mass
     assert p_step_twobody_closed(1.0, 1e9, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-9)
     # weak-loss limit decays as exp(-3 t / (2 tau))
@@ -104,7 +104,7 @@ def test_p_step_twobody_boundaries():
 
 
 def test_p_step_twobody_monotone_and_bounded():
-    values = [p_step_twobody(4, 16, t, 1.0) for t in (0.0, 0.1, 0.5, 1.0, 5.0, 50.0)]
+    values = [p_step_twobody(4, 16, t, 1.0, model="auto") for t in (0.0, 0.1, 0.5, 1.0, 5.0, 50.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     floor = p_pairs_trios(4, 16, 0, 0)
     assert all(v >= floor for v in values)
@@ -150,7 +150,7 @@ def test_p_survival_limits_and_identity():
         t_step=33e-6, tau_bg=math.inf, tau_tb=math.inf, t_init=0.5, t_det=0.1,
         eta_init=0.99, eta_det=0.99,
     )
-    assert p_survival(no_loss, 10) == pytest.approx(1.0, abs=1e-15)
+    assert p_survival(no_loss, 10, model="auto") == pytest.approx(1.0, abs=1e-15)
 
     s = SOTA.loss
     # background factor alone: exp(-N^3 t / tau_bg), about 0.9954 at N=37
@@ -159,7 +159,7 @@ def test_p_survival_limits_and_identity():
         t_det=s.t_det, eta_init=s.eta_init, eta_det=s.eta_det,
     )
     expected = math.exp(-(37**3) * s.t_step / s.tau_bg)
-    assert p_survival(bg_only, 37) == pytest.approx(expected, rel=1e-10)
+    assert p_survival(bg_only, 37, model="auto") == pytest.approx(expected, rel=1e-10)
     assert expected == pytest.approx(0.9954, abs=5e-4)
 
     # closed-form algebraic identity

@@ -12,13 +12,9 @@ import atomsampler
 ALLOWED_DEFAULTS = [
     "cli._add_common.scenario_default",
     "cli.main.argv",
-    "hom.fit_bunching.seed",
-    "hom.fit_bunching.trials",
     "hom.hom_monte_carlo.workers",
     "lossmodel.crossover.model",
     "lossmodel.crossover.n_range",
-    "lossmodel.p_step_twobody.model",
-    "lossmodel.p_survival.model",
     "lossmodel.r_nisq.model",
     "lossmodel.r_photonic.depth",
     "sampling.output_distribution.collision_free_only",
