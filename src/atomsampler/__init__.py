@@ -43,7 +43,6 @@ from .sampling import (
     draw_samples,
     outcome_probability,
     output_distribution,
-    sampling_submatrix,
 )
 from .lossmodel import (
     ClassicalScenario,

@@ -171,6 +171,7 @@ def cmd_sample(args):
     check_glynn_cap(args.n)
     outcomes = comb(args.m, args.n) if args.collision_free else multiset_dimension(args.n, args.m)
     check_size_cap(outcomes, f"outcomes for n={args.n}, m={args.m}")
+    check_size_cap(args.shots, "shots")
     u = haar_random_unitary(args.m, seed_u)
     dist = sampling.output_distribution(u, input_state, collision_free_only=args.collision_free)
     rows = _csv_rows(sampling.draw_samples(dist, args.shots, seed_draw)) if args.shots else ""

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, ValidationError
+from .fock import check_size_cap
 from .parallel import spawn_seeds, parallel_map
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -141,9 +142,9 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    blocks = [MC_BLOCK] * (trials // MC_BLOCK)
-    if trials % MC_BLOCK:
-        blocks.append(trials % MC_BLOCK)
+    full, rest = divmod(trials, MC_BLOCK)
+    check_size_cap(full + (rest > 0), "Monte Carlo blocks")
+    blocks = [MC_BLOCK] * full + [rest] * (rest > 0)
     seeds = spawn_seeds(seed, len(blocks))
     tallies = parallel_map(
         lambda args: _simulate_block(params, *args), list(zip(blocks, seeds)), workers=workers

@@ -20,12 +20,14 @@ Drift bound: on the rank-one closed form perm(x y^T) = n! prod x prod y
 with random complex x, y at n = 20 the relative gap stays below 1e-11
 (about 1e-15 in practice; tested).
 
-`permanents_of_rows` holds the package's only loop over Glynn batches, with
-one `_Workspace`, for every matrix whose rows repeat those of one column
-block by an occupation row, as boson-sampling outcomes do; it and callers
-that refuse early ask `check_glynn_cap`.  `permanent_glynn` is the checked
-single-matrix entry point and `permanent_naive` the factorial-time
-cross-check, summing row products over all permutations.
+`permanents_of_rows` is the kernel's only caller.  It holds the package's
+only loop over Glynn batches, with one `_Workspace`, for every matrix whose
+rows repeat those of one column block by an occupation row, as
+boson-sampling outcomes do.  `check_glynn_cap` is the only comparison with
+`GLYNN_CAP`; `permanents_of_rows` and callers that refuse early ask it.
+`permanent_glynn` is the checked single-matrix entry point, one all-ones
+occupation row through `permanents_of_rows`, and `permanent_naive` the
+factorial-time cross-check, summing row products over all permutations.
 """
 
 from functools import lru_cache
@@ -49,15 +51,13 @@ LOW_SIGNS = 12
 WORKSPACE = 1 << 17
 
 
-def _checked_square(a, cap, name):
+def _checked_square(a, name):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n < 1:
         raise ValidationError(f"{name} needs n >= 1")
-    if n > cap:
-        raise SizeCapError(f"{name} capped at n <= {cap}, got n = {n}")
     return a, n
 
 
@@ -178,14 +178,16 @@ def permanents_of_rows(columns, occupations):
 def permanent_glynn(a):
     """Permanent of a complex square matrix via Glynn's formula.
 
-    Cost doubles with every row; `GLYNN_CAP` keeps runaway inputs out.
+    Cost doubles with every row; `check_glynn_cap` keeps runaway inputs out.
     """
-    a, n = _checked_square(a, GLYNN_CAP, "permanent_glynn")
-    return complex(_glynn_batch(a[None], _Workspace())[0])
+    a, n = _checked_square(a, "permanent_glynn")
+    return complex(permanents_of_rows(a, np.ones((1, n), dtype=np.uint8))[0])
 
 
 def permanent_naive(a):
     """Permanent by explicit permutation sum; oracle for small matrices up to `NAIVE_CAP`."""
-    a, n = _checked_square(a, NAIVE_CAP, "permanent_naive")
+    a, n = _checked_square(a, "permanent_naive")
+    if n > NAIVE_CAP:
+        raise SizeCapError(f"permanent_naive capped at n <= {NAIVE_CAP}, got n = {n}")
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     return complex(a[np.arange(n), perms].prod(axis=1).sum())

@@ -9,12 +9,14 @@ where the rows of U_sub repeat output modes with multiplicity n_j and the
 columns repeat input modes with multiplicity q_i.  Collision-free
 post-selection keeps only outcomes with every mode singly occupied.
 
-Distributions are array-first: outcomes are rows of a (D, M) occupation
-table (`fock.basis_array`'s narrow unsigned type) and their probabilities a
-(D,) vector, from one `permanent.permanents_of_rows` call over that table;
-`draw_samples` returns rows of the same kind.
-`FockState` objects are built only where a caller asks for them: the input
-state and `OutputDistribution.outcomes`.
+Every probability comes from one private function over a (D, M) occupation
+table (`fock.basis_array`'s narrow unsigned type): one
+`permanent.permanents_of_rows` call gives the D amplitudes and the
+factorials are multiplied in one mode at a time.  `output_distribution`
+passes it the full or collision-free table, `outcome_probability` a one-row
+table, so both give the same bits for the same outcome.  `draw_samples`
+returns rows of the same kind.  `FockState` objects are built only where a
+caller asks for them: `OutputDistribution.outcomes`.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,8 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import DegenerateSampleError, ValidationError
-from .fock import FockState, basis_array, collision_free_array, multiset_dimension
-from .permanent import check_glynn_cap, permanent_glynn, permanents_of_rows
+from .fock import FockState, basis_array, check_size_cap, collision_free_array, multiset_dimension
+from .permanent import check_glynn_cap, permanents_of_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +38,8 @@ class OutputDistribution:
     probabilities.
     """
 
-    input: FockState
     states: np.ndarray
     probs: np.ndarray
-    collision_free_only: bool
     total_mass: float
 
     @property
@@ -56,70 +56,52 @@ def _mode_indices(state):
     return np.repeat(np.arange(state.m), state.occupations)
 
 
-def sampling_submatrix(u, input_state, output_state):
-    """N x N submatrix whose permanent gives the transition amplitude.
-
-    Rows follow the output occupations, columns the input occupations.
-    """
+def _checked_unitary(u, state):
     u = np.asarray(u, dtype=complex)
-    if input_state.total != output_state.total:
-        raise ValidationError(
-            f"particle numbers differ: input {input_state.total}, "
-            f"output {output_state.total}"
-        )
-    if input_state.m != u.shape[0] or output_state.m != u.shape[0]:
-        raise ValidationError("state length does not match the unitary size")
-    rows = _mode_indices(output_state)
-    cols = _mode_indices(input_state)
-    return u[np.ix_(rows, cols)]
+    if u.shape != (state.m, state.m):
+        raise ValidationError(f"state length {state.m} does not match the unitary shape {u.shape}")
+    return u
+
+
+def _probabilities(u, input_state, states):
+    """P(n) of every row n of the (D, M) occupation table `states`, as a (D,) array.
+
+    All rows share the input columns of U, so one `permanents_of_rows` call
+    gives every amplitude; it refuses rows whose atom count differs from the
+    input's.  prod_j n_j! is multiplied in one mode at a time, so the narrow
+    table is never widened as a whole, and only for modes that hold two or
+    more atoms in some row: 0! = 1! = 1 would not move a bit of the product.
+    """
+    probs = np.abs(permanents_of_rows(u[:, _mode_indices(input_state)], states)) ** 2
+    factorials = np.array([factorial(k) for k in range(input_state.total + 1)], dtype=float)
+    norms = np.ones(len(states))
+    for j in np.flatnonzero(states.max(axis=0, initial=0) > 1):
+        norms *= np.take(factorials, states[:, j])
+    probs /= norms * prod(map(factorial, input_state.occupations))
+    return probs
 
 
 def outcome_probability(u, input_state, output_state):
-    """Probability of one output occupation pattern."""
-    n = input_state.total
-    if n == 0:
-        return 1.0 if output_state.total == 0 else 0.0
-    sub = sampling_submatrix(u, input_state, output_state)
-    norm = prod_factorials(input_state) * prod_factorials(output_state)
-    return float(abs(permanent_glynn(sub)) ** 2 / norm)
-
-
-def prod_factorials(state):
-    return prod(map(factorial, state.occupations))
+    """Probability of one output occupation pattern, as one row of `output_distribution`."""
+    u = _checked_unitary(u, input_state)
+    return float(_probabilities(u, input_state, np.array([output_state.occupations]))[0])
 
 
 def output_distribution(u, input_state, collision_free_only=False):
     """Exact distribution over all outcomes, in canonical basis order.
 
     The full distribution sums to one; under collision-free post-selection
-    `total_mass` is the retained probability.  All outcomes share the input
-    columns of U, so one `permanents_of_rows` call over the occupation table
-    gives every amplitude; prod_j n_j! is multiplied in one mode at a time,
-    so the narrow table is never widened as a whole.  `check_glynn_cap`
-    refuses N before the table is built, and `fock` tables above its cap.
-    N = 0 (the vacuum) has the single outcome of probability one.
+    `total_mass` is the retained probability.  `check_glynn_cap` refuses N
+    before the table is built, and `fock` tables above its cap.  N = 0 (the
+    vacuum) has the single outcome of probability one.
     """
-    u = np.asarray(u, dtype=complex)
-    n = input_state.total
-    m = input_state.m
-    if u.shape != (m, m):
-        raise ValidationError(f"state length {m} does not match the unitary shape {u.shape}")
+    u = _checked_unitary(u, input_state)
+    n, m = input_state.total, input_state.m
     check_glynn_cap(n)  # before the table is built
     states = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
-    probs = np.abs(permanents_of_rows(u[:, _mode_indices(input_state)], states)) ** 2
-    factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
-    norms = np.ones(len(states))
-    for j in range(m):
-        norms *= np.take(factorials, states[:, j])
-    probs /= norms * prod_factorials(input_state)
+    probs = _probabilities(u, input_state, states)
     probs.setflags(write=False)
-    return OutputDistribution(
-        input=input_state,
-        states=states,
-        probs=probs,
-        collision_free_only=collision_free_only,
-        total_mass=float(probs.sum()),
-    )
+    return OutputDistribution(states=states, probs=probs, total_mass=float(probs.sum()))
 
 
 def draw_samples(dist, shots, seed):
@@ -131,6 +113,7 @@ def draw_samples(dist, shots, seed):
     """
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
+    check_size_cap(shots, "shots")
     if dist.total_mass <= 0.0:
         raise DegenerateSampleError("distribution carries no probability mass")
     probs = dist.probs / dist.total_mass

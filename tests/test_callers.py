@@ -33,6 +33,8 @@ REFERENCES = [
     "interferometer.plan_from_json",
     # the large-N law of the pair counts (criterion 06)
     "lossmodel.poisson_pair_limit",
+    # the single-matrix Glynn entry point checked against that oracle (criterion 02)
+    "permanent.permanent_glynn",
     # the factorial oracle of the Glynn kernel (criterion 02)
     "permanent.permanent_naive",
 ]

@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from atomsampler import cli, fock
+from atomsampler import cli, fock, hom
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -241,18 +241,25 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
 @pytest.mark.parametrize(
     "argv,refused",
     [
-        (["sample", "--n", 1, "--m", 40], "unitary entries"),
+        (["sample", "--n", 1, "--m", 40, "--shots", 10], "unitary entries"),
         (["decompose", "--m", 40], "unitary entries"),
         (["exactsim", "--n", 1, "--m", 40, "--realizations", 1], "unitary entries"),
         (["exactsim", "--n", 3, "--m", 12, "--realizations", 1], "364 amplitudes"),
+        (["sample", "--n", 1, "--m", 2, "--shots", 301], "301 shots"),
+        (["hom-sim", "--trials", 300 * hom.MC_BLOCK + 1], "301 Monte Carlo blocks"),
     ],
-    ids=["sample-unitary", "decompose-unitary", "exactsim-unitary", "exactsim-state"],
+    ids=[
+        "sample-unitary", "decompose-unitary", "exactsim-unitary", "exactsim-state",
+        "sample-shots", "hom-sim-blocks",
+    ],
 )
 def test_every_input_sized_allocation_exits_3_above_the_cap(
     tmp_path, monkeypatch, capsys, argv, refused
 ):
-    # 40^2 = 1600 unitary entries, or C(14, 3) = 364 amplitudes, pass a cap of 300;
-    # the real cap stops M = 10^6 the same way, with no 7 TiB draw
+    # 40^2 = 1600 unitary entries, C(14, 3) = 364 amplitudes, 301 shot rows or
+    # 301 Monte Carlo blocks pass a cap of 300 (10 shots stay below it, so the
+    # unitary is the first refusal); the real cap stops M = 10^6, 10^12 shots
+    # or 10^15 trials the same way, with no 7 TiB draw or 120 GB block list
     monkeypatch.setattr(fock, "BASIS_CAP", 300)
     assert run(*argv, "--out", tmp_path / "out.csv") == 3
     assert refused in capsys.readouterr().err
@@ -287,12 +294,17 @@ def test_decompose_rejects_malformed_unitary(tmp_path, capsys, payload):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--n", 5, "--m", 40], ["--n", 5, "--m", 40, "--collision-free"], ["--n", 30, "--m", 40]],
-    ids=["outcomes", "collision-free-outcomes", "glynn-cap"],
+    [
+        ["--n", 5, "--m", 40],
+        ["--n", 5, "--m", 40, "--collision-free"],
+        ["--n", 30, "--m", 40],
+        ["--n", 1, "--m", 2, "--shots", 2001],
+    ],
+    ids=["outcomes", "collision-free-outcomes", "glynn-cap", "shots"],
 )
 def test_sample_refuses_before_it_draws_the_unitary(tmp_path, monkeypatch, capsys, argv):
-    # C(44, 5) outcomes, C(40, 5) patterns and N = 30 > GLYNN_CAP are all known
-    # before the 40 x 40 Haar draw, so that draw must not happen
+    # C(44, 5) outcomes, C(40, 5) patterns, N = 30 > GLYNN_CAP and 2001 shot
+    # rows are all known before the Haar draw, so that draw must not happen
     def no_draw(m, seed):
         raise AssertionError("the unitary was drawn before the caps were checked")
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from atomsampler import hom
-from atomsampler.errors import DegenerateSampleError, ValidationError
+from atomsampler import fock, hom
+from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
 from atomsampler.hom import (
     HomOutcomes,
     HomParams,
@@ -81,6 +81,13 @@ def test_post_selection_invariance():
     assert filtered.trials_kept < plain.trials_kept
     for a, b in zip(plain.triple(), filtered.triple()):
         assert abs(a - b) < 0.006
+
+
+def test_monte_carlo_refuses_more_blocks_than_the_cap(monkeypatch):
+    monkeypatch.setattr(fock, "BASIS_CAP", 1)
+    assert hom_monte_carlo(EXPERIMENT, hom.MC_BLOCK, seed=0).trials_kept > 0
+    with pytest.raises(SizeCapError, match="2 Monte Carlo blocks"):
+        hom_monte_carlo(EXPERIMENT, hom.MC_BLOCK + 1, seed=0)
 
 
 def test_monte_carlo_degenerate():

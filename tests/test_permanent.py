@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from atomsampler import permanent, sampling
+from atomsampler import fock, permanent, sampling
 from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
 from atomsampler.fock import (
     FockState,
@@ -27,8 +27,6 @@ from atomsampler.sampling import (
     draw_samples,
     outcome_probability,
     output_distribution,
-    prod_factorials,
-    sampling_submatrix,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -157,8 +155,12 @@ def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, co
     table = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
     states = [FockState(tuple(row)) for row in table.tolist()]
     assert len(states) >= 3 * batch and len(states) % batch
-    subs = np.array([sampling_submatrix(u, inp, s) for s in states])
-    norms = np.array([prod_factorials(inp) * prod_factorials(s) for s in states], dtype=float)
+    cols = np.repeat(np.arange(m), inp.occupations)
+    subs = np.array([u[np.ix_(np.repeat(np.arange(m), s.occupations), cols)] for s in states])
+    norms = np.array(
+        [math.prod(map(math.factorial, inp.occupations + s.occupations)) for s in states],
+        dtype=float,
+    )
     expected_row_perms = _fresh_batches(subs, batch)
     expected_probs = np.abs(expected_row_perms) ** 2 / norms
     expected_perms = _fresh_batches(stack, batch)
@@ -210,27 +212,39 @@ def test_glynn_drift_bound_rank_one():
     assert abs(permanent_glynn(np.outer(x, y)) - expected) <= 1e-11 * abs(expected)
 
 
-def test_sampling_submatrix_examples():
-    one_one = FockState((1, 1))
-    assert np.allclose(sampling_submatrix(HADAMARD, one_one, one_one), HADAMARD)
-    sub = sampling_submatrix(HADAMARD, one_one, FockState((2, 0)))
-    assert np.allclose(sub, np.full((2, 2), 1.0 / np.sqrt(2.0)))
-
-
-def test_sampling_submatrix_against_index_expansion():
-    # independent construction: repeat each mode index explicitly
-    u = haar_random_unitary(5, seed=12)
-    inp = FockState((2, 0, 1, 0, 0))
-    out = FockState((0, 1, 0, 2, 0))
+def _index_expansion_probability(u, inp, out):
+    """|perm|^2 / norms of the submatrix built by repeating each mode index explicitly."""
     rows = [j for j, c in enumerate(out.occupations) for _ in range(c)]
     cols = [i for i, c in enumerate(inp.occupations) for _ in range(c)]
-    expected = np.array([[u[r, c] for c in cols] for r in rows])
-    assert np.allclose(sampling_submatrix(u, inp, out), expected)
+    sub = np.array([[u[r, c] for c in cols] for r in rows])
+    norm = math.prod(math.factorial(c) for c in inp.occupations + out.occupations)
+    return abs(permanent_naive(sub)) ** 2 / norm
 
 
-def test_sampling_submatrix_particle_mismatch():
+def test_outcome_probability_against_index_expansion():
+    # rows follow the output occupations, columns the input ones: u is not
+    # symmetric, so swapping the roles would change the permanent
+    u = haar_random_unitary(5, seed=12)
+    inp = FockState((2, 0, 1, 0, 0))
+    for out in (FockState((0, 1, 0, 2, 0)), FockState((3, 0, 0, 0, 0)), FockState((1, 0, 1, 0, 1))):
+        expected = _index_expansion_probability(u, inp, out)
+        assert outcome_probability(u, inp, out) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    one_one = FockState((1, 1))
+    for out in (one_one, FockState((2, 0))):
+        expected = _index_expansion_probability(HADAMARD, one_one, out)
+        assert outcome_probability(HADAMARD, one_one, out) == pytest.approx(expected, abs=1e-15)
+
+
+def test_outcome_probability_rejects_mismatched_states():
+    # particle numbers differ, at N = 2 and for the vacuum, which used to give 0.0
+    for inp, out in [((1, 1), (1, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]:
+        with pytest.raises(ValidationError, match="summing to"):
+            outcome_probability(HADAMARD, FockState(inp), FockState(out))
+    # state lengths that do not match the unitary
     with pytest.raises(ValidationError):
-        sampling_submatrix(HADAMARD, FockState((1, 1)), FockState((1, 0)))
+        outcome_probability(HADAMARD, FockState((1, 1)), FockState((1, 1, 0)))
+    with pytest.raises(ValidationError):
+        outcome_probability(HADAMARD, FockState((1, 1, 0)), FockState((1, 1)))
 
 
 def test_outcome_probability_hom_dip():
@@ -325,7 +339,8 @@ def test_output_distribution_matches_outcome_probability(occupations, collision_
     assert dist.states.shape == (len(dist.probs), inp.m)
     assert not dist.states.flags.writeable and not dist.probs.flags.writeable
     for row, p in zip(dist.states, dist.probs):
-        assert abs(p - outcome_probability(u, inp, FockState(tuple(row)))) <= 1e-15
+        # one shared path: the same bits, not merely close ones
+        assert p == outcome_probability(u, inp, FockState(tuple(row)))
     assert dist.total_mass == pytest.approx(dist.probs.sum(), abs=0.0)
 
 
@@ -397,15 +412,17 @@ def test_draw_samples_goodness_of_fit():
 
 def test_draw_samples_zero_mass():
     dist = output_distribution(HADAMARD, FockState((1, 1)))
-    hollow = type(dist)(
-        input=dist.input,
-        states=dist.states,
-        probs=np.zeros_like(dist.probs),
-        collision_free_only=False,
-        total_mass=0.0,
-    )
+    hollow = type(dist)(states=dist.states, probs=np.zeros_like(dist.probs), total_mass=0.0)
     with pytest.raises(DegenerateSampleError):
         draw_samples(hollow, 10, seed=0)
+
+
+def test_draw_samples_refuses_more_shots_than_the_cap(monkeypatch):
+    dist = output_distribution(HADAMARD, FockState((1, 1)))
+    monkeypatch.setattr(fock, "BASIS_CAP", 10)
+    assert draw_samples(dist, 10, seed=0).shape == (10, 2)
+    with pytest.raises(SizeCapError, match="11 shots"):
+        draw_samples(dist, 11, seed=0)
 
 
 def test_draw_samples_rejects_negative_shots():
