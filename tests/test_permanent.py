@@ -229,6 +229,11 @@ def test_outcome_probability_against_index_expansion():
     for out in (FockState((0, 1, 0, 2, 0)), FockState((3, 0, 0, 0, 0)), FockState((1, 0, 1, 0, 1))):
         expected = _index_expansion_probability(u, inp, out)
         assert outcome_probability(u, inp, out) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_outcome_probability_hadamard_examples():
+    # the two submatrices of the beam splitter: H itself for |1,1> -> |1,1>,
+    # and the all-1/sqrt(2) matrix for |1,1> -> |2,0>
     one_one = FockState((1, 1))
     for out in (one_one, FockState((2, 0))):
         expected = _index_expansion_probability(HADAMARD, one_one, out)
