@@ -328,7 +328,7 @@ def main(argv=None):
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         _write_files(args.handler(args))
         return 0
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValidationError as exc:
         print(f"{args.command}: validation error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

@@ -67,8 +67,16 @@ def bundle_from_dict(data):
 
 
 def read_json(path):
+    """JSON data of a file; text that does not parse is a `ValidationError`.
+
+    Besides malformed JSON and bytes that are not UTF-8, that covers an
+    integer literal longer than Python's 4300-digit conversion limit.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _read_source(source, presets):
@@ -93,7 +101,9 @@ def load_hom_counts(path):
     """Measured outcome counts {"n0", "n1", "n2"} from a JSON file."""
     data = read_json(path)
     counts = [data.get(k) for k in ("n0", "n1", "n2")] if isinstance(data, dict) else [None]
-    if not all(type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts):
+    # an int is checked as an int: float() of one above 1.8e308 overflows
+    if not all((type(c) is int or type(c) is float and c.is_integer()) and c >= 0
+               for c in counts):
         raise ValidationError(f"counts file needs non-negative integers n0, n1, n2, got {data!r}")
     return HomOutcomes.from_counts(*map(int, counts))
 

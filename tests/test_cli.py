@@ -163,6 +163,87 @@ def test_sample_payload_is_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
+#: SHA-256 of the `hom-sim`/`hom-fit` JSON payloads, recorded before the
+#: Monte Carlo tallies moved to contiguous threshold rows and the fit to
+#: in-bracket draws; `{counts}` is a file holding {"n0": 40, "n1": 41, "n2": 19}.
+HOM_DIGESTS = {
+    "sim-workers-2": (
+        ["hom-sim", "--trials", 3_000_000, "--workers", 2],
+        "9fbb4b95df24f81bfe83e22ea3567d2f90df5bd764ea999385fe347b66e3c9ca",
+    ),
+    "sim-partial-block": (
+        ["hom-sim", "--trials", 1_234_567, "--seed", 5],
+        "465880053780fa24b5bbea24fa624ad9fbac667b7134bf7b3a9b0ac9b8dcdc77",
+    ),
+    "sim-63": (
+        ["hom-sim", "--trials", 63, "--seed", 4],
+        "ca9af81c8ce88835c732140bfe34a7ccbeb96d6faa4231c1dfb8d6c024e3faf4",
+    ),
+    "fit-300000": (
+        ["hom-fit", "--trials", 300_000, "--seed", 2],
+        "13cf2243ee1ea81a2aab5c3bb3ef842b8b7fb0885b5bb7e133e7227e37440ef6",
+    ),
+    "fit-100001": (
+        ["hom-fit", "--trials", 100_001, "--seed", 6],
+        "acf6ce7afa453488513d35805ffc9075867560b03eb6049002a9b4c57d93019e",
+    ),
+    "fit-custom-counts": (
+        ["hom-fit", "--data", "{counts}", "--trials", 200_000, "--seed", 3],
+        "0326cf89e546e61da74247358fcc27bbe2c94ce9818bcb3e46361c0df8e61d12",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(HOM_DIGESTS.values()), ids=list(HOM_DIGESTS))
+def test_hom_payload_is_pinned(tmp_path, argv, digest):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"n0": 40, "n1": 41, "n2": 19}))
+    out = tmp_path / "hom.json"
+    assert run(*[str(a).format(counts=counts) for a in argv], "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: SHA-256 of each payload file after its `#` stamp line (the output, then
+#: any sidecar), recorded before the HOM Monte Carlo rework, which runs none
+#: of these commands' code.
+PAYLOAD_DIGESTS = {
+    **{
+        f"exactsim-seed-{seed}": (
+            ["exactsim", "--n", 5, "--m", 20, "--realizations", 3, "--seed", seed],
+            digests,
+        )
+        for seed, digests in [
+            (1, ("0ae9819498d005a9c1486b3ae1c11113665ebf8795ddfb36af368f039a554100",
+                 "99137f75078e95a1b0e0140029a06b41b0603a4648a110ba0965a78e04092829")),
+            (2, ("92f38c717523f5e99bb2a3fc57e57b7f3d0c3a12924fe6e207fb55d95fc5a2e1",
+                 "a2c7b6b98402c32dbdfbe61d4337956bbf80124850792ed7dd0f0369af549f62")),
+            (3, ("c0c14de011807994d4b1552e8241a8bb84a9e45cfa2959203d65caf737116667",
+                 "732de1a0b26ad3c15985a65fdaae1233073acd89e8168e6e4b63daf535cdd77d")),
+        ]
+    },
+    "decompose-m16": (
+        ["decompose", "--m", 16],
+        ("65f3e42a7520e888833ce8bfa3433186e886215b42b8e747b977fd6b10efa293",),
+    ),
+    "rates": (
+        ["rates"],
+        ("6aebe22b1f2deb9d5e8a6982b8320843e6a654d8788d4ce05230eff3a10640bb",),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,digests", list(PAYLOAD_DIGESTS.values()), ids=list(PAYLOAD_DIGESTS))
+def test_command_payload_is_pinned(tmp_path, argv, digests):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 0
+    files = [out] + [out.with_suffix(".summary.json")] * (len(digests) > 1)
+    for path, digest in zip(files, digests):
+        data = path.read_bytes()
+        if data.startswith(b"#"):
+            data = data.split(b"\n", 1)[1]
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 def _joined_rows(table):
     """The per-row reference the table encoder must match byte for byte."""
     return "".join(",".join(map(str, row)) + "\n" for row in table.tolist())
@@ -495,6 +576,27 @@ def test_hom_fit_rejects_malformed_counts(tmp_path, capsys, counts):
     data = tmp_path / "in" / "counts.json"
     data.parent.mkdir()
     data.write_text(json.dumps(counts))
+    out = tmp_path / "fit.json"
+    assert run("hom-fit", "--data", data, "--trials", 1000, "--out", out) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: Counts of more trials than a bootstrap resample can draw (numpy's int64
+#: multinomial count), up to an integer literal too long for Python to read.
+OVERSIZED_COUNTS = {
+    "int64-max": "9223372036854775807",
+    "1e20": "100000000000000000000",
+    "beyond-float": "1" + "0" * 400,
+    "beyond-int-digits": "1" + "0" * 5000,
+}
+
+
+@pytest.mark.parametrize("n0", list(OVERSIZED_COUNTS.values()), ids=list(OVERSIZED_COUNTS))
+def test_hom_fit_refuses_counts_too_large_to_resample(tmp_path, capsys, n0):
+    data = tmp_path / "in" / "counts.json"
+    data.parent.mkdir()
+    data.write_text(f'{{"n0": {n0}, "n1": 5, "n2": 5}}')
     out = tmp_path / "fit.json"
     assert run("hom-fit", "--data", data, "--trials", 1000, "--out", out) == 2
     assert "validation error" in capsys.readouterr().err

@@ -33,6 +33,14 @@ VALID = {
     "unitary": unitary_to_json(haar_random_unitary(3, seed=0)),
 }
 
+#: Counts files whose trial total a bootstrap resample cannot draw.
+OVERSIZED_COUNTS = [
+    b'{"n0": 9223372036854775807, "n1": 5, "n2": 5}',
+    b'{"n0": 100000000000000000000, "n1": 5, "n2": 5}',
+    b'{"n0": 1' + b"0" * 400 + b', "n1": 5, "n2": 5}',
+    b'{"n0": 1' + b"0" * 5000 + b', "n1": 5, "n2": 5}',
+]
+
 numbers = (
     st.integers(-3, 10**6)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -55,8 +63,14 @@ def _paths(doc, prefix=()):
 
 @st.composite
 def documents(draw, kind):
-    """Bytes of a JSON input: garbage, any JSON value, or a valid file with one value changed."""
-    shape = draw(st.sampled_from(["valid", "mutated", "mutated", "json", "bytes"]))
+    """Bytes of a JSON input: garbage, any JSON value, or a valid file with one value changed.
+
+    Counts files may also be oversized: valid in form, with too many trials.
+    """
+    shapes = ["valid", "mutated", "mutated", "json", "bytes"] + ["oversized"] * (kind == "counts")
+    shape = draw(st.sampled_from(shapes))
+    if shape == "oversized":
+        return draw(st.sampled_from(OVERSIZED_COUNTS))
     if shape == "bytes":
         return draw(st.binary(max_size=20))
     if shape == "json":
@@ -202,3 +216,15 @@ def test_every_run_ends_in_a_documented_exit_code(command, data):
         assert not [name for name in written if name.endswith((".tmp", ".old"))]
         values = _probabilities(command, out)
         assert all(0.0 <= v <= 1.0 for v in values), values
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(document=documents("counts"))
+def test_every_counts_file_ends_in_a_documented_exit_code(document):
+    # the all-commands run above rarely gets past its scenario and flags to the counts
+    with tempfile.TemporaryDirectory() as root:
+        data, out = Path(root, "counts.json"), Path(root, "fit.json")
+        data.write_bytes(document)
+        code = main(["hom-fit", "--data", str(data), "--trials", "100", "--out", str(out)])
+        assert code in EXIT_CODES
+        assert out.exists() == (code == 0)

@@ -168,3 +168,105 @@ def test_purity_relations():
 def test_params_validation():
     with pytest.raises(ValidationError):
         HomParams(survival_s=1.2, p_lic0=0.5, gamma=0.5)
+
+
+def test_fit_refuses_counts_beyond_the_bootstrap_draw(monkeypatch):
+    monkeypatch.setattr(hom, "BOOTSTRAP_RESAMPLES", 3)
+    largest = HomOutcomes.from_counts(hom.MAX_MEASURED_TRIALS - 10, 5, 5)
+    fit = fit_bunching(largest, survival_s=0.84, p_lic0=0.71, trials=1000, seed=0)
+    assert fit.trials_kept == 2**63 - 1
+    for n0 in (2**63 - 1, 10**20):
+        with pytest.raises(ValidationError, match="more than"):
+            fit_bunching(HomOutcomes.from_counts(n0, 5, 5), survival_s=0.84, p_lic0=0.71,
+                         trials=1000, seed=0)
+
+
+THRESHOLD_PARAMS = {
+    "experiment": EXPERIMENT,
+    "no-post-selection": HomParams(0.84, 0.71, 0.462),
+    "all-zero": HomParams(0.0, 0.0, 0.0, p_addr=0.0, p_rec=0.0),
+    "all-one": HomParams(1.0, 1.0, 1.0),
+    "mixed": HomParams(0.0, 1.0, 1.0, p_addr=1.0, p_rec=0.5),
+}
+
+
+@pytest.mark.parametrize("block", [1, 63, 64, 65, hom.MC_BLOCK])
+@pytest.mark.parametrize("params", list(THRESHOLD_PARAMS.values()), ids=list(THRESHOLD_PARAMS))
+def test_block_tally_matches_the_strided_column_formula(params, block):
+    thresholds = (params.p_addr, params.p_rec, params.survival_s, params.survival_s,
+                  params.p_bunch, params.p_lic0)
+    u = np.random.default_rng(block).random((block, 6))
+    rows = hom._threshold_rows(u, thresholds)
+    assert rows.dtype == bool and rows.flags.c_contiguous
+    for k, threshold in enumerate(thresholds):
+        assert np.array_equal(rows[k], u[:, k] < threshold)
+
+    # the tally before the threshold rows, one strided column per draw
+    kept = (u[:, 0] < params.p_addr) & (u[:, 1] < params.p_rec)
+    alive1 = u[:, 2] < params.survival_s
+    alive2 = u[:, 3] < params.survival_s
+    bunched = u[:, 4] < params.p_bunch
+    destroyed = u[:, 5] < params.p_lic0
+    both = kept & alive1 & alive2
+    pair_bunched = both & bunched
+    zero_out = (pair_bunched & destroyed) | (kept & ~(alive1 | alive2))
+    one_out = (pair_bunched & ~destroyed) | (kept & (alive1 ^ alive2))
+    two_out = both & ~bunched
+    expected = [int(zero_out.sum()), int(one_out.sum()), int(two_out.sum())]
+    assert hom._simulate_block(params, block, seed=block).tolist() == expected
+
+
+def _all_draw_probabilities(survival_s, p_lic0, trials, seed, p_bunch):
+    """Outcome probabilities from every sorted pair draw, as before the bracket cut."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_one = n_none = 0
+    pair_draws, destroyed = [], []
+    for start in range(0, trials, hom.MC_BLOCK):
+        u = rng.random((min(hom.MC_BLOCK, trials - start), 4))
+        alive1 = u[:, 0] < survival_s
+        alive2 = u[:, 1] < survival_s
+        both = alive1 & alive2
+        n_one += int((alive1 ^ alive2).sum())
+        n_none += int((~(alive1 | alive2)).sum())
+        pair_draws.append(u[both, 2])
+        destroyed.append(u[both, 3] < p_lic0)
+    pair_draws = np.concatenate(pair_draws)
+    sorted_destroyed = np.sort(pair_draws[np.concatenate(destroyed)])
+    pair_draws.sort()
+    bunched = int(np.searchsorted(pair_draws, p_bunch, side="right"))
+    gone = int(np.searchsorted(sorted_destroyed, p_bunch, side="right"))
+    counts = np.array([gone + n_none, bunched - gone + n_one, len(pair_draws) - bunched])
+    return tuple((counts / trials).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("survival_s,p_lic0,trials", [
+    (0.84, 0.71, 100_001),
+    (1.0, 0.0, 5000),
+    (0.5, 1.0, 7),
+])
+def test_in_bracket_draws_give_the_all_draw_probabilities(survival_s, p_lic0, trials, seed):
+    model = hom._McObjective(survival_s, p_lic0, trials, seed)
+    assert model.sorted_high.min(initial=1.0) >= hom.P_BUNCH_MIN
+    points = [hom.P_BUNCH_MIN, 1.0, 0.731]
+    points += [float(model.sorted_high[k]) for k in (0, len(model.sorted_high) // 2, -1)
+               if len(model.sorted_high)]
+    points += [float(x) for x in model.sorted_high_gone[:1]]
+    for p in points:
+        got = model.probabilities(p)
+        assert all(type(q) is float for q in got)
+        assert got == _all_draw_probabilities(survival_s, p_lic0, trials, seed, p)
+
+
+def test_fit_memory_stays_under_ten_bytes_per_trial():
+    import tracemalloc
+
+    trials = 10**6
+    measured = HomOutcomes.from_counts(39, 42, 19)
+    tracemalloc.start()
+    try:
+        fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=trials, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * trials
