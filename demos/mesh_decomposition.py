@@ -13,31 +13,36 @@ from atomsampler import (
     composite_pulse,
     coupling_matrix,
     haar_random_unitary,
+    mesh_layers,
     reconstruct,
 )
 
 m = 6
 u = haar_random_unitary(m, seed=5)
 plan = clements_decompose(u)
+layers = mesh_layers(m)
 
 print(f"decomposed a Haar-random {m}x{m} unitary:")
 print(f"  depth {plan.depth} layers, {plan.coupling_count} couplings "
       f"(maximum {m * (m - 1) // 2})")
-for layer in plan.layers:
+slot = 0
+for idx, layer in enumerate(layers):
     desc = ", ".join(
-        f"({c.pair[0]},{c.pair[1]}) theta={c.theta:.3f} phi={c.phi:.3f}" for c in layer
+        f"({k},{k + 1}) theta={plan.theta[slot + i]:.3f} phi={plan.phi[slot + i]:.3f}"
+        for i, k in enumerate(layer)
     )
-    print(f"  layer {layer[0].layer}: {desc}")
+    slot += len(layer)
+    print(f"  layer {idx}: {desc}")
 print(f"  output phases: {np.round(plan.output_phases, 3)}")
 
 err = np.linalg.norm(reconstruct(plan) - u)
 print(f"\nreconstruction Frobenius error: {err:.2e}")
 
-# one coupling as the hardware would run it
-coupling = plan.layers[0][0]
-seq = composite_pulse(coupling.theta, coupling.phi)
-print(f"\npulse train for the first coupling (theta={coupling.theta:.3f}, phi={coupling.phi:.3f}):")
+# one coupling as the hardware would run it: the first slot, pair (0, 1) of layer 0
+theta, phi = plan.theta[0], plan.phi[0]
+seq = composite_pulse(theta, phi)
+print(f"\npulse train for the first coupling (theta={theta:.3f}, phi={phi:.3f}):")
 for label, factor in seq.factors():
     print(f"  {label:16s} {np.round(factor, 3).tolist()}")
-gap = np.abs(seq.as_matrix() - coupling_matrix(coupling.theta, coupling.phi)).max()
+gap = np.abs(seq.as_matrix() - coupling_matrix(theta, phi)).max()
 print(f"pulse product deviation from the coupling: {gap:.2e}")

@@ -28,12 +28,12 @@ from .fock import (
 )
 from .interferometer import (
     CircuitPlan,
-    LocalCoupling,
     PulseSequence,
     clements_decompose,
     composite_pulse,
     coupling_matrix,
     haar_random_unitary,
+    mesh_layers,
     reconstruct,
 )
 from .permanent import permanent_glynn, permanent_naive, permanents_of_rows

@@ -126,6 +126,9 @@ def _write_files(files):
 def cmd_rates(args):
     bundle = scenarios.load_bundle(args.scenario)
     lines = [_timestamp_line(args.command, args.seed), "N,r_atomic,r_photonic,r_classical"]
+    # the count, not len(ns): a range longer than sys.maxsize has no len
+    rows = max(0, args.n_max - args.n_min + 1)
+    check_size_cap(rows, f"rate rows for N = {args.n_min}..{args.n_max}")
     ns = range(args.n_min, args.n_max + 1)
     for n in ns:
         atomic = lossmodel.r_nisq(bundle.loss, n, model=args.model)

@@ -23,14 +23,13 @@ once, multiplies each n_pair's contiguous slice by its block and scatters
 them back.  Couplings of one layer share no mode but their fibers share
 basis rows, so they are applied one after another.
 
-`run_circuit` checks every layer before the first step (with
-`interferometer.check_layer`, as `apply_layer` does), evaluates the pair
-blocks of all couplings of the plan in one call per n_pair and reuses the
-decay factor exp(-H t_step) across runs with the same (n, m, t_step, tau),
-such as the realizations of `benchmark_vs_model`.  It steps through the same
-layer kernel as `apply_layer`, and its survival ratios and amplitudes are
-bit-identical to a loop of `apply_decay` and `apply_layer`.  The plan's
-output phases change no p_j and are not applied.
+`run_circuit` evaluates the coupling matrices of the whole plan in one
+call and their pair blocks in one call per n_pair, and reuses the decay
+factor exp(-H t_step) across runs with the same (n, m, t_step, tau), such as
+the realizations of `benchmark_vs_model`.  It steps through the same layer
+kernel as `apply_layer`, and its survival ratios and amplitudes are
+bit-identical to a loop of `apply_decay` and `apply_layer` over the plan's
+layers.  The plan's output phases change no p_j and are not applied.
 """
 
 import math
@@ -43,7 +42,7 @@ from . import lossmodel
 from .errors import ValidationError
 from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
                    state_rank)
-from .interferometer import check_layer, clements_decompose, coupling_matrix, haar_random_unitary
+from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
 from .parallel import spawn_seeds
 
 
@@ -215,23 +214,23 @@ def _pair_block(t2, n_pair):
     return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
-def _plan_steps(layers, n):
-    """Each layer as (modes, blocks): the first modes of its acting couplings
-    and, per n_pair = 1..n, their stacked pair blocks.
+def _plan_steps(plan, n):
+    """Each mesh layer of a plan as (modes, blocks): the first modes of its
+    acting couplings and, per n_pair = 1..n, their stacked pair blocks.
 
-    An idle coupling (theta = phi = 0) is the identity and is dropped.  Each
-    n_pair's blocks are evaluated in one call over the couplings of all
-    layers; a layer's blocks are views into that stack.
+    An idle coupling (theta = phi = 0) is the identity and is dropped.  The
+    acting couplings' matrices come from one call, and each n_pair's blocks
+    from one call over them; a layer's blocks are views into that stack.
     """
-    active = [[c for c in layer if c.theta != 0.0 or c.phi != 0.0] for layer in layers]
-    t2 = np.reshape(
-        [coupling_matrix(c.theta, c.phi) for layer in active for c in layer], (-1, 2, 2)
-    )
+    acting = (plan.theta != 0.0) | (plan.phi != 0.0)
+    t2 = coupling_matrix(plan.theta[acting], plan.phi[acting])
     stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
-    steps, start = [], 0
-    for layer in active:
-        stop = start + len(layer)
-        steps.append(([c.pair[0] for c in layer], [stack[start:stop] for stack in stacks]))
+    steps, slot, start = [], 0, 0
+    for layer in mesh_layers(plan.m):
+        modes = [mode for mode, on in zip(layer, acting[slot : slot + len(layer)]) if on]
+        slot += len(layer)
+        stop = start + len(modes)
+        steps.append((modes, [stack[start:stop] for stack in stacks]))
         start = stop
     return steps
 
@@ -258,10 +257,9 @@ def _apply_couplings(amps, n, m, modes, blocks):
         amps[flat] = out
 
 
-def apply_layer(state, couplings):
-    """Apply one mesh layer of disjoint adjacent-pair couplings."""
-    check_layer(couplings, state.m)
-    [(modes, blocks)] = _plan_steps([couplings], state.n)
+def apply_layer(state, plan, layer):
+    """Apply layer `layer` of a plan, an index into `mesh_layers(plan.m)`."""
+    modes, blocks = _plan_steps(plan, state.n)[layer]
     amps = state.amplitudes.astype(complex)
     _apply_couplings(amps, state.n, state.m, modes, blocks)
     return SimState(amplitudes=amps, n=state.n, m=state.m)
@@ -284,23 +282,19 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
     """Alternate decay and coherent layers; record per-step survival.
 
     Decay acts before each layer.  The plan's output phases, which change no
-    survival ratio, are not applied.  Every layer is checked before the
-    first step.  A step starting from zero norm has p_j = 0.
+    survival ratio, are not applied.  A step starting from zero norm has
+    p_j = 0.
     """
     if plan.m != initial.m:
-        raise ValidationError(
-            f"plan has {plan.m} modes but the state has {initial.m}"
-        )
+        raise ValidationError(f"plan has {plan.m} modes but the state has {initial.m}")
     if t_step < 0.0:
         raise ValidationError(f"time must be non-negative, got {t_step}")
-    for layer in plan.layers:
-        check_layer(layer, plan.m)
     n, m = initial.n, initial.m
     factor = _decay_factor(n, m, t_step, tau_bg, tau_tb)
     amps = initial.amplitudes.astype(complex)
     norm = initial.norm_squared()
     ratios = []
-    for modes, blocks in _plan_steps(plan.layers, n):
+    for modes, blocks in _plan_steps(plan, n):
         amps *= factor
         _apply_couplings(amps, n, m, modes, blocks)
         # this step's ending norm is the next step's starting norm
@@ -329,6 +323,7 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
     t_step = 1.0
     tau_tb = tau_tb_over_texec * m * t_step
+    check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
     traces = []
     for child in spawn_seeds(seed, realizations):
         # the realization's first spawned child seeds its unitary

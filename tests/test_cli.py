@@ -326,21 +326,25 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
         (["decompose", "--m", 40], "unitary entries"),
         (["exactsim", "--n", 1, "--m", 40, "--realizations", 1], "unitary entries"),
         (["exactsim", "--n", 3, "--m", 12, "--realizations", 1], "364 amplitudes"),
+        (["exactsim", "--n", 1, "--m", 4, "--realizations", 76], "304 survival ratios"),
+        (["rates", "--n-min", 2, "--n-max", 302], "301 rate rows"),
         (["sample", "--n", 1, "--m", 2, "--shots", 301], "301 shots"),
         (["hom-sim", "--trials", 300 * hom.MC_BLOCK + 1], "301 Monte Carlo blocks"),
     ],
     ids=[
         "sample-unitary", "decompose-unitary", "exactsim-unitary", "exactsim-state",
-        "sample-shots", "hom-sim-blocks",
+        "exactsim-realizations", "rates-rows", "sample-shots", "hom-sim-blocks",
     ],
 )
 def test_every_input_sized_allocation_exits_3_above_the_cap(
     tmp_path, monkeypatch, capsys, argv, refused
 ):
-    # 40^2 = 1600 unitary entries, C(14, 3) = 364 amplitudes, 301 shot rows or
-    # 301 Monte Carlo blocks pass a cap of 300 (10 shots stay below it, so the
-    # unitary is the first refusal); the real cap stops M = 10^6, 10^12 shots
-    # or 10^15 trials the same way, with no 7 TiB draw or 120 GB block list
+    # 40^2 = 1600 unitary entries, C(14, 3) = 364 amplitudes, 76 x 4 = 304
+    # survival ratios, 301 rate rows, 301 shot rows or 301 Monte Carlo blocks
+    # pass a cap of 300 (10 shots stay below it, so the unitary is the first
+    # refusal); the real cap stops M = 10^6, 10^12 shots, 10^9 realizations,
+    # N up to 10^10 or 10^15 trials the same way, with no 7 TiB draw, 376 GB
+    # of seeds or 120 GB block list
     monkeypatch.setattr(fock, "BASIS_CAP", 300)
     assert run(*argv, "--out", tmp_path / "out.csv") == 3
     assert refused in capsys.readouterr().err

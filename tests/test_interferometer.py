@@ -6,11 +6,12 @@ import pytest
 from atomsampler.errors import ValidationError
 from atomsampler.interferometer import (
     CircuitPlan,
-    LocalCoupling,
+    _mesh_ops,
     clements_decompose,
     composite_pulse,
     coupling_matrix,
     haar_random_unitary,
+    mesh_layers,
     plan_from_json,
     plan_to_json,
     reconstruct,
@@ -18,10 +19,6 @@ from atomsampler.interferometer import (
     unitary_from_json,
     unitary_to_json,
 )
-
-
-def _couplings(plan):
-    return [c for layer in plan.layers for c in layer]
 
 
 def test_coupling_matrix_examples():
@@ -43,6 +40,13 @@ def test_coupling_matrix_determinant_and_unitarity():
         det = np.linalg.det(t)
         assert abs(det - np.exp(-1j * phi)) < 1e-12
         assert abs(abs(det) - 1.0) < 1e-12
+    # a stack of angles gives each scalar call's matrix bit for bit
+    theta = rng.uniform(0.0, np.pi, size=(3, 5))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=5)
+    stack = coupling_matrix(theta, phi)
+    assert stack.shape == (3, 5, 2, 2)
+    for i, j in np.ndindex(3, 5):
+        assert np.array_equal(stack[i, j], coupling_matrix(theta[i, j], phi[j]))
 
 
 def test_composite_pulse_identity_cases():
@@ -100,8 +104,7 @@ def test_haar_eigenangles_uniform():
 
 def test_decompose_identity_canonical():
     plan = clements_decompose(np.eye(4, dtype=complex))
-    assert plan.depth <= 4
-    assert all(c.theta == 0.0 and c.phi == 0.0 for c in _couplings(plan))
+    assert np.all(plan.theta == 0.0) and np.all(plan.phi == 0.0)
     assert np.allclose(plan.output_phases, 0.0)
     assert plan.coupling_count == 6  # fixed mesh shape retains identity couplings
 
@@ -109,7 +112,7 @@ def test_decompose_identity_canonical():
 def test_decompose_diagonal_canonical():
     alpha = np.array([0.3, -1.2, 2.0, 0.7])
     plan = clements_decompose(np.diag(np.exp(1j * alpha)))
-    assert all(c.theta == 0.0 for c in _couplings(plan))
+    assert np.all(plan.theta == 0.0)
     assert np.allclose(plan.output_phases, alpha, atol=1e-12)
 
 
@@ -118,52 +121,70 @@ def test_decompose_round_trip(m):
     u = haar_random_unitary(m, seed=7)
     plan = clements_decompose(u)
     assert plan.depth <= m
-    assert plan.coupling_count <= m * (m - 1) // 2
+    assert plan.coupling_count == m * (m - 1) // 2
     err = np.linalg.norm(reconstruct(plan) - u)
     assert err < 1e-10
     assert unitarity_defect(reconstruct(plan)) < 1e-12
 
 
+def _schedule_mesh(m, ordered):
+    """Reference layering: each coupling (mode, theta, phi), in application
+    order, goes to the first layer after both its modes are free whose parity
+    matches its pair's."""
+    last_layer = [-1] * m
+    layered = {}
+    for mode, theta, phi in ordered:
+        layer = max(last_layer[mode], last_layer[mode + 1]) + 1
+        if layer % 2 != mode % 2:
+            layer += 1
+        layered.setdefault(layer, []).append((mode, theta, phi))
+        last_layer[mode] = layer
+        last_layer[mode + 1] = layer
+    depth = max(layered) + 1 if layered else 0
+    return [sorted(layered.get(idx, [])) for idx in range(depth)]
+
+
 def test_decompose_depth_stays_within_m_layers():
-    # the mesh schedule depends on M only: every kind of unitary gets the same
-    # layers, and there are never more than M of them
+    # the slot rule puts every coupling where the greedy scheduler does, for
+    # every kind of unitary, and there are never more than M layers
     for m in range(1, 65):
         shuffle = np.random.default_rng(m).permutation(m)
-        layouts = set()
         for u in (haar_random_unitary(m, seed=m), np.eye(m), np.eye(m)[shuffle]):
             plan = clements_decompose(u)
             assert plan.depth <= m
-            layouts.add(tuple(tuple(c.pair for c in layer) for layer in plan.layers))
-        assert len(layouts) == 1
+            reference = _schedule_mesh(m, _mesh_ops(u)[0])
+            assert [[mode for mode, _, _ in layer] for layer in reference] == [
+                list(layer) for layer in mesh_layers(m)
+            ]
+            assert [(t, p) for layer in reference for _, t, p in layer] == list(
+                zip(plan.theta, plan.phi)
+            )
 
 
 def test_layer_structure_alternates_parity():
-    plan = clements_decompose(haar_random_unitary(7, seed=19))
-    for idx, layer in enumerate(plan.layers):
-        for coupling in layer:
-            assert coupling.layer == idx
-            assert coupling.pair[0] % 2 == idx % 2
-        modes = [m for c in layer for m in c.pair]
-        assert len(modes) == len(set(modes))
+    for m in range(1, 20):
+        layers = mesh_layers(m)
+        assert len(layers) == (m if m > 2 else m - 1)
+        for idx, layer in enumerate(layers):
+            assert all(k % 2 == idx % 2 and 0 <= k and k + 1 < m for k in layer)
+            modes = [mode for k in layer for mode in (k, k + 1)]
+            assert len(modes) == len(set(modes))
+        assert sum(map(len, layers)) == m * (m - 1) // 2
 
 
 def test_decompose_angle_ranges():
     plan = clements_decompose(haar_random_unitary(9, seed=3))
-    for c in _couplings(plan):
-        assert 0.0 <= c.theta <= np.pi
-        assert 0.0 <= c.phi < 2.0 * np.pi
+    assert np.all((0.0 <= plan.theta) & (plan.theta <= np.pi))
+    assert np.all((0.0 <= plan.phi) & (plan.phi < 2.0 * np.pi))
 
 
 def test_decompose_reconstruct_idempotent_on_plans():
     for m in (3, 5, 8):
         plan = clements_decompose(haar_random_unitary(m, seed=m))
         again = clements_decompose(reconstruct(plan))
-        assert plan.depth == again.depth
-        for c1, c2 in zip(_couplings(plan), _couplings(again)):
-            assert c1.pair == c2.pair
-            assert c1.theta == pytest.approx(c2.theta, abs=1e-9)
-            delta = np.angle(np.exp(1j * (c1.phi - c2.phi)))
-            assert abs(delta) < 1e-9
+        assert np.max(np.abs(plan.theta - again.theta)) < 1e-9
+        delta = np.angle(np.exp(1j * (plan.phi - again.phi)))
+        assert np.max(np.abs(delta)) < 1e-9
         phase_gap = np.angle(np.exp(1j * (plan.output_phases - again.output_phases)))
         assert np.max(np.abs(phase_gap)) < 1e-9
 
@@ -186,32 +207,83 @@ def test_decompose_rejects_non_unitary():
 
 
 def test_reconstruct_empty_plan():
-    plan = CircuitPlan(m=3, layers=(), output_phases=np.zeros(3))
-    assert np.allclose(reconstruct(plan), np.eye(3))
+    assert np.allclose(reconstruct(CircuitPlan(1, [], [], np.zeros(1))), np.eye(1))
+    idle = CircuitPlan(m=3, theta=np.zeros(3), phi=np.zeros(3), output_phases=np.zeros(3))
+    assert np.allclose(reconstruct(idle), np.eye(3))
 
 
 def test_reconstruct_single_coupling():
-    coupling = LocalCoupling(layer=0, pair=(0, 1), theta=np.pi / 2.0, phi=0.0)
-    plan = CircuitPlan(m=2, layers=((coupling,),), output_phases=np.zeros(2))
+    plan = CircuitPlan(m=2, theta=[np.pi / 2.0], phi=[0.0], output_phases=np.zeros(2))
     assert np.allclose(reconstruct(plan), coupling_matrix(np.pi / 2.0, 0.0))
 
 
-def test_reconstruct_rejects_overlapping_couplings():
-    # and every other broken pair: negative, not adjacent, past the last mode
-    first = LocalCoupling(layer=0, pair=(0, 1), theta=0.3, phi=0.0)
-    for pair, message in (((1, 2), "overlap"), ((-1, 0), "invalid"), ((1, 3), "invalid"),
-                          ((2, 3), "invalid")):
-        layer = (first, LocalCoupling(layer=0, pair=pair, theta=0.4, phi=0.0))
-        plan = CircuitPlan(m=3, layers=(layer,), output_phases=np.zeros(3))
-        with pytest.raises(ValidationError, match=message):
-            reconstruct(plan)
+def _dense_reconstruct(plan):
+    # reference: one dense M x M product per layer
+    u, slot = np.eye(plan.m, dtype=complex), 0
+    for layer in mesh_layers(plan.m):
+        step = np.eye(plan.m, dtype=complex)
+        for k in layer:
+            step[k : k + 2, k : k + 2] = coupling_matrix(plan.theta[slot], plan.phi[slot])
+            slot += 1
+        u = step @ u
+    return np.exp(1j * plan.output_phases)[:, None] * u
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+def test_reconstruct_matches_dense_layer_products(m):
+    plan = clements_decompose(haar_random_unitary(m, seed=m))
+    assert np.max(np.abs(reconstruct(plan) - _dense_reconstruct(plan))) < 1e-13
+
+
+def test_reconstruct_drift_bound():
+    # the bound stated in `reconstruct`: Frobenius error below 0.1 M^3 eps
+    m = 256
+    u = haar_random_unitary(m, seed=7)
+    err = np.linalg.norm(reconstruct(clements_decompose(u)) - u)
+    assert err < 0.1 * m**3 * np.finfo(float).eps
+
+
+def test_circuit_plan_rejects_angle_arrays_of_the_wrong_length():
+    for theta, phi in (([0.1] * 2, [0.2] * 3), ([0.1] * 3, [0.2] * 4), ([[0.1] * 3], [0.2] * 3)):
+        with pytest.raises(ValidationError, match="the mesh on 3 modes has 3 slots"):
+            CircuitPlan(m=3, theta=theta, phi=phi, output_phases=np.zeros(3))
+    plan = CircuitPlan(m=3, theta=[0.1] * 3, phi=[0.2] * 3, output_phases=np.zeros(3))
+    assert not plan.theta.flags.writeable and not plan.phi.flags.writeable
 
 
 def test_plan_json_round_trip():
     plan = clements_decompose(haar_random_unitary(5, seed=1))
     payload = json.dumps(plan_to_json(plan))
     revived = plan_from_json(json.loads(payload))
+    assert np.array_equal(revived.theta, plan.theta)
+    assert np.array_equal(revived.phi, plan.phi)
     assert np.allclose(reconstruct(revived), reconstruct(plan), atol=1e-12)
+
+
+def _moved_pair(layers, pair):
+    # the last coupling of the last layer moves to `pair`
+    layers[-1][-1]["pair"] = list(pair)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda layers: _moved_pair(layers, (2, 3)),
+        lambda layers: _moved_pair(layers, (3, 5)),
+        lambda layers: _moved_pair(layers, (5, 6)),
+        lambda layers: _moved_pair(layers, (-1, 0)),
+        lambda layers: layers.insert(0, layers.pop(1)),  # odd pairs come first
+        lambda layers: layers.append(layers[-2]),
+        lambda layers: layers.pop(),
+    ],
+    ids=["overlap", "gapped", "past-the-end", "negative", "wrong-parity", "extra-layer",
+         "missing-layer"],
+)
+def test_plan_from_json_rejects_pairs_off_the_mesh(edit):
+    payload = plan_to_json(clements_decompose(haar_random_unitary(6, seed=3)))
+    edit(payload["layers"])
+    with pytest.raises(ValidationError, match="do not follow the mesh on 6 modes"):
+        plan_from_json(payload)
 
 
 def test_unitary_json_round_trip():
