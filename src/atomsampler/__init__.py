@@ -71,8 +71,6 @@ from .hom import (
     purity_from_bunching,
 )
 from .exactsim import (
-    SimState,
-    SurvivalTrace,
     apply_decay,
     apply_layer,
     benchmark_vs_model,

@@ -1,6 +1,8 @@
 """Exact N-particle state-vector simulation of the stepped lossy circuit.
 
-The state lives in the canonical N-particle Fock basis over M modes.  One
+The state is a plain complex amplitude vector over the canonical N-particle
+Fock basis on M modes; every public function takes and returns arrays, and
+the atom number n travels beside them while M comes from the plan.  One
 circuit step applies the non-unitary decay factor exp(-H t_step) followed by
 the coherent couplings of one mesh layer, where H is diagonal in the Fock
 basis with per-state rate
@@ -29,7 +31,9 @@ factor exp(-H t_step) across runs with the same (n, m, t_step, tau), such as
 the realizations of `benchmark_vs_model`.  It steps through the same layer
 kernel as `apply_layer`, and its survival ratios and amplitudes are
 bit-identical to a loop of `apply_decay` and `apply_layer` over the plan's
-layers.  The plan's output phases change no p_j and are not applied.
+layers.  It returns the final amplitudes and the p_j vector; the total
+survival is their product.  The plan's output phases change no p_j and are
+not applied.
 """
 
 import math
@@ -44,35 +48,6 @@ from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, 
                    state_rank)
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
 from .parallel import spawn_seeds
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Amplitude vector over the canonical (n, m) Fock basis."""
-
-    amplitudes: np.ndarray
-    n: int
-    m: int
-
-    def norm_squared(self):
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-
-@dataclass(frozen=True)
-class DecayDiagonal:
-    """Per-basis-state amplitude decay rates of the loss generator."""
-
-    rates: np.ndarray
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class SurvivalTrace:
-    """Per-step survival ratios p_j and their product."""
-
-    p_j: np.ndarray
-    p_total: float
 
 
 @dataclass(frozen=True)
@@ -100,26 +75,30 @@ class BenchmarkResult:
 
 
 def uniform_state(n, m):
-    """Normalized state with equal, positive, real amplitudes over the whole basis."""
+    """Normalized amplitudes, equal, positive and real, over the whole (n, m) basis."""
     dim = check_size_cap(multiset_dimension(n, m), "amplitudes")
-    return SimState(amplitudes=np.ones(dim, dtype=complex) / np.sqrt(dim), n=n, m=m)
+    return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
 def basis_state(state):
-    """SimState with all amplitude on one Fock basis state."""
+    """Amplitudes with all weight on one Fock basis state."""
     dim = check_size_cap(multiset_dimension(state.total, state.m), "amplitudes")
     amps = np.zeros(dim, dtype=complex)
     amps[state_rank(state)] = 1.0
-    return SimState(amplitudes=amps, n=state.total, m=state.m)
+    return amps
 
 
 def build_decay_diagonal(n, m, tau_bg, tau_tb):
     """Loss rates for every basis state from its site occupancies.
 
-    The pair term sum_s n_s (n_s - 1) is added up one site at a time in a
+    Each lifetime must be positive; inf switches its loss channel off.  The
+    pair term sum_s n_s (n_s - 1) is added up one site at a time in a
     basis-length integer vector, so the narrow occupation table is never
     widened as a whole and no (dim, M/2) temporary is built.
     """
+    for name, tau in (("tau_bg", tau_bg), ("tau_tb", tau_tb)):
+        if not tau > 0.0:
+            raise ValidationError(f"{name} must be positive, got {tau}")
     sites = site_count(m)
     arr = basis_array(n, m)
     pair_terms = np.zeros(len(arr), dtype=np.int64)
@@ -130,19 +109,27 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
         np.subtract(site, 1, out=term)
         term *= site
         pair_terms += term
-    rates = n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
-    return DecayDiagonal(rates=rates, n=n, m=m)
+    return n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
 
 
-def apply_decay(state, diag, t):
+def apply_decay(amps, rates, t):
     """Multiply amplitudes by exp(-rate t); never increases the norm."""
     if t < 0.0:
         raise ValidationError(f"time must be non-negative, got {t}")
-    if (diag.n, diag.m) != (state.n, state.m):
-        raise ValidationError("decay diagonal does not match the state dimensions")
-    return SimState(
-        amplitudes=state.amplitudes * np.exp(-diag.rates * t), n=state.n, m=state.m
-    )
+    if np.shape(amps) != np.shape(rates):
+        raise ValidationError(
+            f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
+        )
+    return amps * np.exp(-rates * t)
+
+
+def _check_length(amps, n, plan):
+    """Raise unless `amps` spans the (n, plan.m) basis."""
+    dim = multiset_dimension(n, plan.m)
+    if len(amps) != dim:
+        raise ValidationError(
+            f"{len(amps)} amplitudes, but n={n} atoms on the plan's {plan.m} modes span {dim} states"
+        )
 
 
 @lru_cache(maxsize=256)
@@ -257,42 +244,37 @@ def _apply_couplings(amps, n, m, modes, blocks):
         amps[flat] = out
 
 
-def apply_layer(state, plan, layer):
+def apply_layer(amps, n, plan, layer):
     """Apply layer `layer` of a plan, an index into `mesh_layers(plan.m)`."""
-    modes, blocks = _plan_steps(plan, state.n)[layer]
-    amps = state.amplitudes.astype(complex)
-    _apply_couplings(amps, state.n, state.m, modes, blocks)
-    return SimState(amplitudes=amps, n=state.n, m=state.m)
-
-
-def outcome_probabilities(state):
-    """|amplitude|^2 for every canonical basis state."""
-    return np.abs(state.amplitudes) ** 2
+    _check_length(amps, n, plan)
+    modes, blocks = _plan_steps(plan, n)[layer]
+    amps = amps.astype(complex)
+    _apply_couplings(amps, n, plan.m, modes, blocks)
+    return amps
 
 
 @lru_cache(maxsize=4)
 def _decay_factor(n, m, t_step, tau_bg, tau_tb):
     """Read-only exp(-rate t_step) for every basis state, as `apply_decay` applies it."""
-    factor = np.exp(-build_decay_diagonal(n, m, tau_bg, tau_tb).rates * t_step)
+    factor = np.exp(-build_decay_diagonal(n, m, tau_bg, tau_tb) * t_step)
     factor.setflags(write=False)
     return factor
 
 
-def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
-    """Alternate decay and coherent layers; record per-step survival.
+def run_circuit(amps, n, plan, t_step, tau_bg, tau_tb):
+    """Alternate decay and coherent layers from `amps`; return (amps, p_j).
 
     Decay acts before each layer.  The plan's output phases, which change no
     survival ratio, are not applied.  A step starting from zero norm has
     p_j = 0.
     """
-    if plan.m != initial.m:
-        raise ValidationError(f"plan has {plan.m} modes but the state has {initial.m}")
+    _check_length(amps, n, plan)
     if t_step < 0.0:
         raise ValidationError(f"time must be non-negative, got {t_step}")
-    n, m = initial.n, initial.m
+    m = plan.m
     factor = _decay_factor(n, m, t_step, tau_bg, tau_tb)
-    amps = initial.amplitudes.astype(complex)
-    norm = initial.norm_squared()
+    norm = float(np.vdot(amps, amps).real)
+    amps = amps.astype(complex)
     ratios = []
     for modes, blocks in _plan_steps(plan, n):
         amps *= factor
@@ -301,10 +283,7 @@ def run_circuit(initial, plan, t_step, tau_bg, tau_tb):
         after = float(np.vdot(amps, amps).real)
         ratios.append(after / norm if norm else 0.0)
         norm = after
-    state = SimState(amplitudes=amps, n=n, m=m)
-    p_j = np.asarray(ratios)
-    trace = SurvivalTrace(p_j=p_j, p_total=float(np.prod(p_j)))
-    return state, trace
+    return amps, np.asarray(ratios)
 
 
 def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
@@ -324,13 +303,12 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     t_step = 1.0
     tau_tb = tau_tb_over_texec * m * t_step
     check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
-    traces = []
+    rows = []
     for child in spawn_seeds(seed, realizations):
         # the realization's first spawned child seeds its unitary
         plan = clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
-        traces.append(run_circuit(initial, plan, t_step, math.inf, tau_tb)[1])
-    p_j = np.vstack([t.p_j for t in traces])
-    p_totals = np.asarray([t.p_total for t in traces])
+        rows.append(run_circuit(initial, n, plan, t_step, math.inf, tau_tb)[1])
+    p_j = np.vstack(rows)
     model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite")
     return BenchmarkResult(
         n=n,
@@ -339,7 +317,7 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
         t_step=t_step,
         realizations=realizations,
         p_j=p_j,
-        p_totals=p_totals,
+        p_totals=p_j.prod(axis=1),
         model_p_step=model_p_step,
         model_p_step_pow_m=model_p_step**m,
         excluded_occupancy_mass=lossmodel.excluded_occupancy_mass(n, m),

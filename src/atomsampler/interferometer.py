@@ -305,18 +305,22 @@ def plan_to_json(plan):
 
 def plan_from_json(data):
     """CircuitPlan of a `plan_to_json` payload whose pairs follow `mesh_layers`."""
-    phases = np.asarray(data["output_phases"], dtype=float)
+    try:
+        phases = np.asarray(data["output_phases"], dtype=float)
+        pairs = [[c["pair"] for c in layer] for layer in data["layers"]]
+        couplings = [c for layer in data["layers"] for c in layer]
+        theta = np.array([c["theta"] for c in couplings], dtype=float)
+        phi = np.array([c["phi"] for c in couplings], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"plan payload needs numeric output_phases and layers of pair, theta, phi: {exc!r}"
+        ) from exc
+    if phases.ndim != 1:
+        raise ValidationError(f"output_phases must be a flat list, got shape {phases.shape}")
     m = len(phases)
-    pairs = [[c["pair"] for c in layer] for layer in data["layers"]]
     if pairs != [[[k, k + 1] for k in layer] for layer in mesh_layers(m)]:
         raise ValidationError(f"plan pairs do not follow the mesh on {m} modes")
-    couplings = [c for layer in data["layers"] for c in layer]
-    return CircuitPlan(
-        m=m,
-        theta=[c["theta"] for c in couplings],
-        phi=[c["phi"] for c in couplings],
-        output_phases=phases,
-    )
+    return CircuitPlan(m=m, theta=theta, phi=phi, output_phases=phases)
 
 
 def unitary_to_json(u):

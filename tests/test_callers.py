@@ -23,8 +23,6 @@ REFERENCES = [
     "exactsim.apply_layer",
     # the one-Fock-state input of the state-vector vs permanent oracle (criterion 11)
     "exactsim.basis_state",
-    # that oracle's output distribution (criterion 11)
-    "exactsim.outcome_probabilities",
     # the basis as `FockState`s, walked by the rank, occupancy and oracle tests
     "fock.enumerate_basis",
     # the per-state site rule that the pair/trio counts are checked against (criterion 05)

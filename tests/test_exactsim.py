@@ -12,7 +12,6 @@ from atomsampler.exactsim import (
     basis_state,
     benchmark_vs_model,
     build_decay_diagonal,
-    outcome_probabilities,
     run_circuit,
     uniform_state,
 )
@@ -28,18 +27,29 @@ from atomsampler.permanent import permanent_naive
 from atomsampler.sampling import outcome_probability
 
 
+def _norm_squared(amps):
+    return float(np.vdot(amps, amps).real)
+
+
 def test_decay_diagonal_entries():
-    diag = build_decay_diagonal(2, 4, tau_bg=3.0, tau_tb=5.0)
-    rate = {s.occupations: diag.rates[i] for i, s in enumerate(enumerate_basis(2, 4))}
+    rates = build_decay_diagonal(2, 4, tau_bg=3.0, tau_tb=5.0)
+    rate = {s.occupations: rates[i] for i, s in enumerate(enumerate_basis(2, 4))}
     assert rate[(1, 0, 1, 0)] == pytest.approx(1.0 / 3.0)  # no pairs: N/(2 tau_bg)
     assert rate[(1, 1, 0, 0)] == pytest.approx(1.0 / 3.0 + 1.0 / (2.0 * 5.0))
-    diag3 = build_decay_diagonal(3, 4, tau_bg=3.0, tau_tb=5.0)
-    rate3 = {s.occupations: diag3.rates[i] for i, s in enumerate(enumerate_basis(3, 4))}
+    rates3 = build_decay_diagonal(3, 4, tau_bg=3.0, tau_tb=5.0)
+    rate3 = {s.occupations: rates3[i] for i, s in enumerate(enumerate_basis(3, 4))}
     # a trio decays three times faster than a pair
     assert rate3[(2, 1, 0, 0)] - 3.0 / (2.0 * 3.0) == pytest.approx(3.0 / (2.0 * 5.0))
-    assert np.all(diag.rates >= 1.0 / 3.0 - 1e-15)
+    assert np.all(rates >= 1.0 / 3.0 - 1e-15)
     with pytest.raises(ValidationError):
         build_decay_diagonal(2, 3, 1.0, 1.0)
+    # inf switches a channel off; a lifetime that is not positive is refused
+    assert np.array_equal(build_decay_diagonal(2, 4, math.inf, math.inf), np.zeros(10))
+    for tau in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValidationError, match="tau_bg must be positive"):
+            build_decay_diagonal(2, 4, tau, 5.0)
+        with pytest.raises(ValidationError, match="tau_tb must be positive"):
+            build_decay_diagonal(2, 4, 3.0, tau)
 
 
 @pytest.mark.parametrize("n,m", [(3, 8), (4, 10), (5, 20)])
@@ -49,20 +59,20 @@ def test_decay_diagonal_equals_whole_table_formula(n, m, tau_bg):
     arr = basis_array(n, m).astype(np.int64)
     sites = arr.reshape(arr.shape[0], m // 2, 2).sum(axis=2)
     expected = n / (2.0 * tau_bg) + (sites * (sites - 1)).sum(axis=1) / (4.0 * 5.0)
-    assert np.array_equal(build_decay_diagonal(n, m, tau_bg, 5.0).rates, expected)
+    assert np.array_equal(build_decay_diagonal(n, m, tau_bg, 5.0), expected)
 
 
 def test_apply_decay_laws():
     pair = basis_state(FockState((1, 1, 0, 0)))
-    diag = build_decay_diagonal(2, 4, tau_bg=math.inf, tau_tb=0.7)
-    assert np.array_equal(apply_decay(pair, diag, 0.0).amplitudes, pair.amplitudes)
+    rates = build_decay_diagonal(2, 4, tau_bg=math.inf, tau_tb=0.7)
+    assert np.array_equal(apply_decay(pair, rates, 0.0), pair)
     for t in (0.1, 0.5, 2.0):
-        survived = apply_decay(pair, diag, t).norm_squared()
+        survived = _norm_squared(apply_decay(pair, rates, t))
         assert survived == pytest.approx(math.exp(-t / 0.7), rel=1e-12)
     # zero-pair sector with two-body loss off: exp(-N t / tau_bg)
     free = basis_state(FockState((1, 0, 1, 0)))
-    diag_bg = build_decay_diagonal(2, 4, tau_bg=1.3, tau_tb=math.inf)
-    assert apply_decay(free, diag_bg, 0.4).norm_squared() == pytest.approx(
+    rates_bg = build_decay_diagonal(2, 4, tau_bg=1.3, tau_tb=math.inf)
+    assert _norm_squared(apply_decay(free, rates_bg, 0.4)) == pytest.approx(
         math.exp(-2 * 0.4 / 1.3), rel=1e-12
     )
 
@@ -70,10 +80,10 @@ def test_apply_decay_laws():
 def test_pair_sector_decay_law():
     # k pairs: survival e^(-N t / tau_bg) e^(-k t / tau_tb) exactly
     state = basis_state(FockState((1, 1, 2, 0, 0, 0, 1, 0)))  # sites (2, 2, 0, 1)
-    diag = build_decay_diagonal(5, 8, tau_bg=9.0, tau_tb=2.0)
+    rates = build_decay_diagonal(5, 8, tau_bg=9.0, tau_tb=2.0)
     t = 0.37
     expected = math.exp(-5 * t / 9.0) * math.exp(-2 * t / 2.0)
-    assert apply_decay(state, diag, t).norm_squared() == pytest.approx(expected, rel=1e-12)
+    assert _norm_squared(apply_decay(state, rates, t)) == pytest.approx(expected, rel=1e-12)
 
 
 def _two_mode_plan(theta):
@@ -82,13 +92,13 @@ def _two_mode_plan(theta):
 
 def test_apply_layer_identity_and_hom():
     state = basis_state(FockState((1, 1)))
-    assert np.array_equal(apply_layer(state, _two_mode_plan(0.0), 0).amplitudes, state.amplitudes)
-    out = apply_layer(state, _two_mode_plan(np.pi / 2.0), 0)
-    probs = outcome_probabilities(out)
+    assert np.array_equal(apply_layer(state, 2, _two_mode_plan(0.0), 0), state)
+    out = apply_layer(state, 2, _two_mode_plan(np.pi / 2.0), 0)
+    probs = np.abs(out) ** 2
     assert probs[state_rank(FockState((2, 0)))] == pytest.approx(0.5, abs=1e-12)
     assert probs[state_rank(FockState((1, 1)))] == pytest.approx(0.0, abs=1e-12)
     assert probs[state_rank(FockState((0, 2)))] == pytest.approx(0.5, abs=1e-12)
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert _norm_squared(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_conservation_without_decay():
@@ -96,8 +106,8 @@ def test_norm_conservation_without_decay():
         plan = clements_decompose(haar_random_unitary(m, seed=seed))
         state = uniform_state(3, m)
         for layer in range(len(mesh_layers(m))):
-            state = apply_layer(state, plan, layer)
-        assert abs(state.norm_squared() - 1.0) < 1e-12
+            state = apply_layer(state, 3, plan, layer)
+        assert abs(_norm_squared(state) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n,m,seed", [(2, 4, 0), (3, 6, 1), (2, 6, 2)])
@@ -108,34 +118,33 @@ def test_lossless_circuit_matches_permanent_probabilities(n, m, seed):
     for j in range(n):
         occ[2 * j] = 1
     inp = FockState(tuple(occ))
-    final, trace = run_circuit(basis_state(inp), plan, 1.0, math.inf, math.inf)
-    probs = outcome_probabilities(final)
+    final, p_j = run_circuit(basis_state(inp), n, plan, 1.0, math.inf, math.inf)
+    probs = np.abs(final) ** 2
     for out in enumerate_basis(n, m):
         expected = outcome_probability(u, inp, out)
         assert probs[state_rank(out)] == pytest.approx(expected, abs=1e-10)
-    assert np.allclose(trace.p_j, 1.0, atol=1e-12)
+    assert np.allclose(p_j, 1.0, atol=1e-12)
 
 
 def test_run_circuit_first_step_background_bound():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     inp = basis_state(FockState((1, 0, 1, 0)))  # collision free
     t_step, tau_bg, tau_tb = 0.05, 4.0, 0.6
-    _, trace = run_circuit(inp, plan, t_step, tau_bg, tau_tb)
+    _, p_j = run_circuit(inp, 2, plan, t_step, tau_bg, tau_tb)
     floor = math.exp(-2 * t_step / tau_bg)
-    assert trace.p_j[0] == pytest.approx(floor, rel=1e-12)  # no pairs before layer 1
-    assert all(p <= 1.0 + 1e-12 for p in trace.p_j)
-    assert trace.p_total == pytest.approx(np.prod(trace.p_j), rel=1e-10)
+    assert p_j[0] == pytest.approx(floor, rel=1e-12)  # no pairs before layer 1
+    assert all(p <= 1.0 + 1e-12 for p in p_j)
 
 
-def _layer_by_layer(initial, plan, t_step, tau_bg, tau_tb):
+def _layer_by_layer(initial, n, plan, t_step, tau_bg, tau_tb):
     # reference: the public one-step functions, one layer at a time
-    diag = build_decay_diagonal(initial.n, initial.m, tau_bg, tau_tb)
+    rates = build_decay_diagonal(n, plan.m, tau_bg, tau_tb)
     state, ratios = initial, []
     for layer in range(len(mesh_layers(plan.m))):
-        before = state.norm_squared()
-        state = apply_decay(state, diag, t_step)
-        state = apply_layer(state, plan, layer)
-        ratios.append(state.norm_squared() / before)
+        before = _norm_squared(state)
+        state = apply_decay(state, rates, t_step)
+        state = apply_layer(state, n, plan, layer)
+        ratios.append(_norm_squared(state) / before)
     return state, np.asarray(ratios)
 
 
@@ -156,45 +165,58 @@ def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle
     plan = _with_idle_couplings(clements_decompose(haar_random_unitary(m, seed=seed)), 2, idle)
     initial = uniform_state(n, m)
     for _ in range(2):  # the second run reuses the kept decay factor
-        final, trace = run_circuit(initial, plan, 0.3, tau_bg, 1.7)
-        expected, ratios = _layer_by_layer(initial, plan, 0.3, tau_bg, 1.7)
-        assert np.array_equal(trace.p_j, ratios)
-        assert np.array_equal(final.amplitudes, expected.amplitudes)
+        final, p_j = run_circuit(initial, n, plan, 0.3, tau_bg, 1.7)
+        expected, ratios = _layer_by_layer(initial, n, plan, 0.3, tau_bg, 1.7)
+        assert np.array_equal(p_j, ratios)
+        assert np.array_equal(final, expected)
 
 
 def test_lossless_run_circuit_drift_bound():
     # stated bound: a lossless run keeps every p_j and the final norm within 1e-12 of 1
     plan = clements_decompose(haar_random_unitary(20, seed=5))
-    final, trace = run_circuit(uniform_state(5, 20), plan, 1.0, math.inf, math.inf)
-    assert len(trace.p_j) == 20
-    assert np.max(np.abs(trace.p_j - 1.0)) <= 1e-12
-    assert abs(final.norm_squared() - 1.0) <= 1e-12
+    final, p_j = run_circuit(uniform_state(5, 20), 5, plan, 1.0, math.inf, math.inf)
+    assert len(p_j) == 20
+    assert np.max(np.abs(p_j - 1.0)) <= 1e-12
+    assert abs(_norm_squared(final) - 1.0) <= 1e-12
 
 
 def test_run_circuit_validates_dimensions():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
-    with pytest.raises(ValidationError):
-        run_circuit(uniform_state(2, 6), plan, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="amplitudes"):
+        run_circuit(uniform_state(2, 6), 2, plan, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="amplitudes"):
+        run_circuit(uniform_state(2, 4), 3, plan, 1.0, 1.0, 1.0)
     with pytest.raises(ValidationError, match="non-negative"):
-        run_circuit(uniform_state(2, 4), plan, -0.5, 1.0, 1.0)
+        run_circuit(uniform_state(2, 4), 2, plan, -0.5, 1.0, 1.0)
+    # a larger basis would run on the wrong fibers, a smaller one index past its end
+    plan6 = clements_decompose(haar_random_unitary(6, seed=8))
+    for amps, n in ((uniform_state(2, 8), 2), (uniform_state(2, 4), 2), (uniform_state(2, 6), 3)):
+        with pytest.raises(ValidationError, match="amplitudes"):
+            apply_layer(amps, n, plan6, 3)
+    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 1.0, 1.0)
+    for wrong in (build_decay_diagonal(2, 6, 1.0, 1.0), rates[:, None]):
+        with pytest.raises(ValidationError, match="do not match rates"):
+            apply_decay(amps, wrong, 0.5)
+    with pytest.raises(ValidationError, match="non-negative"):
+        apply_decay(amps, rates, -0.5)
 
 
 def test_decaying_norm_is_monotone():
     plan = clements_decompose(haar_random_unitary(6, seed=4))
     state = uniform_state(3, 6)
-    diag = build_decay_diagonal(3, 6, tau_bg=50.0, tau_tb=3.0)
-    norms = [state.norm_squared()]
+    rates = build_decay_diagonal(3, 6, tau_bg=50.0, tau_tb=3.0)
+    norms = [_norm_squared(state)]
     for layer in range(len(mesh_layers(6))):
-        state = apply_decay(state, diag, 0.2)
-        state = apply_layer(state, plan, layer)
-        norms.append(state.norm_squared())
+        state = apply_decay(state, rates, 0.2)
+        state = apply_layer(state, 3, plan, layer)
+        norms.append(_norm_squared(state))
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
 def test_benchmark_first_step_is_exact_uniform_average():
     result = benchmark_vs_model(3, 8, 1.0, realizations=5, seed=21)
-    diag = build_decay_diagonal(3, 8, tau_bg=math.inf, tau_tb=result.tau_tb)
-    expected_p1 = float(np.mean(np.exp(-2.0 * diag.rates * result.t_step)))
+    rates = build_decay_diagonal(3, 8, tau_bg=math.inf, tau_tb=result.tau_tb)
+    expected_p1 = float(np.mean(np.exp(-2.0 * rates * result.t_step)))
     assert np.allclose(result.p_j[:, 0], expected_p1, atol=1e-12)
 
 
@@ -205,6 +227,7 @@ def test_benchmark_against_step_model():
     assert result.model_p_step == model
     assert np.max(np.abs(result.mean_p_j - model)) < 0.015
     assert result.mean_p_total >= result.model_p_step_pow_m - 0.01
+    assert np.array_equal(result.p_totals, [np.prod(r) for r in result.p_j])
 
 
 def test_single_run_consistent_with_benchmark_spread():
@@ -212,11 +235,11 @@ def test_single_run_consistent_with_benchmark_spread():
 
     reference = benchmark_vs_model(4, 16, 1.0, realizations=10, seed=31)
     plan = clements_decompose(haar_random_unitary(16, seed=99))
-    _, trace = run_circuit(
-        uniform_state(4, 16), plan, reference.t_step, math.inf, reference.tau_tb
+    _, p_j = run_circuit(
+        uniform_state(4, 16), 4, plan, reference.t_step, math.inf, reference.tau_tb
     )
     spread = reference.p_totals.std()
-    assert abs(trace.p_total - reference.mean_p_total) <= 3.0 * spread
+    assert abs(np.prod(p_j) - reference.mean_p_total) <= 3.0 * spread
 
 
 def test_benchmark_validates_realizations():

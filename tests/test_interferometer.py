@@ -286,6 +286,29 @@ def test_plan_from_json_rejects_pairs_off_the_mesh(edit):
         plan_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"layers": []}, "needs numeric output_phases"),
+        ({"output_phases": [0, 0], "layers": [[{"pair": [0, 1], "phi": 0.0}]]}, "theta"),
+        ([], "needs numeric output_phases"),
+        ({"output_phases": [0, 0], "layers": [["coupling"]]}, "needs numeric output_phases"),
+        ({"output_phases": ["north", 0], "layers": []}, "needs numeric output_phases"),
+        (
+            {"output_phases": [0, 0], "layers": [[{"pair": [0, 1], "theta": "x", "phi": 0}]]},
+            "needs numeric output_phases",
+        ),
+        ({"output_phases": 0, "layers": []}, "flat list"),
+        ({"output_phases": [[0, 0]], "layers": []}, "flat list"),
+    ],
+    ids=["no-phases", "no-theta", "list-payload", "string-coupling", "text-phase", "text-theta",
+         "scalar-phases", "nested-phases"],
+)
+def test_plan_from_json_rejects_malformed_payloads(payload, message):
+    with pytest.raises(ValidationError, match=message):
+        plan_from_json(payload)
+
+
 def test_unitary_json_round_trip():
     u = haar_random_unitary(4, seed=2)
     payload = json.dumps(unitary_to_json(u))
