@@ -2,7 +2,7 @@
 
 Evaluates the rate models over a range of atom numbers under the shipped
 parameter presets, prints the quantum-advantage crossover, and writes the
-curves to a CSV next to this script.
+curves to sampling_rates.csv in the working directory.
 """
 
 import csv

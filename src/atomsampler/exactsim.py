@@ -25,15 +25,16 @@ once, multiplies each n_pair's contiguous slice by its block and scatters
 them back.  Couplings of one layer share no mode but their fibers share
 basis rows, so they are applied one after another.
 
-`run_circuit` evaluates the coupling matrices of the whole plan in one
-call and their pair blocks in one call per n_pair, and reuses the decay
-factor exp(-H t_step) across runs with the same (n, m, t_step, tau), such as
-the realizations of `benchmark_vs_model`.  It steps through the same layer
-kernel as `apply_layer`, and its survival ratios and amplitudes are
-bit-identical to a loop of `apply_decay` and `apply_layer` over the plan's
-layers.  It returns the final amplitudes and the p_j vector; the total
-survival is their product.  The plan's output phases change no p_j and are
-not applied.
+`run_circuit` evaluates the coupling matrices of every slot of the plan in
+one call and their pair blocks in one call per n_pair; an idle slot
+(theta = phi = 0) keeps its block, which is exactly the identity.  It
+reuses the decay factor exp(-H t_step) across runs with the same
+(n, m, t_step, tau), such as the realizations of `benchmark_vs_model`.  It
+steps through the same layer kernel as `apply_layer`, and its survival
+ratios and amplitudes are bit-identical to a loop of `apply_decay` and
+`apply_layer` over the plan's layers.  It returns the final amplitudes and
+the p_j vector; the total survival is their product.  The plan's output
+phases change no p_j and are not applied.
 """
 
 import math
@@ -137,10 +138,10 @@ def _pair_fibers(n, m, mode):
     """Basis indices grouped into fibers of the coupled pair (mode, mode+1).
 
     Returns (flat, groups).  `flat` is one read-only index array holding
-    every fiber; `groups` is a tuple of (n_pair, rows) for n_pair = 1..n in
-    the order of `flat`, where rows, a (fibers, n_pair + 1) view into it,
-    has rows[f, p] the basis index of the f-th fiber's state with p atoms in
-    `mode` and n_pair - p in the partner mode.  Row 0 of a fiber is its head.
+    every fiber; `groups` holds, for n_pair = 1..n in the order of `flat`,
+    a (fibers, n_pair + 1) view `rows` into it, where rows[f, p] is the
+    basis index of the f-th fiber's state with p atoms in `mode` and
+    n_pair - p in the partner mode.  Row 0 of a fiber is its head.
     """
     arr = basis_array(n, m)
     heads = np.flatnonzero(arr[:, mode] == 0)
@@ -157,8 +158,8 @@ def _pair_fibers(n, m, mode):
     flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
     flat.setflags(write=False)
     groups, start = [], 0
-    for n_pair, piece in enumerate(pieces, start=1):
-        groups.append((n_pair, flat[start : start + piece.size].reshape(piece.shape)))
+    for piece in pieces:
+        groups.append(flat[start : start + piece.size].reshape(piece.shape))
         start += piece.size
     return flat, tuple(groups)
 
@@ -202,22 +203,20 @@ def _pair_block(t2, n_pair):
 
 
 def _plan_steps(plan, n):
-    """Each mesh layer of a plan as (modes, blocks): the first modes of its
-    acting couplings and, per n_pair = 1..n, their stacked pair blocks.
+    """Each mesh layer of a plan as (layer, blocks): its `mesh_layers` range
+    and, per n_pair = 1..n, the stacked pair blocks of its slots.
 
-    An idle coupling (theta = phi = 0) is the identity and is dropped.  The
-    acting couplings' matrices come from one call, and each n_pair's blocks
-    from one call over them; a layer's blocks are views into that stack.
+    Every slot keeps its block; an idle one (theta = phi = 0) is exactly the
+    identity.  The coupling matrices come from one call, and each n_pair's
+    blocks from one call over them; a layer's blocks are views into that
+    stack.
     """
-    acting = (plan.theta != 0.0) | (plan.phi != 0.0)
-    t2 = coupling_matrix(plan.theta[acting], plan.phi[acting])
+    t2 = coupling_matrix(plan.theta, plan.phi)
     stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
-    steps, slot, start = [], 0, 0
+    steps, start = [], 0
     for layer in mesh_layers(plan.m):
-        modes = [mode for mode, on in zip(layer, acting[slot : slot + len(layer)]) if on]
-        slot += len(layer)
-        stop = start + len(modes)
-        steps.append((modes, [stack[start:stop] for stack in stacks]))
+        stop = start + len(layer)
+        steps.append((layer, [stack[start:stop] for stack in stacks]))
         start = stop
     return steps
 
@@ -232,7 +231,7 @@ def _apply_couplings(amps, n, m, modes, blocks):
         fibers = amps[flat]
         out = np.empty_like(fibers)
         start = 0
-        for (n_pair, rows), block in zip(groups, blocks):
+        for rows, block in zip(groups, blocks):
             part = slice(start, start + rows.size)
             # (F, k) @ block.T, the zgemm orientation every payload was computed in
             np.matmul(
@@ -276,9 +275,9 @@ def run_circuit(amps, n, plan, t_step, tau_bg, tau_tb):
     norm = float(np.vdot(amps, amps).real)
     amps = amps.astype(complex)
     ratios = []
-    for modes, blocks in _plan_steps(plan, n):
+    for layer, blocks in _plan_steps(plan, n):
         amps *= factor
-        _apply_couplings(amps, n, m, modes, blocks)
+        _apply_couplings(amps, n, m, layer, blocks)
         # this step's ending norm is the next step's starting norm
         after = float(np.vdot(amps, amps).real)
         ratios.append(after / norm if norm else 0.0)

@@ -157,12 +157,14 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     """Forward Monte Carlo of the interference sequence.
 
     Trials are processed in fixed-size blocks with seeds split from the root
-    seed, so the result does not depend on the worker count.  Trials whose
-    addressing or position reconstruction fails are discarded, as the
-    post-selection of the analytic model assumes.
+    seed, so the result does not depend on the worker count (at least 1).
+    Trials whose addressing or position reconstruction fails are discarded,
+    as the post-selection of the analytic model assumes.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     full, rest = divmod(trials, MC_BLOCK)
     check_size_cap(full + (rest > 0), "Monte Carlo blocks")
     blocks = [MC_BLOCK] * full + [rest] * (rest > 0)

@@ -109,7 +109,8 @@ class CircuitPlan:
     """Angles of the mesh couplings on M modes, plus output phases.
 
     `theta` and `phi` are read-only float arrays with one entry per slot of
-    `mesh_layers(m)`, layer by layer and modes ascending within a layer.
+    `mesh_layers(m)`, layer by layer and modes ascending within a layer;
+    `output_phases` is a read-only (m,) float array.  Every entry is finite.
     """
 
     m: int
@@ -119,14 +120,17 @@ class CircuitPlan:
 
     def __post_init__(self):
         slots = sum(map(len, mesh_layers(self.m)))
-        for name in ("theta", "phi"):
-            angles = np.array(getattr(self, name), dtype=float)
-            if angles.shape != (slots,):
+        for name, size, unit in (("theta", slots, "slots"), ("phi", slots, "slots"),
+                                 ("output_phases", self.m, "modes")):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (size,):
                 raise ValidationError(
-                    f"{name} has shape {angles.shape}; the mesh on {self.m} modes has {slots} slots"
+                    f"{name} has shape {values.shape}; the mesh on {self.m} modes has {size} {unit}"
                 )
-            angles.setflags(write=False)
-            object.__setattr__(self, name, angles)
+            if not np.isfinite(values).all():
+                raise ValidationError(f"every entry of {name} must be finite")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def depth(self):

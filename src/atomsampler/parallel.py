@@ -1,4 +1,4 @@
-"""Deterministic seed splitting and optional thread parallelism.
+"""Deterministic seed splitting and a thread pool.
 
 Every stochastic routine in this package takes a single root seed and derives
 per-task seeds with ``numpy.random.SeedSequence.spawn``, always in the same
@@ -17,9 +17,6 @@ def spawn_seeds(seed, count):
 
 
 def parallel_map(fn, items, workers):
-    """Map `fn` over `items`, returning results in input order."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    """Map `fn` over `items` on a pool of `workers` threads, results in input order."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -21,13 +21,15 @@ with random complex x, y at n = 20 the relative gap stays below 1e-11
 (about 1e-15 in practice; tested).
 
 `permanents_of_rows` is the kernel's only caller.  It holds the package's
-only loop over Glynn batches, with one `_Workspace`, for every matrix whose
-rows repeat those of one column block by an occupation row, as
-boson-sampling outcomes do.  `check_glynn_cap` is the only comparison with
-`GLYNN_CAP`; `permanents_of_rows` and callers that refuse early ask it.
-`permanent_glynn` is the checked single-matrix entry point, one all-ones
-occupation row through `permanents_of_rows`, and `permanent_naive` the
-factorial-time cross-check, summing row products over all permutations.
+only loop over Glynn batches, for every matrix whose rows repeat those of
+one column block by an occupation row, as boson-sampling outcomes do.  Each
+batch gathers its own submatrix stack, and the kernel takes fresh scratch
+arrays of at most `WORKSPACE` complex elements each.  `check_glynn_cap` is
+the only comparison with `GLYNN_CAP`; `permanents_of_rows` and callers that
+refuse early ask it.  `permanent_glynn` is the checked single-matrix entry
+point, one all-ones occupation row through `permanents_of_rows`, and
+`permanent_naive` the factorial-time cross-check, summing row products over
+all permutations.
 """
 
 from functools import lru_cache
@@ -73,30 +75,6 @@ def glynn_batch_size(n):
     return max(1, WORKSPACE // (max(n, 1) << low))
 
 
-class _Workspace:
-    """Named complex scratch buffers, allocated once and reused for every batch.
-
-    `take(name, shape)` returns a C-contiguous view onto the start of the
-    buffer called `name`, so a short last batch gets the same memory layout
-    as a fresh array of its shape; a buffer is only reallocated when a
-    larger shape is asked for.  Contents are whatever the last user left.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    @staticmethod
-    def _allocate(size):
-        return np.empty(size, dtype=complex)
-
-    def take(self, name, shape):
-        size = int(np.prod(shape))
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = self._allocate(size)
-        return buf[:size].reshape(shape)
-
-
 @lru_cache(maxsize=None)
 def _parity(low):
     """Read-only parities of the 2^low low sign patterns, in doubling order."""
@@ -109,7 +87,7 @@ def _parity(low):
     return parity
 
 
-def _glynn_batch(a, ws):
+def _glynn_batch(a):
     """Permanents of a (D, n, n) complex stack in one vectorized pass; n = 0 gives 1."""
     d, n = a.shape[:2]
     if n == 0:
@@ -117,19 +95,18 @@ def _glynn_batch(a, ws):
     low = min(n - 1, LOW_SIGNS)
     parity = _parity(low)
     # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
-    sums = ws.take("sums", (1 << low, d, n))
+    sums = np.empty((1 << low, d, n), dtype=complex)
     sums[0] = 0.0
     for i in range(low):
         h = 1 << i
         np.subtract(sums[:h], a[:, i + 1], out=sums[h : 2 * h])
         sums[:h] += a[:, i + 1]
     # (D, n, 2^low): each column's offsets contiguous for the product below
-    offsets = ws.take("offsets", (d, n, 1 << low))
-    np.copyto(offsets, sums.transpose(1, 2, 0))
+    offsets = np.ascontiguousarray(sums.transpose(1, 2, 0))
     high = a[:, low + 1 :]
-    base = ws.take("base", (d, n))
-    prods = ws.take("prods", (d, 1 << low))
-    factor = ws.take("factor", (d, 1 << low))
+    base = np.empty((d, n), dtype=complex)
+    prods = np.empty((d, 1 << low), dtype=complex)
+    factor = np.empty((d, 1 << low), dtype=complex)
     total = np.zeros(d, dtype=complex)
     for k in range(1 << (n - 1 - low)):
         signs = 1.0 - 2.0 * ((k >> np.arange(n - 1 - low)) & 1)
@@ -149,7 +126,7 @@ def permanents_of_rows(columns, occupations):
 
     `columns` is (M, N), `occupations` (D, M) with non-negative rows summing
     to N; N = 0 gives 1 per row.  Batches of `glynn_batch_size(N)` matrices
-    share one `_Workspace`, so the scratch memory does not grow with D.
+    are evaluated one at a time, so the scratch memory does not grow with D.
     """
     columns = np.asarray(columns, dtype=complex)
     occupations = np.asarray(occupations)
@@ -163,15 +140,12 @@ def permanents_of_rows(columns, occupations):
     out = np.empty(d, dtype=complex)
     batch = glynn_batch_size(n)
     tiled_modes = np.tile(np.arange(m), min(batch, d))
-    ws = _Workspace()
     for i in range(0, d, batch):
         rows = occupations[i : i + batch]
         b = len(rows)
         # each row holds N atoms, so its expanded mode indices fill one line of N
         row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
-        # indices are in range by construction; mode="clip" writes straight into `out`
-        stack = np.take(columns, row_modes, axis=0, out=ws.take("stack", (b, n, n)), mode="clip")
-        out[i : i + b] = _glynn_batch(stack, ws)
+        out[i : i + b] = _glynn_batch(columns[row_modes])
     return out
 
 

@@ -114,8 +114,8 @@ def draw_samples(dist, shots, seed):
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
     check_size_cap(shots, "shots")
-    if dist.total_mass <= 0.0:
-        raise DegenerateSampleError("distribution carries no probability mass")
+    if not dist.total_mass > 0.0:  # a NaN mass fails this test too
+        raise DegenerateSampleError(f"distribution carries no probability mass: {dist.total_mass}")
     probs = dist.probs / dist.total_mass
     cdf = np.cumsum(probs)
     rng = np.random.default_rng(seed)

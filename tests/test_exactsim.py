@@ -19,6 +19,7 @@ from atomsampler.fock import FockState, basis_array, enumerate_basis, state_rank
 from atomsampler.interferometer import (
     CircuitPlan,
     clements_decompose,
+    coupling_matrix,
     haar_random_unitary,
     mesh_layers,
 )
@@ -171,6 +172,20 @@ def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle
         assert np.array_equal(final, expected)
 
 
+def test_idle_slots_change_no_amplitude():
+    # an idle slot (theta = phi = 0) keeps its pair block, which is exactly the identity
+    for k in range(1, 9):
+        assert np.array_equal(_pair_block(coupling_matrix(0.0, 0.0), k), np.eye(k + 1))
+    n, m = 3, 6
+    amps = uniform_state(n, m)
+    amps *= np.exp(2j * np.pi * np.random.default_rng(3).random(amps.size))
+    slots = sum(map(len, mesh_layers(m)))
+    idle = CircuitPlan(m=m, theta=np.zeros(slots), phi=np.zeros(slots), output_phases=np.zeros(m))
+    final, p_j = run_circuit(amps, n, idle, 0.3, math.inf, math.inf)
+    assert np.array_equal(final, amps)
+    assert np.array_equal(p_j, np.ones(m))
+
+
 def test_lossless_run_circuit_drift_bound():
     # stated bound: a lossless run keeps every p_j and the final norm within 1e-12 of 1
     plan = clements_decompose(haar_random_unitary(20, seed=5))
@@ -261,7 +276,7 @@ def test_pair_fibers_partition_the_paired_states(n, m):
         flat, groups = _pair_fibers(n, m, mode)
         assert not flat.flags.writeable
         start = 0
-        for n_pair, rows in groups:
+        for n_pair, rows in enumerate(groups, start=1):
             # each group is the next stretch of the flat index, viewed as fiber rows
             assert rows.base is flat
             assert np.array_equal(rows.ravel(), flat[start : start + rows.size])

@@ -73,6 +73,12 @@ def test_monte_carlo_determinism_and_worker_invariance():
     assert first == second
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_monte_carlo_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        hom_monte_carlo(EXPERIMENT, 1_000, seed=0, workers=workers)
+
+
 def test_post_selection_invariance():
     plain = hom_monte_carlo(
         HomParams(0.84, 0.71, 0.462, p_addr=1.0, p_rec=1.0), 400_000, seed=13

@@ -48,11 +48,11 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_the_guard_sees_both_forms():
     source = (
-        "from .permanent import _Workspace, glynn_batch_size\n"
+        "from .permanent import _parity, glynn_batch_size\n"
         "from atomsampler.fock import _occupation_rows\n"
         "from . import fock\n"
         "fock._basis_array_cached(1, 2)\n"
     )
     assert _private_uses(ast.parse(source)) == [
-        (1, "_Workspace"), (2, "_occupation_rows"), (4, "fock._basis_array_cached")
+        (1, "_parity"), (2, "_occupation_rows"), (4, "fock._basis_array_cached")
     ]

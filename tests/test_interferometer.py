@@ -286,6 +286,9 @@ def test_plan_from_json_rejects_pairs_off_the_mesh(edit):
         plan_from_json(payload)
 
 
+IDLE_COUPLING = {"pair": [0, 1], "theta": 0.0, "phi": 0.0}
+
+
 @pytest.mark.parametrize(
     "payload,message",
     [
@@ -300,13 +303,35 @@ def test_plan_from_json_rejects_pairs_off_the_mesh(edit):
         ),
         ({"output_phases": 0, "layers": []}, "flat list"),
         ({"output_phases": [[0, 0]], "layers": []}, "flat list"),
+        (
+            {"output_phases": [0, 0], "layers": [[{"pair": [0, 1], "theta": None, "phi": 0}]]},
+            "theta must be finite",
+        ),
+        (
+            {"output_phases": [0, 0], "layers": [[{"pair": [0, 1], "theta": 1, "phi": np.nan}]]},
+            "phi must be finite",
+        ),
+        ({"output_phases": [0, np.inf], "layers": [[IDLE_COUPLING]]}, "phases must be finite"),
+        ({"output_phases": [-np.inf, 0], "layers": [[IDLE_COUPLING]]}, "phases must be finite"),
     ],
     ids=["no-phases", "no-theta", "list-payload", "string-coupling", "text-phase", "text-theta",
-         "scalar-phases", "nested-phases"],
+         "scalar-phases", "nested-phases", "null-theta", "nan-phi", "inf-phase", "minus-inf-phase"],
 )
 def test_plan_from_json_rejects_malformed_payloads(payload, message):
     with pytest.raises(ValidationError, match=message):
         plan_from_json(payload)
+
+
+def test_circuit_plan_rejects_non_finite_entries():
+    good = {"theta": [0.1] * 3, "phi": [0.2] * 3, "output_phases": np.zeros(3)}
+    for name, values in (("theta", [0.1, np.nan, 0.1]), ("phi", [0.2, 0.2, -np.inf]),
+                         ("output_phases", [0.0, np.inf, 0.0])):
+        with pytest.raises(ValidationError, match=f"every entry of {name} must be finite"):
+            CircuitPlan(m=3, **{**good, name: values})
+    with pytest.raises(ValidationError, match="the mesh on 3 modes has 3 modes"):
+        CircuitPlan(m=3, **{**good, "output_phases": np.zeros(4)})
+    plan = CircuitPlan(m=3, **good)
+    assert not plan.output_phases.flags.writeable
 
 
 def test_unitary_json_round_trip():

@@ -16,7 +16,6 @@ from atomsampler.fock import (
 from atomsampler.interferometer import coupling_matrix, haar_random_unitary
 from atomsampler.permanent import (
     _glynn_batch,
-    _Workspace,
     glynn_batch_size,
     permanent_glynn,
     permanent_naive,
@@ -130,10 +129,8 @@ def test_permanents_of_rows_empty_cases():
 
 
 def _fresh_batches(stack, batch):
-    """Permanents of `stack`, one fresh `_Workspace` per `batch` matrices."""
-    return np.concatenate(
-        [_glynn_batch(stack[i : i + batch], _Workspace()) for i in range(0, len(stack), batch)]
-    )
+    """Permanents of `stack`, one kernel call per `batch` matrices."""
+    return np.concatenate([_glynn_batch(stack[i : i + batch]) for i in range(0, len(stack), batch)])
 
 
 # batches of four; every case below has at least three and a short last one
@@ -165,24 +162,25 @@ def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, co
     expected_probs = np.abs(expected_row_perms) ** 2 / norms
     expected_perms = _fresh_batches(stack, batch)
 
-    # from here on every scratch buffer starts as NaN, so a value read before
-    # the current batch wrote it shows up in the results
-    def nan_buffer(size):
-        return np.full(size, np.nan, dtype=complex)
+    # from here on every inexact np.empty starts as NaN, so a scratch value
+    # read before the current batch wrote it shows up in the results; the
+    # allocator may hand a batch the memory the previous batch freed
+    empty = np.empty
 
-    monkeypatch.setattr(_Workspace, "_allocate", staticmethod(nan_buffer))
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert np.isnan(np.empty(2, dtype=complex)).all()
     columns = u[:, np.repeat(np.arange(m), inp.occupations)]
     assert np.array_equal(permanents_of_rows(columns, table), expected_row_perms)
     dist = output_distribution(u, inp, collision_free_only)
     assert np.array_equal(dist.probs, expected_probs)
-    # one workspace reused across the batches of a stack after being poisoned with NaN
-    ws = _Workspace()
-    _glynn_batch(stack[:batch], ws)
-    for buf in ws._buffers.values():
-        buf.fill(np.nan)
     short = len(stack) - 3
-    reused = [_glynn_batch(stack[i : min(i + batch, short)], ws) for i in range(0, short, batch)]
-    assert np.array_equal(np.concatenate(reused), expected_perms[:-3])
+    assert np.array_equal(_fresh_batches(stack[:short], batch), expected_perms[:-3])
 
 
 @pytest.mark.parametrize("sizes", [(7, 7), (8, 8), (6, 9)])
@@ -420,6 +418,16 @@ def test_draw_samples_zero_mass():
     hollow = type(dist)(states=dist.states, probs=np.zeros_like(dist.probs), total_mass=0.0)
     with pytest.raises(DegenerateSampleError):
         draw_samples(hollow, 10, seed=0)
+
+
+def test_draw_samples_refuses_a_nan_mass():
+    # one NaN entry of U spreads to the probabilities and the total mass
+    u = haar_random_unitary(3, seed=4)
+    u[0, 0] = np.nan
+    dist = output_distribution(u, FockState((1, 1, 0)))
+    assert np.isnan(dist.total_mass)
+    with pytest.raises(DegenerateSampleError, match="no probability mass: nan"):
+        draw_samples(dist, 10, seed=0)
 
 
 def test_draw_samples_refuses_more_shots_than_the_cap(monkeypatch):
