@@ -204,9 +204,8 @@ def cmd_exactsim(args):
         seed=args.seed,
     )
     lines = [_timestamp_line(args.command, args.seed), "realization,step,p_j"]
-    for r in range(result.realizations):
-        for j in range(result.p_j.shape[1]):
-            lines.append(f"{r},{j + 1},{_fmt(result.p_j[r, j])}")
+    for r, row in enumerate(result.p_j):
+        lines += (f"{r},{j},{_fmt(p)}" for j, p in enumerate(row, 1))
     summary = {
         "mean_p_total": result.mean_p_total,
         "model_p_step": result.model_p_step,

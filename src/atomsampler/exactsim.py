@@ -27,14 +27,14 @@ basis rows, so they are applied one after another.
 
 `run_circuit` evaluates the coupling matrices of every slot of the plan in
 one call and their pair blocks in one call per n_pair; an idle slot
-(theta = phi = 0) keeps its block, which is exactly the identity.  It
-reuses the decay factor exp(-H t_step) across runs with the same
-(n, m, t_step, tau), such as the realizations of `benchmark_vs_model`.  It
-steps through the same layer kernel as `apply_layer`, and its survival
-ratios and amplitudes are bit-identical to a loop of `apply_decay` and
-`apply_layer` over the plan's layers.  It returns the final amplitudes and
-the p_j vector; the total survival is their product.  The plan's output
-phases change no p_j and are not applied.
+(theta = phi = 0) keeps its block, which is exactly the identity.  It decays
+by the rates its caller passes, as `apply_decay` does, so `benchmark_vs_model`
+builds them once for all its realizations.  It steps through the same layer
+kernel as `apply_layer`, and its survival ratios and amplitudes are
+bit-identical to a loop of `apply_decay` and `apply_layer` over the plan's
+layers.  It returns the final amplitudes and the p_j vector; the total
+survival is their product.  The plan's output phases change no p_j and are
+not applied.
 """
 
 import math
@@ -51,19 +51,17 @@ from .interferometer import clements_decompose, coupling_matrix, haar_random_uni
 from .parallel import spawn_seeds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkResult:
     """Simulated per-step survival versus the closed-form step model."""
 
-    n: int
+    #: Step duration, the unit of every time (not a field).
+    t_step = 1.0
+
     m: int
     tau_tb: float
-    t_step: float
-    realizations: int
     p_j: np.ndarray  # (realizations, steps)
-    p_totals: np.ndarray
     model_p_step: float
-    model_p_step_pow_m: float
     excluded_occupancy_mass: float
 
     @property
@@ -72,7 +70,11 @@ class BenchmarkResult:
 
     @property
     def mean_p_total(self):
-        return float(self.p_totals.mean())
+        return float(self.p_j.prod(axis=1).mean())
+
+    @property
+    def model_p_step_pow_m(self):
+        return self.model_p_step**self.m
 
 
 def uniform_state(n, m):
@@ -113,15 +115,19 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
     return n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
 
 
-def apply_decay(amps, rates, t):
-    """Multiply amplitudes by exp(-rate t); never increases the norm."""
-    if t < 0.0:
-        raise ValidationError(f"time must be non-negative, got {t}")
+def _decay_weights(amps, rates, t):
+    """exp(-rate t) for every amplitude, once t and the shape of `rates` are checked."""
+    lossmodel.check_time(t)
     if np.shape(amps) != np.shape(rates):
         raise ValidationError(
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
         )
-    return amps * np.exp(-rates * t)
+    return np.exp(-rates * t)
+
+
+def apply_decay(amps, rates, t):
+    """Multiply amplitudes by exp(-rate t); never increases the norm."""
+    return amps * _decay_weights(amps, rates, t)
 
 
 def _check_length(amps, n, plan):
@@ -252,32 +258,21 @@ def apply_layer(amps, n, plan, layer):
     return amps
 
 
-@lru_cache(maxsize=4)
-def _decay_factor(n, m, t_step, tau_bg, tau_tb):
-    """Read-only exp(-rate t_step) for every basis state, as `apply_decay` applies it."""
-    factor = np.exp(-build_decay_diagonal(n, m, tau_bg, tau_tb) * t_step)
-    factor.setflags(write=False)
-    return factor
-
-
-def run_circuit(amps, n, plan, t_step, tau_bg, tau_tb):
+def run_circuit(amps, n, plan, rates, t_step):
     """Alternate decay and coherent layers from `amps`; return (amps, p_j).
 
-    Decay acts before each layer.  The plan's output phases, which change no
-    survival ratio, are not applied.  A step starting from zero norm has
-    p_j = 0.
+    Decay by exp(-rates t_step), as `apply_decay` applies it, acts before
+    each layer.  The plan's output phases, which change no survival ratio,
+    are not applied.  A step starting from zero norm has p_j = 0.
     """
     _check_length(amps, n, plan)
-    if t_step < 0.0:
-        raise ValidationError(f"time must be non-negative, got {t_step}")
-    m = plan.m
-    factor = _decay_factor(n, m, t_step, tau_bg, tau_tb)
+    factor = _decay_weights(amps, rates, t_step)
     norm = float(np.vdot(amps, amps).real)
     amps = amps.astype(complex)
     ratios = []
     for layer, blocks in _plan_steps(plan, n):
         amps *= factor
-        _apply_couplings(amps, n, m, layer, blocks)
+        _apply_couplings(amps, n, plan.m, layer, blocks)
         # this step's ending norm is the next step's starting norm
         after = float(np.vdot(amps, amps).real)
         ratios.append(after / norm if norm else 0.0)
@@ -299,25 +294,17 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     if not (math.isfinite(tau_tb_over_texec) and tau_tb_over_texec > 0.0):
         raise ValidationError(f"tau_tb / t_exec must be finite and positive: {tau_tb_over_texec}")
     initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
-    t_step = 1.0
+    t_step = BenchmarkResult.t_step
     tau_tb = tau_tb_over_texec * m * t_step
     check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
-    rows = []
-    for child in spawn_seeds(seed, realizations):
-        # the realization's first spawned child seeds its unitary
-        plan = clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
-        rows.append(run_circuit(initial, n, plan, t_step, math.inf, tau_tb)[1])
-    p_j = np.vstack(rows)
-    model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite")
+    rates = build_decay_diagonal(n, m, math.inf, tau_tb)
+    # the realization's first spawned child seeds its unitary
+    plans = (clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
+             for child in spawn_seeds(seed, realizations))
     return BenchmarkResult(
-        n=n,
         m=m,
         tau_tb=tau_tb,
-        t_step=t_step,
-        realizations=realizations,
-        p_j=p_j,
-        p_totals=p_j.prod(axis=1),
-        model_p_step=model_p_step,
-        model_p_step_pow_m=model_p_step**m,
+        p_j=np.vstack([run_circuit(initial, n, plan, rates, t_step)[1] for plan in plans]),
+        model_p_step=lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite"),
         excluded_occupancy_mass=lossmodel.excluded_occupancy_mass(n, m),
     )

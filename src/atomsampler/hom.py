@@ -108,8 +108,11 @@ class BunchingFit:
 
     p_bunch: float
     sigma: float
-    gamma: float
     trials_kept: int
+
+    @property
+    def gamma(self):
+        return purity_from_bunching(self.p_bunch)
 
 
 def _outcome_triple(s, p_bunch, p_lic0):
@@ -291,22 +294,21 @@ def fit_bunching(measured, survival_s, p_lic0, trials, seed):
     return BunchingFit(
         p_bunch=best,
         sigma=float(np.std(estimates)),
-        gamma=2.0 * best - 1.0,
         trials_kept=measured.trials_kept,
     )
 
 
 def bunching_from_p2(p2, s):
-    """Invert P2 = S^2 (1 - P_bunch) for the bunching probability."""
-    if not s > 0.0:
-        raise ValidationError(f"survival must be positive, got {s}")
-    if p2 > s * s:
-        raise ValidationError(f"p2 = {p2} exceeds the two-survivor ceiling s^2 = {s * s}")
+    """Invert P2 = S^2 (1 - P_bunch) for P_bunch, with S in (0, 1] and P2 in [0, S^2]."""
+    if not 0.0 < s <= 1.0:
+        raise ValidationError(f"survival must lie in (0, 1], got {s}")
+    if not 0.0 <= p2 <= s * s:
+        raise ValidationError(f"p2 = {p2} lies outside [0, s^2 = {s * s}]")
     return 1.0 - p2 / (s * s)
 
 
 def purity_from_bunching(p_bunch):
-    """Quantum purity gamma = 2 P_bunch - 1."""
-    if p_bunch < P_BUNCH_MIN:
-        raise ValidationError(f"bunching probability below 1/2 is infeasible: {p_bunch}")
+    """Quantum purity gamma = 2 P_bunch - 1, for P_bunch in [1/2, 1]."""
+    if not P_BUNCH_MIN <= p_bunch <= 1.0:
+        raise ValidationError(f"bunching probability must lie in [1/2, 1], got {p_bunch}")
     return 2.0 * p_bunch - 1.0

@@ -19,7 +19,7 @@ A(phi), a global Hadamard H = exp(-i sigma_x pi/4), a second imprint A(theta),
 the inverse Hadamard, and a residual common-mode phase of -phi/2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -104,7 +104,7 @@ def mesh_layers(m):
     return tuple(layer for layer in layers if layer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitPlan:
     """Angles of the mesh couplings on M modes, plus output phases.
 
@@ -114,9 +114,9 @@ class CircuitPlan:
     """
 
     m: int
-    theta: np.ndarray = field(compare=False)
-    phi: np.ndarray = field(compare=False)
-    output_phases: np.ndarray = field(compare=False)
+    theta: np.ndarray
+    phi: np.ndarray
+    output_phases: np.ndarray
 
     def __post_init__(self):
         slots = sum(map(len, mesh_layers(self.m)))

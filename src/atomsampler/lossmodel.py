@@ -47,6 +47,12 @@ def uses_closed_form(n, model):
     return model == "closed" or (model == "auto" and n > FINITE_MODEL_LIMIT)
 
 
+def check_time(t):
+    """Raise unless t is a finite time t >= 0."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"time must be finite and non-negative, got {t}")
+
+
 def _require_positive(name, value):
     if not value > 0.0:
         raise ValidationError(f"{name} must be positive, got {value}")
@@ -188,8 +194,7 @@ def p_step_twobody(n, m, t, tau_tb, model):
     equals one at t = 0.  Where `uses_closed_form` says so, the large-N
     closed form with c = M / N^2 is used instead.
     """
-    if t < 0.0:
-        raise ValidationError(f"time must be non-negative, got {t}")
+    check_time(t)
     if uses_closed_form(n, model):
         return p_step_twobody_closed(m / n**2, t, tau_tb)
     terms = _occupancy_sector(n, m)
@@ -206,8 +211,7 @@ def p_step_twobody(n, m, t, tau_tb, model):
 
 def p_step_background(n, t, tau_bg):
     """Probability that no background-gas collision hits any of N atoms."""
-    if t < 0.0:
-        raise ValidationError(f"time must be non-negative, got {t}")
+    check_time(t)
     return math.exp(-n * t / tau_bg)
 
 

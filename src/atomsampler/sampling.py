@@ -40,7 +40,11 @@ class OutputDistribution:
 
     states: np.ndarray
     probs: np.ndarray
-    total_mass: float
+
+    @property
+    def total_mass(self):
+        """Sum of `probs`; under collision-free post-selection, the retained probability."""
+        return float(self.probs.sum())
 
     @property
     def outcomes(self):
@@ -60,6 +64,8 @@ def _checked_unitary(u, state):
     u = np.asarray(u, dtype=complex)
     if u.shape != (state.m, state.m):
         raise ValidationError(f"state length {state.m} does not match the unitary shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValidationError("every entry of the unitary must be finite")
     return u
 
 
@@ -101,7 +107,7 @@ def output_distribution(u, input_state, collision_free_only=False):
     states = collision_free_array(n, m) if collision_free_only else basis_array(n, m)
     probs = _probabilities(u, input_state, states)
     probs.setflags(write=False)
-    return OutputDistribution(states=states, probs=probs, total_mass=float(probs.sum()))
+    return OutputDistribution(states=states, probs=probs)
 
 
 def draw_samples(dist, shots, seed):
@@ -114,9 +120,10 @@ def draw_samples(dist, shots, seed):
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
     check_size_cap(shots, "shots")
-    if not dist.total_mass > 0.0:  # a NaN mass fails this test too
-        raise DegenerateSampleError(f"distribution carries no probability mass: {dist.total_mass}")
-    probs = dist.probs / dist.total_mass
+    total_mass = dist.total_mass
+    if not total_mass > 0.0:  # a NaN mass fails this test too
+        raise DegenerateSampleError(f"distribution carries no probability mass: {total_mass}")
+    probs = dist.probs / total_mass
     cdf = np.cumsum(probs)
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(shots), side="right")

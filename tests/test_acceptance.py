@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from atomsampler.errors import ValidationError
-from atomsampler.exactsim import basis_state, benchmark_vs_model, run_circuit
+from atomsampler.exactsim import basis_state, benchmark_vs_model, build_decay_diagonal, run_circuit
 from atomsampler.fock import FockState, enumerate_basis, multiset_dimension, site_occupancy, state_rank
 from atomsampler.hom import HomOutcomes, bunching_from_p2, fit_bunching, hom_analytic, hom_monte_carlo, HomParams
 from atomsampler.interferometer import (
@@ -212,7 +212,8 @@ def test_criterion_11_cross_module_oracle():
             for j in range(n):
                 occ[j] = 1
             inp = FockState(tuple(occ))
-            final, _ = run_circuit(basis_state(inp), n, plan, 1.0, math.inf, math.inf)
+            lossless = build_decay_diagonal(n, m, math.inf, math.inf)
+            final, _ = run_circuit(basis_state(inp), n, plan, lossless, 1.0)
             probs = np.abs(final) ** 2
             for out in enumerate_basis(n, m):
                 gap = abs(probs[state_rank(out)] - outcome_probability(u, inp, out))

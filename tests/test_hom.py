@@ -158,17 +158,21 @@ def test_bunching_from_p2():
     assert bunching_from_p2(0.19, 0.84) == pytest.approx(0.7308, abs=1e-4)
     assert bunching_from_p2(0.84**2, 0.84) == pytest.approx(0.0, abs=1e-12)
     assert bunching_from_p2(0.0, 0.84) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        bunching_from_p2(0.8, 0.5)
-    with pytest.raises(ValidationError):
-        bunching_from_p2(0.1, 0.0)
+    assert bunching_from_p2(0.5, 1.0) == 0.5
+    # p2 outside [0, s^2], s outside (0, 1], and NaN in either
+    for p2, s in ((0.8, 0.5), (0.1, 0.0), (-0.1, 0.8), (0.1, 1.5), (float("nan"), 0.8),
+                  (0.1, float("nan"))):
+        with pytest.raises(ValidationError):
+            bunching_from_p2(p2, s)
 
 
 def test_purity_relations():
     assert purity_from_bunching(0.7308) == pytest.approx(0.4616, abs=1e-4)
     assert purity_from_bunching(0.5) == 0.0
-    with pytest.raises(ValidationError):
-        purity_from_bunching(0.4)
+    assert purity_from_bunching(1.0) == 1.0
+    for p_bunch in (0.4, 1.5, float("nan")):
+        with pytest.raises(ValidationError):
+            purity_from_bunching(p_bunch)
 
 
 def test_params_validation():

@@ -251,6 +251,13 @@ def test_circuit_plan_rejects_angle_arrays_of_the_wrong_length():
     assert not plan.theta.flags.writeable and not plan.phi.flags.writeable
 
 
+def test_circuit_plans_compare_by_identity():
+    # plans of different unitaries on the same M share only m; their angles differ
+    first, second = (clements_decompose(haar_random_unitary(6, seed=s)) for s in (1, 2))
+    assert first == first and first != second
+    assert len({first, second}) == 2
+
+
 def test_plan_json_round_trip():
     plan = clements_decompose(haar_random_unitary(5, seed=1))
     payload = json.dumps(plan_to_json(plan))

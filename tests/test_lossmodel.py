@@ -145,6 +145,16 @@ def test_p_step_background_values():
     assert 37 * 33e-6 / 360.0 == pytest.approx(3.3917e-6, rel=1e-4)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_step_survivals_refuse_non_finite_or_negative_times(t):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        p_step_twobody(4, 16, t, 1.0, model="finite")
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        p_step_twobody(50, 2500, t, 1.0, model="closed")
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        p_step_background(5, t, 1.0)
+
+
 def test_p_survival_limits_and_identity():
     no_loss = LossScenario(
         t_step=33e-6, tau_bg=math.inf, tau_tb=math.inf, t_init=0.5, t_det=0.1,

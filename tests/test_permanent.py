@@ -415,19 +415,31 @@ def test_draw_samples_goodness_of_fit():
 
 def test_draw_samples_zero_mass():
     dist = output_distribution(HADAMARD, FockState((1, 1)))
-    hollow = type(dist)(states=dist.states, probs=np.zeros_like(dist.probs), total_mass=0.0)
+    hollow = type(dist)(states=dist.states, probs=np.zeros_like(dist.probs))
     with pytest.raises(DegenerateSampleError):
         draw_samples(hollow, 10, seed=0)
 
 
 def test_draw_samples_refuses_a_nan_mass():
-    # one NaN entry of U spreads to the probabilities and the total mass
-    u = haar_random_unitary(3, seed=4)
-    u[0, 0] = np.nan
-    dist = output_distribution(u, FockState((1, 1, 0)))
-    assert np.isnan(dist.total_mass)
+    # `output_distribution` refuses a non-finite U, but a distribution can be built directly
+    dist = output_distribution(haar_random_unitary(3, seed=4), FockState((1, 1, 0)))
+    probs = dist.probs.copy()
+    probs[0] = np.nan
+    poisoned = type(dist)(states=dist.states, probs=probs)
+    assert np.isnan(poisoned.total_mass)
     with pytest.raises(DegenerateSampleError, match="no probability mass: nan"):
-        draw_samples(dist, 10, seed=0)
+        draw_samples(poisoned, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampling_refuses_a_non_finite_unitary(bad):
+    u = haar_random_unitary(3, seed=4)
+    u[0, 0] = bad
+    inp = FockState((1, 1, 0))
+    with pytest.raises(ValidationError, match="finite"):
+        outcome_probability(u, inp, inp)
+    with pytest.raises(ValidationError, match="finite"):
+        output_distribution(u, inp)
 
 
 def test_draw_samples_refuses_more_shots_than_the_cap(monkeypatch):
