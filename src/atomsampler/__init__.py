@@ -18,7 +18,6 @@ The package splits into small, composable layers:
 from .errors import DegenerateSampleError, SizeCapError, ValidationError
 from .fock import (
     FockState,
-    SiteOccupancy,
     basis_rank,
     enumerate_basis,
     is_collision_free,

@@ -99,9 +99,8 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
     basis-length integer vector, so the narrow occupation table is never
     widened as a whole and no (dim, M/2) temporary is built.
     """
-    for name, tau in (("tau_bg", tau_bg), ("tau_tb", tau_tb)):
-        if not tau > 0.0:
-            raise ValidationError(f"{name} must be positive, got {tau}")
+    lossmodel.check_lifetime("tau_bg", tau_bg)
+    lossmodel.check_lifetime("tau_tb", tau_tb)
     sites = site_count(m)
     arr = basis_array(n, m)
     pair_terms = np.zeros(len(arr), dtype=np.int64)
@@ -305,6 +304,6 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
         m=m,
         tau_tb=tau_tb,
         p_j=np.vstack([run_circuit(initial, n, plan, rates, t_step)[1] for plan in plans]),
-        model_p_step=lossmodel.p_step_twobody(n, m, t_step, tau_tb, model="finite"),
+        model_p_step=lossmodel.p_step_twobody(n, m, t_step, tau_tb),
         excluded_occupancy_mass=lossmodel.excluded_occupancy_mass(n, m),
     )

@@ -54,16 +54,6 @@ class FockState:
         return iter(self.occupations)
 
 
-@dataclass(frozen=True)
-class SiteOccupancy:
-    """Per-site atom counts of a Fock state, with pair/trio tallies."""
-
-    site_counts: tuple
-    k2: int
-    k3: int
-    max_occ: int
-
-
 def multiset_dimension(n, m):
     """Dimension of the N-particle bosonic space over M modes.
 
@@ -177,15 +167,9 @@ def site_count(m):
 
 
 def site_occupancy(state):
-    """Fold mode occupations into per-site counts (site s = modes 2s, 2s+1)."""
+    """Per-site atom counts as a tuple (site s = modes 2s, 2s+1)."""
     occ = state.occupations
-    counts = tuple(occ[2 * s] + occ[2 * s + 1] for s in range(site_count(state.m)))
-    return SiteOccupancy(
-        site_counts=counts,
-        k2=sum(1 for c in counts if c == 2),
-        k3=sum(1 for c in counts if c == 3),
-        max_occ=max(counts) if counts else 0,
-    )
+    return tuple(occ[2 * s] + occ[2 * s + 1] for s in range(site_count(state.m)))
 
 
 def is_collision_free(state):

@@ -17,6 +17,9 @@ post-selection and only scale the number of kept trials.  The quantum purity
 gamma (probability that the atoms are indistinguishable) relates to bunching
 through P_bunch = gamma + (1 - gamma) / 2.
 
+`_outcomes` is the one rule from the tallies of kept trials to (n0, n1, n2):
+both Monte Carlo paths pass it counts, `hom_analytic` the expected fractions.
+
 Both Monte Carlo paths draw in blocks of `MC_BLOCK` trials and turn each
 block into contiguous boolean threshold rows (`_threshold_rows`: one
 comparison pass, one bool transpose), so their masks and counts cost little
@@ -115,16 +118,17 @@ class BunchingFit:
         return purity_from_bunching(self.p_bunch)
 
 
-def _outcome_triple(s, p_bunch, p_lic0):
-    p2 = s * s * (1.0 - p_bunch)
-    p1 = s * s * p_bunch * (1.0 - p_lic0) + 2.0 * s * (1.0 - s)
-    p0 = s * s * p_bunch * p_lic0 + (1.0 - s) ** 2
-    return p0, p1, p2
+def _outcomes(none, one, both, bunched, gone):
+    """(n0, n1, n2) from kept trials with 0, 1, 2 survivors, bunched pairs and destroyed pairs."""
+    return gone + none, bunched - gone + one, both - bunched
 
 
 def hom_analytic(params):
     """Closed-form outcome probabilities; post-selection stages cancel."""
-    p0, p1, p2 = _outcome_triple(params.survival_s, params.p_bunch, params.p_lic0)
+    s = params.survival_s
+    bunched = s * s * params.p_bunch
+    p0, p1, p2 = _outcomes((1.0 - s) ** 2, 2.0 * s * (1.0 - s), s * s, bunched,
+                           bunched * params.p_lic0)
     return HomOutcomes(trials_kept=0, p0=p0, p1=p1, p2=p2)
 
 
@@ -148,12 +152,9 @@ def _simulate_block(params, block, seed):
     kept = addressed & reconstructed
     both = kept & alive1 & alive2
     pair_bunched = both & bunched
-    n_bunched = np.count_nonzero(pair_bunched)
-    gone = np.count_nonzero(pair_bunched & destroyed)
-    n0 = gone + np.count_nonzero(kept & ~(alive1 | alive2))
-    n1 = n_bunched - gone + np.count_nonzero(kept & (alive1 ^ alive2))
-    n2 = np.count_nonzero(both) - n_bunched
-    return np.array([n0, n1, n2])
+    tallies = (kept & ~(alive1 | alive2), kept & (alive1 ^ alive2), both, pair_bunched,
+               pair_bunched & destroyed)
+    return np.array(_outcomes(*map(np.count_nonzero, tallies)))
 
 
 def hom_monte_carlo(params, trials, seed, workers=1):
@@ -251,9 +252,7 @@ class _McObjective:
         gone = self.n_low_gone + int(
             np.searchsorted(self.sorted_high_gone, p_bunch, side="right")
         )
-        n0 = gone + self.n_none
-        n1 = (bunched - gone) + self.n_one
-        n2 = self.n_both - bunched
+        n0, n1, n2 = _outcomes(self.n_none, self.n_one, self.n_both, bunched, gone)
         return n0 / self.kept, n1 / self.kept, n2 / self.kept
 
 

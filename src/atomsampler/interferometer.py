@@ -68,7 +68,11 @@ class PulseSequence:
 
     phi_imprint: float
     theta_imprint: float
-    global_phase: float
+
+    @property
+    def global_phase(self):
+        """The residual common-mode phase, -phi_imprint / 2."""
+        return -self.phi_imprint / 2.0
 
     def factors(self):
         """Ordered (label, matrix) factors, first applied first."""
@@ -90,7 +94,7 @@ class PulseSequence:
 
 def composite_pulse(theta, phi):
     """Pulse train whose product reproduces coupling_matrix(theta, phi)."""
-    return PulseSequence(phi_imprint=phi, theta_imprint=theta, global_phase=-phi / 2.0)
+    return PulseSequence(phi_imprint=phi, theta_imprint=theta)
 
 
 def mesh_layers(m):
@@ -142,9 +146,9 @@ class CircuitPlan:
 
 
 def unitarity_defect(u):
-    """Max-abs deviation of U†U from the identity."""
+    """Max-abs deviation of U†U from the identity for an (M, K) matrix U; zero if K = 0."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0.0))
 
 
 def haar_random_unitary(m, seed):

@@ -53,9 +53,10 @@ def check_time(t):
         raise ValidationError(f"time must be finite and non-negative, got {t}")
 
 
-def _require_positive(name, value):
-    if not value > 0.0:
-        raise ValidationError(f"{name} must be positive, got {value}")
+def check_lifetime(name, tau):
+    """Raise unless the lifetime tau > 0; inf switches its loss channel off."""
+    if not tau > 0.0:
+        raise ValidationError(f"{name} must be positive, got {tau}")
 
 
 def _require_finite_positive(name, value):
@@ -83,7 +84,7 @@ class LossScenario:
 
     def __post_init__(self):
         for name in ("tau_bg", "tau_tb"):
-            _require_positive(name, getattr(self, name))
+            check_lifetime(name, getattr(self, name))
         for name in ("t_step", "t_init", "t_det", "mode_ratio_c"):
             _require_finite_positive(name, getattr(self, name))
         for name in ("eta_init", "eta_det"):
@@ -173,30 +174,35 @@ def excluded_occupancy_mass(n, m):
     return float(1 - truncated_sector_mass(n, m))
 
 
-def poisson_pair_limit(c, k2):
-    """Large-N limit of the pair-count distribution: Poisson, mean 3/(2c)."""
+def _check_mode_ratio(c):
     if not c > 0.0:
         raise ValidationError(f"mode ratio c must be positive, got {c}")
+
+
+def poisson_pair_limit(c, k2):
+    """Large-N limit of the pair-count distribution: Poisson, mean 3/(2c)."""
+    _check_mode_ratio(c)
     lam = 3.0 / (2.0 * c)
     return lam**k2 * math.exp(-lam) / math.factorial(k2)
 
 
 def p_step_twobody_closed(c, t, tau_tb):
-    """Large-N per-step two-body survival exp[(3/(2c)) (exp(-t/tau) - 1)]."""
+    """Large-N per-step two-body survival exp[(3/(2c)) (exp(-t/tau) - 1)], for c > 0."""
+    check_time(t)
+    check_lifetime("tau_tb", tau_tb)
+    _check_mode_ratio(c)
     return math.exp(1.5 / c * math.expm1(-t / tau_tb))
 
 
-def p_step_twobody(n, m, t, tau_tb, model):
-    """Per-step survival against two-body loss.
+def p_step_twobody(n, m, t, tau_tb):
+    """Per-step survival against two-body loss, from the finite-size sector sum.
 
-    The finite-size form weights each (k2, k3) sector by exp(-(k2 + 3 k3)
-    t / tau_tb) and renormalizes by the mass of the included sectors, so it
-    equals one at t = 0.  Where `uses_closed_form` says so, the large-N
-    closed form with c = M / N^2 is used instead.
+    Each (k2, k3) sector is weighted by exp(-(k2 + 3 k3) t / tau_tb) and
+    the sum renormalized by the mass of the included sectors, so it equals
+    one at t = 0; the large-N form is `p_step_twobody_closed`.
     """
     check_time(t)
-    if uses_closed_form(n, model):
-        return p_step_twobody_closed(m / n**2, t, tau_tb)
+    check_lifetime("tau_tb", tau_tb)
     terms = _occupancy_sector(n, m)
     if not terms:
         raise ValidationError(f"every placement of {n} atoms in {m} modes puts four on a site")
@@ -212,6 +218,7 @@ def p_step_twobody(n, m, t, tau_tb, model):
 def p_step_background(n, t, tau_bg):
     """Probability that no background-gas collision hits any of N atoms."""
     check_time(t)
+    check_lifetime("tau_bg", tau_bg)
     return math.exp(-n * t / tau_bg)
 
 
@@ -238,7 +245,7 @@ def p_survival(scenario, n, model):
         )
     p_bg = p_step_background(n, t, scenario.tau_bg)
     m = even_mode_count(n, c)
-    p_tb = p_step_twobody(n, m, t, scenario.tau_tb, model="finite")
+    p_tb = p_step_twobody(n, m, t, scenario.tau_tb)
     return (p_bg * p_tb) ** circuit_steps(scenario, n)
 
 

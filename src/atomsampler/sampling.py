@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, ValidationError
 from .fock import FockState, basis_array, check_size_cap, collision_free_array, multiset_dimension
+from .interferometer import UNITARITY_TOL, unitarity_defect
 from .permanent import check_glynn_cap, permanents_of_rows
 
 
@@ -66,6 +67,10 @@ def _checked_unitary(u, state):
         raise ValidationError(f"state length {state.m} does not match the unitary shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValidationError("every entry of the unitary must be finite")
+    # only the occupied input columns enter P(n); orthonormal ones extend to a unitary
+    defect = unitarity_defect(u[:, np.flatnonzero(state.occupations)])
+    if not defect <= UNITARITY_TOL:
+        raise ValidationError(f"input columns of U are not orthonormal: defect {defect:.3e}")
     return u
 
 

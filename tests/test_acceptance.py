@@ -101,8 +101,9 @@ def test_criterion_05_pair_trio_exactness():
         in_sector = 0
         for state in enumerate_basis(n, m):
             so = site_occupancy(state)
-            if so.max_occ <= 3:
-                tallies[(so.k2, so.k3)] = tallies.get((so.k2, so.k3), 0) + 1
+            if max(so) <= 3:
+                key = (so.count(2), so.count(3))
+                tallies[key] = tallies.get(key, 0) + 1
                 in_sector += 1
         dim = multiset_dimension(n, m)
         for k3 in range(n // 3 + 1):

@@ -255,7 +255,7 @@ def test_benchmark_first_step_is_exact_uniform_average():
 def test_benchmark_against_step_model():
     result = benchmark_vs_model(4, 16, 1.0, realizations=10, seed=2)
     assert result.p_j.shape == (10, 16)
-    model = p_step_twobody(4, 16, result.t_step, result.tau_tb, model="finite")
+    model = p_step_twobody(4, 16, result.t_step, result.tau_tb)
     assert result.model_p_step == model
     assert np.max(np.abs(result.mean_p_j - model)) < 0.015
     assert result.mean_p_total >= result.model_p_step_pow_m - 0.01

@@ -125,11 +125,11 @@ def test_is_collision_free_examples():
 
 def test_site_occupancy_examples():
     so = site_occupancy(FockState((1, 1, 0, 0)))
-    assert so.site_counts == (2, 0) and so.k2 == 1 and so.k3 == 0
+    assert so == (2, 0) and so.count(2) == 1 and so.count(3) == 0
     so = site_occupancy(FockState((1, 0, 0, 1)))
-    assert so.site_counts == (1, 1) and so.k2 == 0 and so.k3 == 0
+    assert so == (1, 1) and so.count(2) == 0 and so.count(3) == 0
     so = site_occupancy(FockState((2, 1, 0, 0)))
-    assert so.site_counts == (3, 0) and so.k2 == 0 and so.k3 == 1 and so.max_occ == 3
+    assert so == (3, 0) and so.count(2) == 0 and so.count(3) == 1 and max(so) == 3
 
 
 def test_site_occupancy_rejects_odd_mode_count():
@@ -152,7 +152,7 @@ def test_every_site_rule_consumer_rejects_odd_mode_count_alike():
 
 def test_site_counts_sum_to_n():
     for state in enumerate_basis(3, 8):
-        assert sum(site_occupancy(state).site_counts) == 3
+        assert sum(site_occupancy(state)) == 3
 
 
 def test_fockstate_validation_and_json():

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +227,24 @@ def test_block_tally_matches_the_strided_column_formula(params, block):
     two_out = both & ~bunched
     expected = [int(zero_out.sum()), int(one_out.sum()), int(two_out.sum())]
     assert hom._simulate_block(params, block, seed=block).tolist() == expected
+
+
+@pytest.mark.parametrize("params", list(THRESHOLD_PARAMS.values()), ids=list(THRESHOLD_PARAMS))
+def test_analytic_triple_is_the_expectation_of_the_per_trial_rule(params):
+    """Sum the 16 (alive1, alive2, bunched, destroyed) cases of a kept trial by their weights."""
+    expected = [0.0, 0.0, 0.0]
+    fates = (params.survival_s, params.survival_s, params.p_bunch, params.p_lic0)
+    for case in itertools.product((True, False), repeat=4):
+        weight = math.prod(p if hit else 1.0 - p for hit, p in zip(case, fates))
+        alive1, alive2, bunched, destroyed = case
+        both = alive1 and alive2
+        if (both and bunched and destroyed) or not (alive1 or alive2):
+            expected[0] += weight
+        elif (both and bunched) or alive1 != alive2:
+            expected[1] += weight
+        else:
+            expected[2] += weight
+    assert np.abs(hom_analytic(params).triple() - expected).max() <= 1e-15
 
 
 def _all_draw_probabilities(survival_s, p_lic0, trials, seed, p_bunch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from atomsampler.errors import ValidationError
+from atomsampler.exactsim import build_decay_diagonal
 from atomsampler.fock import enumerate_basis, multiset_dimension, site_occupancy
 from atomsampler.lossmodel import (
     ClassicalScenario,
@@ -37,7 +38,7 @@ def enumerated_sector_probability(n, m, k2, k3):
     count = 0
     for state in enumerate_basis(n, m):
         so = site_occupancy(state)
-        if so.max_occ <= 3 and so.k2 == k2 and so.k3 == k3:
+        if max(so) <= 3 and so.count(2) == k2 and so.count(3) == k3:
             count += 1
     return Fraction(count, multiset_dimension(n, m))
 
@@ -65,7 +66,7 @@ def test_pairs_trios_examples():
 def test_sector_mass_matches_enumeration():
     n, m = 5, 12
     total = sum(
-        1 for s in enumerate_basis(n, m) if site_occupancy(s).max_occ <= 3
+        1 for s in enumerate_basis(n, m) if max(site_occupancy(s)) <= 3
     )
     expected = Fraction(total, multiset_dimension(n, m))
     assert truncated_sector_mass(n, m) == expected
@@ -94,7 +95,7 @@ def test_pair_distribution_converges_to_poisson():
 
 
 def test_p_step_twobody_boundaries():
-    assert p_step_twobody(4, 16, 0.0, 1.0, model="auto") == pytest.approx(1.0, abs=1e-12)
+    assert p_step_twobody(4, 16, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     # strong-loss limit of the closed form: the collisionless mass
     assert p_step_twobody_closed(1.0, 1e9, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-9)
     # weak-loss limit decays as exp(-3 t / (2 tau))
@@ -104,22 +105,13 @@ def test_p_step_twobody_boundaries():
 
 
 def test_p_step_twobody_monotone_and_bounded():
-    values = [p_step_twobody(4, 16, t, 1.0, model="auto") for t in (0.0, 0.1, 0.5, 1.0, 5.0, 50.0)]
+    values = [p_step_twobody(4, 16, t, 1.0) for t in (0.0, 0.1, 0.5, 1.0, 5.0, 50.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     floor = p_pairs_trios(4, 16, 0, 0)
     assert all(v >= floor for v in values)
 
 
 def test_p_step_twobody_model_switch():
-    finite = p_step_twobody(10, 100, 0.01, 1.0, model="finite")
-    closed = p_step_twobody(10, 100, 0.01, 1.0, model="closed")
-    assert p_step_twobody(10, 100, 0.01, 1.0, model="auto") == finite
-    assert p_step_twobody(50, 2500, 0.01, 1.0, model="auto") == p_step_twobody_closed(
-        1.0, 0.01, 1.0
-    )
-    assert finite != closed
-    with pytest.raises(ValidationError):
-        p_step_twobody(4, 16, 0.1, 1.0, model="fancy")
     for n in (10, 50):  # on both sides of the finite/closed switch
         for rate in (p_survival, r_nisq):
             with pytest.raises(ValidationError, match="unknown model"):
@@ -132,8 +124,8 @@ def test_finite_and_closed_models_agree_at_large_n():
     for n in (100, 150):
         m = even_mode_count(n, 1.0)
         for t_over_tau in (0.01, 0.05, 0.1):
-            finite = p_step_twobody(n, m, t_over_tau, 1.0, model="finite")
-            closed = p_step_twobody(n, m, t_over_tau, 1.0, model="closed")
+            finite = p_step_twobody(n, m, t_over_tau, 1.0)
+            closed = p_step_twobody_closed(m / n**2, t_over_tau, 1.0)
             assert abs(finite - closed) / closed < 0.01
 
 
@@ -148,11 +140,43 @@ def test_p_step_background_values():
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_step_survivals_refuse_non_finite_or_negative_times(t):
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        p_step_twobody(4, 16, t, 1.0, model="finite")
+        p_step_twobody(4, 16, t, 1.0)
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        p_step_twobody(50, 2500, t, 1.0, model="closed")
+        p_step_twobody_closed(1.0, t, 1.0)
     with pytest.raises(ValidationError, match="finite and non-negative"):
         p_step_background(5, t, 1.0)
+
+
+LIFETIME_CALLERS = {
+    "LossScenario.tau_bg": lambda tau: LossScenario(
+        t_step=1.0, tau_bg=tau, tau_tb=1.0, t_init=1.0, t_det=1.0, eta_init=1.0, eta_det=1.0),
+    "LossScenario.tau_tb": lambda tau: LossScenario(
+        t_step=1.0, tau_bg=1.0, tau_tb=tau, t_init=1.0, t_det=1.0, eta_init=1.0, eta_det=1.0),
+    "p_step_background": lambda tau: p_step_background(5, 1.0, tau),
+    "p_step_twobody": lambda tau: p_step_twobody(4, 16, 1.0, tau),
+    "p_step_twobody_closed": lambda tau: p_step_twobody_closed(1.0, 1.0, tau),
+    "build_decay_diagonal.tau_bg": lambda tau: build_decay_diagonal(2, 4, tau, 1.0),
+    "build_decay_diagonal.tau_tb": lambda tau: build_decay_diagonal(2, 4, 1.0, tau),
+}
+
+
+@pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0, -math.inf, math.inf])
+@pytest.mark.parametrize("caller", list(LIFETIME_CALLERS))
+def test_lifetimes_must_be_positive_and_inf_switches_the_channel_off(caller, tau):
+    call = LIFETIME_CALLERS[caller]
+    if tau == math.inf:
+        result = call(tau)
+        if caller.startswith("p_step"):
+            assert result == 1.0
+    else:
+        with pytest.raises(ValidationError, match="must be positive, got"):
+            call(tau)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, -math.inf, math.nan])
+def test_closed_step_survival_refuses_a_mode_ratio_that_is_not_positive(c):
+    with pytest.raises(ValidationError, match="mode ratio c must be positive"):
+        p_step_twobody_closed(c, 1.0, 1.0)
 
 
 def test_p_survival_limits_and_identity():
@@ -220,7 +244,7 @@ def test_r_nisq_cross_checked_against_exactsim():
     s = CONSERVATIVE.loss
     ratio = s.tau_tb / (4 * s.t_step)  # tau in units of t_exec for N=2, M=4
     result = benchmark_vs_model(2, 4, ratio, realizations=20, seed=5)
-    model_survival = p_step_twobody(2, 4, s.t_step, s.tau_tb, model="finite") ** 4
+    model_survival = p_step_twobody(2, 4, s.t_step, s.tau_tb) ** 4
     assert result.mean_p_total == pytest.approx(model_survival, abs=0.01)
 
 

@@ -29,10 +29,6 @@ DATACLASS_FIELDS = [
     "exactsim.BenchmarkResult.p_j",
     "exactsim.BenchmarkResult.tau_tb",
     "fock.FockState.occupations",
-    "fock.SiteOccupancy.k2",
-    "fock.SiteOccupancy.k3",
-    "fock.SiteOccupancy.max_occ",
-    "fock.SiteOccupancy.site_counts",
     "hom.BunchingFit.p_bunch",
     "hom.BunchingFit.sigma",
     "hom.BunchingFit.trials_kept",
@@ -50,7 +46,6 @@ DATACLASS_FIELDS = [
     "interferometer.CircuitPlan.output_phases",
     "interferometer.CircuitPlan.phi",
     "interferometer.CircuitPlan.theta",
-    "interferometer.PulseSequence.global_phase",
     "interferometer.PulseSequence.phi_imprint",
     "interferometer.PulseSequence.theta_imprint",
     "lossmodel.ClassicalScenario.a_tilde",

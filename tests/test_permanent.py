@@ -442,6 +442,18 @@ def test_sampling_refuses_a_non_finite_unitary(bad):
         output_distribution(u, inp)
 
 
+def test_sampling_refuses_input_columns_that_are_not_orthonormal():
+    doubled = 2.0 * np.eye(2)
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        outcome_probability(doubled, FockState((1, 0)), FockState((1, 0)))
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        output_distribution(doubled, FockState((1, 1)))
+    # only the occupied input columns enter P(n), and the vacuum occupies none
+    half_bad = np.diag([1.0, 2.0])
+    assert output_distribution(half_bad, FockState((1, 0))).total_mass == 1.0
+    assert output_distribution(doubled, FockState((0, 0))).total_mass == 1.0
+
+
 def test_draw_samples_refuses_more_shots_than_the_cap(monkeypatch):
     dist = output_distribution(HADAMARD, FockState((1, 1)))
     monkeypatch.setattr(fock, "BASIS_CAP", 10)
