@@ -129,6 +129,8 @@ def cmd_rates(args):
     # the count, not len(ns): a range longer than sys.maxsize has no len
     rows = max(0, args.n_max - args.n_min + 1)
     check_size_cap(rows, f"rate rows for N = {args.n_min}..{args.n_max}")
+    if args.model == "finite":
+        lossmodel.check_finite_cap(args.n_max)
     ns = range(args.n_min, args.n_max + 1)
     for n in ns:
         atomic = lossmodel.r_nisq(bundle.loss, n, model=args.model)
@@ -139,13 +141,12 @@ def cmd_rates(args):
         bundle.loss, bundle.classical, n_range=(args.n_min, args.n_max), model=args.model
     )
     lines.append(f"# crossover_n = {star if star is not None else 'none'}")
-    finite_ns = [n for n in ns if not lossmodel.uses_closed_form(n, args.model)]
-    if finite_ns:
+    if args.model == "finite":
         worst = max(
             lossmodel.excluded_occupancy_mass(
                 n, lossmodel.even_mode_count(n, bundle.loss.mode_ratio_c)
             )
-            for n in finite_ns
+            for n in ns
         )
         lines.append(f"# excluded_occupancy_mass_max = {_fmt(worst)}")
     return [(args.out, "\n".join(lines) + "\n")]
@@ -272,7 +273,8 @@ def build_parser():
     _add_common(rates, scenario_default="state-of-the-art")
     rates.add_argument("--n-min", type=int, default=2)
     rates.add_argument("--n-max", type=int, default=60)
-    rates.add_argument("--model", choices=("auto", "finite", "closed"), default="auto")
+    rates.add_argument("--model", choices=("finite", "closed"), default="finite",
+                       help="survival model: the finite-size sum (N <= 200) or the large-N closed form")
     rates.set_defaults(handler=cmd_rates)
 
     sample = commands.add_parser(

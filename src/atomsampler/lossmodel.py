@@ -14,6 +14,11 @@ c = M / N^2 it tends to a Poisson law with mean 3 / (2 c).  Occupancies
 above three are dropped; the neglected probability mass is available via
 `excluded_occupancy_mass`.
 
+The survival model has two values, each one code path for every N:
+"finite" (the default) sums the sectors above on an even mode count near
+c N^2, for N up to `FINITE_MODEL_CAP` atoms, and "closed" is the paper's
+large-N form, with no cap.
+
 Sampling rates: the lossless machine draws collision-free events at
 (1/e) / (c N^2 t_step + t_init + t_det); preparation and detection
 inefficiencies contribute (eta_init eta_det)^N and the survival factor
@@ -27,24 +32,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
 from .fock import site_count
 
-#: Largest N evaluated with the finite-size pair/trio sum before switching
-#: to the large-N closed form.
-FINITE_MODEL_LIMIT = 40
+#: Largest N the finite-size sector sum evaluates.  Its cost grows steeply
+#: with N (about 0.1 s for one sector at N = 300); the closed form has no cap.
+FINITE_MODEL_CAP = 200
 
 
-def uses_closed_form(n, model):
-    """Whether `model` ("auto", "finite" or "closed") evaluates N atoms in closed form.
+def check_finite_cap(n):
+    """Refuse finite-size sector sums above `FINITE_MODEL_CAP` atoms; callers ask before a loop."""
+    if n > FINITE_MODEL_CAP:
+        raise SizeCapError(
+            f"the finite-size survival sum is capped at N <= {FINITE_MODEL_CAP}, got N = {n};"
+            " the closed form (--model closed) has no cap"
+        )
 
-    "auto" keeps the finite-size sum up to `FINITE_MODEL_LIMIT` atoms; any
-    other model name is a ValidationError.
-    """
-    if model not in ("auto", "finite", "closed"):
-        raise ValidationError(f"unknown model {model!r}")
-    return model == "closed" or (model == "auto" and n > FINITE_MODEL_LIMIT)
+
+def check_count(name, n, minimum):
+    """Raise unless n is an integer count n >= minimum."""
+    if not (isinstance(n, Integral) and n >= minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 def check_time(t):
@@ -131,14 +141,21 @@ def p_pairs_trios(n, m, k2, k3):
     Evaluated under the uniform bosonic mixture over M modes (M/2 sites)
     with integer combinatorics; unsatisfiable configurations get zero.
     """
+    check_count("n", n, 0)
+    check_count("m", m, 2)
     sites = site_count(m)
-    if k2 < 0 or k3 < 0:
-        raise ValidationError(f"negative occupancy counts k2={k2}, k3={k3}")
+    check_count("k2", k2, 0)
+    check_count("k3", k3, 0)
+    return Fraction(_sector_count(n, sites, k2, k3), comb(m + n - 1, n))
+
+
+def _sector_count(n, sites, k2, k3):
+    """Placements of N atoms on `sites` sites with exactly k2 pairs and k3 trios, the rest single."""
     singles = n - 2 * k2 - 3 * k3
     free_sites = sites - k2 - k3
     if singles < 0 or free_sites < 0 or singles > free_sites:
-        return Fraction(0)
-    numerator = (
+        return 0
+    return (
         4**k3
         * comb(sites, k3)
         * 3**k2
@@ -146,27 +163,49 @@ def p_pairs_trios(n, m, k2, k3):
         * 2**singles
         * comb(free_sites, singles)
     )
-    return Fraction(numerator, comb(m + n - 1, n))
 
 
-@lru_cache(maxsize=256)
+# typed, so that n = 2.0 misses the entry of n = 2 and meets the count check
+@lru_cache(maxsize=256, typed=True)
 def _occupancy_sector(n, m):
-    """All (k2, k3, probability) terms with site occupancy capped at three.
+    """Float weights of the (k2, k3) sectors with site occupancy capped at three, and their count.
 
-    Kept per (n, m): a rate curve asks for the same sector from `r_nisq`,
-    `crossover` and `excluded_occupancy_mass`.
+    Returns ((k2, k3, weight), ...) in `p_pairs_trios` order (k3 outer, k2
+    inner, zero sectors left out) and the exact number of placements they
+    hold.  Each weight is its integer placement count over the one shared
+    denominator C(M + N - 1, N), so it equals `float(p_pairs_trios(...))`
+    bit for bit (int true division rounds correctly).  Within one k3 the
+    counts follow from the largest k2 down by exact integer steps: a pair
+    fewer is two more singles on one more site.  Kept per (n, m): a rate
+    curve asks for the same sector from `r_nisq`, `crossover` and
+    `excluded_occupancy_mass`.
     """
-    return tuple(
-        (k2, k3, p)
-        for k3 in range(n // 3 + 1)
-        for k2 in range((n - 3 * k3) // 2 + 1)
-        if (p := p_pairs_trios(n, m, k2, k3))
-    )
+    check_count("n", n, 0)
+    check_count("m", m, 2)
+    check_finite_cap(n)
+    sites = site_count(m)
+    dim = comb(m + n - 1, n)
+    terms, total = [], 0
+    for k3 in range(n // 3 + 1):
+        k2 = (n - 3 * k3) // 2
+        singles = n - 3 * k3 - 2 * k2
+        occupied = k2 + k3 + singles
+        if occupied > sites:
+            continue
+        count = _sector_count(n, sites, k2, k3)
+        row = [(k2, count)]
+        while k2 and occupied < sites:
+            count = count * 4 * k2 * (sites - occupied) // (3 * (singles + 2) * (singles + 1))
+            k2, singles, occupied = k2 - 1, singles + 2, occupied + 1
+            row.append((k2, count))
+        terms += [(k2, k3, count / dim) for k2, count in reversed(row)]
+        total += sum(count for _, count in row)
+    return tuple(terms), total
 
 
 def truncated_sector_mass(n, m):
     """Exact probability (a `Fraction`) that no site holds four or more atoms."""
-    return sum((p for _, _, p in _occupancy_sector(n, m)), Fraction(0))
+    return Fraction(_occupancy_sector(n, m)[1], comb(m + n - 1, n))
 
 
 def excluded_occupancy_mass(n, m):
@@ -182,6 +221,7 @@ def _check_mode_ratio(c):
 def poisson_pair_limit(c, k2):
     """Large-N limit of the pair-count distribution: Poisson, mean 3/(2c)."""
     _check_mode_ratio(c)
+    check_count("k2", k2, 0)
     lam = 3.0 / (2.0 * c)
     return lam**k2 * math.exp(-lam) / math.factorial(k2)
 
@@ -203,20 +243,17 @@ def p_step_twobody(n, m, t, tau_tb):
     """
     check_time(t)
     check_lifetime("tau_tb", tau_tb)
-    terms = _occupancy_sector(n, m)
+    terms, _ = _occupancy_sector(n, m)
     if not terms:
         raise ValidationError(f"every placement of {n} atoms in {m} modes puts four on a site")
     # sum the same float weights for mass and decay so t = 0 gives exactly 1
-    weights = [float(p) for _, _, p in terms]
-    decayed = sum(
-        w * math.exp(-(k2 + 3.0 * k3) * t / tau_tb)
-        for (k2, k3, _), w in zip(terms, weights)
-    )
-    return decayed / sum(weights)
+    decayed = sum(w * math.exp(-(k2 + 3.0 * k3) * t / tau_tb) for k2, k3, w in terms)
+    return decayed / sum(w for _, _, w in terms)
 
 
 def p_step_background(n, t, tau_bg):
     """Probability that no background-gas collision hits any of N atoms."""
+    check_count("n", n, 0)
     check_time(t)
     check_lifetime("tau_bg", tau_bg)
     return math.exp(-n * t / tau_bg)
@@ -230,23 +267,25 @@ def circuit_steps(scenario, n):
 def p_survival(scenario, n, model):
     """Probability that all N atoms survive the full circuit execution.
 
-    (P_bg P_tb)^(c N^2); the two-body factor uses the finite-size sum on an
-    even mode count near c N^2, or the closed form for large N.
+    (P_bg P_tb)^(c N^2); under model "finite" the two-body factor is the
+    finite-size sum on an even mode count near c N^2, under "closed" the
+    large-N form.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    check_count("n", n, 1)
     t = scenario.t_step
     c = scenario.mode_ratio_c
-    if uses_closed_form(n, model):
+    if model == "finite":
+        p_bg = p_step_background(n, t, scenario.tau_bg)
+        m = even_mode_count(n, c)
+        p_tb = p_step_twobody(n, m, t, scenario.tau_tb)
+        return (p_bg * p_tb) ** circuit_steps(scenario, n)
+    if model == "closed":
         # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact
         return math.exp(
             -c * n**3 * t / scenario.tau_bg
             + 1.5 * n * n * math.expm1(-t / scenario.tau_tb)
         )
-    p_bg = p_step_background(n, t, scenario.tau_bg)
-    m = even_mode_count(n, c)
-    p_tb = p_step_twobody(n, m, t, scenario.tau_tb)
-    return (p_bg * p_tb) ** circuit_steps(scenario, n)
+    raise ValidationError(f"unknown model {model!r}")
 
 
 def n_threshold(scenario):
@@ -256,13 +295,12 @@ def n_threshold(scenario):
 
 def r_ideal(scenario, n):
     """Collision-free sampling rate of the lossless machine, in Hz."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    check_count("n", n, 1)
     t_exec = circuit_steps(scenario, n) * scenario.t_step
     return (1.0 / math.e) / (t_exec + scenario.t_init + scenario.t_det)
 
 
-def r_nisq(scenario, n, model="auto"):
+def r_nisq(scenario, n, model="finite"):
     """Sampling rate with preparation, loss, and detection penalties, in Hz."""
     eta = (scenario.eta_init * scenario.eta_det) ** n
     return eta * p_survival(scenario, n, model=model) * r_ideal(scenario, n)
@@ -274,22 +312,21 @@ def r_photonic(photonic, n, depth=None):
     Per-photon success is eta_f times the circuit transmission eta_c^depth;
     the depth defaults to the square-circuit value N^2.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    check_count("n", n, 1)
     if depth is None:
         depth = n * n
+    check_count("depth", depth, 0)
     eta = photonic.eta_f * photonic.eta_c**depth
     return (1.0 / math.e) * (photonic.r0 / n) * eta**n
 
 
 def r_classical(classical, n):
     """Rate of Metropolised-independence sampling on a classical machine."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    check_count("n", n, 1)
     return 2.0 ** (-n) / (100.0 * classical.a_tilde * n * n)
 
 
-def crossover(scenario, classical, n_range=(2, 200), model="auto"):
+def crossover(scenario, classical, n_range=(2, 200), model="finite"):
     """Smallest N where the atom machine outpaces the classical sampler.
 
     Returns None when no crossover occurs inside `n_range` (inclusive); an

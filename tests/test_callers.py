@@ -29,6 +29,8 @@ REFERENCES = [
     "fock.site_occupancy",
     # the only reader that checks a `decompose` payload rebuilds its unitary
     "interferometer.plan_from_json",
+    # the exact sector probability that the sector sum's float weights equal bit for bit (criterion 05)
+    "lossmodel.p_pairs_trios",
     # the large-N step survival that the finite-size sum approaches, checked at N = 100 and 150
     "lossmodel.p_step_twobody_closed",
     # the large-N law of the pair counts (criterion 06)

@@ -2,8 +2,9 @@
 
 A second comparison with a cap is a second place to keep in step with the
 first; a cap passed around as an argument is a comparison in disguise.  So
-in the package `GLYNN_CAP` is read only inside `check_glynn_cap` and
-`BASIS_CAP` only inside `check_size_cap`.  Docstrings may name them.
+in the package `GLYNN_CAP` is read only inside `check_glynn_cap`,
+`BASIS_CAP` only inside `check_size_cap` and `FINITE_MODEL_CAP` only inside
+`check_finite_cap`.  Docstrings may name them.
 """
 
 import ast
@@ -14,7 +15,11 @@ import atomsampler
 PACKAGE = Path(atomsampler.__file__).parent
 
 #: Cap -> the only function that may read it.
-OWNERS = {"GLYNN_CAP": "check_glynn_cap", "BASIS_CAP": "check_size_cap"}
+OWNERS = {
+    "GLYNN_CAP": "check_glynn_cap",
+    "BASIS_CAP": "check_size_cap",
+    "FINITE_MODEL_CAP": "check_finite_cap",
+}
 
 
 def _stray_reads(tree):

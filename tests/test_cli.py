@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from atomsampler import cli, fock, hom
+from atomsampler import cli, fock, hom, lossmodel
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -225,9 +225,10 @@ PAYLOAD_DIGESTS = {
         ["decompose", "--m", 16],
         ("65f3e42a7520e888833ce8bfa3433186e886215b42b8e747b977fd6b10efa293",),
     ),
+    # the finite-size sum for every N: rows 41..60 left the closed form
     "rates": (
         ["rates"],
-        ("6aebe22b1f2deb9d5e8a6982b8320843e6a654d8788d4ce05230eff3a10640bb",),
+        ("0a574714c17cb58b6558d5c1196ad845063b13170071416d79f628acea264e90",),
     ),
 }
 
@@ -405,6 +406,25 @@ def test_rates_from_a_single_atom(tmp_path):
     out = tmp_path / "r.csv"
     assert run("rates", "--n-min", 1, "--n-max", 3, "--model", "finite", "--out", out) == 0
     assert [row.split(",")[0] for row in payload_lines(out)[1:]] == ["1", "2", "3"]
+
+
+def test_rates_refuses_the_retired_auto_model(tmp_path):
+    assert run("rates", "--model", "auto", "--out", tmp_path / "r.csv") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rates_refuses_the_finite_sum_above_its_cap_before_any_sector(tmp_path, monkeypatch, capsys):
+    def no_sector(n, m):
+        raise AssertionError("a sector was computed before the cap was checked")
+
+    monkeypatch.setattr(lossmodel, "_occupancy_sector", no_sector)
+    n_max = lossmodel.FINITE_MODEL_CAP + 1
+    assert run("rates", "--n-max", n_max, "--out", tmp_path / "r.csv") == 3
+    assert "--model closed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "closed.csv"
+    assert run("rates", "--model", "closed", "--n-max", n_max, "--out", out) == 0
+    assert payload_lines(out)[-1].startswith(f"{n_max},")
 
 
 @pytest.mark.parametrize("c,message", [(1.7e308, "overflows"), (1e-12, "four on a site")])

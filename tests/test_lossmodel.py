@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from atomsampler.errors import ValidationError
+from atomsampler.errors import SizeCapError, ValidationError
 from atomsampler.exactsim import build_decay_diagonal
 from atomsampler.fock import enumerate_basis, multiset_dimension, site_occupancy
 from atomsampler.lossmodel import (
+    FINITE_MODEL_CAP,
     ClassicalScenario,
     LossScenario,
     PhotonicScenario,
@@ -112,12 +113,92 @@ def test_p_step_twobody_monotone_and_bounded():
 
 
 def test_p_step_twobody_model_switch():
-    for n in (10, 50):  # on both sides of the finite/closed switch
+    for n in (10, 50):  # an unknown name is refused at any N
         for rate in (p_survival, r_nisq):
             with pytest.raises(ValidationError, match="unknown model"):
                 rate(SOTA.loss, n, model="bogus")
     with pytest.raises(ValidationError, match="unknown model"):
         crossover(SOTA.loss, SOTA.classical, model="bogus")
+
+
+def reference_sector(n, m):
+    """(k2, k3, exact probability) of every nonzero sector, one `Fraction` per term."""
+    return [
+        (k2, k3, p)
+        for k3 in range(n // 3 + 1)
+        for k2 in range((n - 3 * k3) // 2 + 1)
+        if (p := p_pairs_trios(n, m, k2, k3))
+    ]
+
+
+@pytest.mark.parametrize("preset", [SOTA, CONSERVATIVE], ids=["state-of-the-art", "conservative"])
+def test_sector_sum_matches_the_per_term_fractions_bit_for_bit(preset):
+    s = preset.loss
+    for n in range(2, 61):
+        m = even_mode_count(n, s.mode_ratio_c)
+        terms = reference_sector(n, m)
+        weights = [float(p) for _, _, p in terms]
+        decayed = sum(
+            w * math.exp(-(k2 + 3.0 * k3) * s.t_step / s.tau_tb)
+            for (k2, k3, _), w in zip(terms, weights)
+        )
+        assert p_step_twobody(n, m, s.t_step, s.tau_tb) == decayed / sum(weights)
+        mass = sum((p for _, _, p in terms), Fraction(0))
+        assert truncated_sector_mass(n, m) == mass
+        assert excluded_occupancy_mass(n, m) == float(1 - mass)
+
+
+@pytest.mark.parametrize("preset", [SOTA, CONSERVATIVE], ids=["state-of-the-art", "conservative"])
+def test_rate_curve_has_no_seam_near_forty_atoms(preset):
+    # one survival model for every N: each step r(N)/r(N+1) is within 10 % of the next
+    steps = [r_nisq(preset.loss, n) / r_nisq(preset.loss, n + 1) for n in range(36, 46)]
+    for a, b in zip(steps, steps[1:]):
+        assert abs(b / a - 1.0) < 0.1
+
+
+def test_finite_sum_is_capped_and_the_closed_form_is_not():
+    n = FINITE_MODEL_CAP + 1
+    m = even_mode_count(n, 1.0)
+    for call in (
+        lambda: p_step_twobody(n, m, 1e-4, 1.0),
+        lambda: excluded_occupancy_mass(n, m),
+        lambda: p_survival(SOTA.loss, n, model="finite"),
+    ):
+        with pytest.raises(SizeCapError, match="--model closed"):
+            call()
+    assert 0.0 < p_survival(SOTA.loss, n, model="closed") < 1.0
+
+
+COUNT_CALLERS = {
+    "p_step_background.n": lambda k: p_step_background(k, 1.0, 1.0),
+    "p_step_twobody.n": lambda k: p_step_twobody(k, 4, 1.0, 1.0),
+    "excluded_occupancy_mass.n": lambda k: excluded_occupancy_mass(k, 8),
+    "excluded_occupancy_mass.m": lambda k: excluded_occupancy_mass(1, k + 2),
+    "p_pairs_trios.n": lambda k: p_pairs_trios(k, 16, 0, 0),
+    "p_pairs_trios.m": lambda k: p_pairs_trios(0, k + 2, 0, 0),
+    "p_pairs_trios.k2": lambda k: p_pairs_trios(4, 16, k, 0),
+    "p_pairs_trios.k3": lambda k: p_pairs_trios(4, 16, 0, k),
+    "poisson_pair_limit.k2": lambda k: poisson_pair_limit(1.0, k),
+    "r_photonic.depth": lambda k: r_photonic(PhotonicScenario(r0=1.0, eta_f=1.0, eta_c=0.5), 2, depth=k),
+    "p_survival.n": lambda k: p_survival(SOTA.loss, k + 1, model="finite"),
+    "r_ideal.n": lambda k: r_ideal(SOTA.loss, k + 1),
+    "r_photonic.n": lambda k: r_photonic(SOTA.photonic, k + 1),
+    "r_classical.n": lambda k: r_classical(SOTA.classical, k + 1),
+}
+
+
+@pytest.mark.parametrize("k", [-1, -3, 2.5, 0.0])
+@pytest.mark.parametrize("caller", list(COUNT_CALLERS))
+def test_counts_must_be_integers_at_their_minimum_or_above(caller, k):
+    # every caller takes k = 0 as its smallest count (rates shift N to k + 1, modes to k + 2)
+    with pytest.raises(ValidationError, match="must be an integer >="):
+        COUNT_CALLERS[caller](k)
+
+
+@pytest.mark.parametrize("caller", list(COUNT_CALLERS))
+def test_the_smallest_count_is_taken(caller):
+    value = COUNT_CALLERS[caller](0)
+    assert isinstance(value, (float, Fraction)) and 0.0 <= value < math.inf
 
 
 def test_finite_and_closed_models_agree_at_large_n():
@@ -184,7 +265,7 @@ def test_p_survival_limits_and_identity():
         t_step=33e-6, tau_bg=math.inf, tau_tb=math.inf, t_init=0.5, t_det=0.1,
         eta_init=0.99, eta_det=0.99,
     )
-    assert p_survival(no_loss, 10, model="auto") == pytest.approx(1.0, abs=1e-15)
+    assert p_survival(no_loss, 10, model="finite") == pytest.approx(1.0, abs=1e-15)
 
     s = SOTA.loss
     # background factor alone: exp(-N^3 t / tau_bg), about 0.9954 at N=37
@@ -193,7 +274,7 @@ def test_p_survival_limits_and_identity():
         t_det=s.t_det, eta_init=s.eta_init, eta_det=s.eta_det,
     )
     expected = math.exp(-(37**3) * s.t_step / s.tau_bg)
-    assert p_survival(bg_only, 37, model="auto") == pytest.approx(expected, rel=1e-10)
+    assert p_survival(bg_only, 37, model="finite") == pytest.approx(expected, rel=1e-10)
     assert expected == pytest.approx(0.9954, abs=5e-4)
 
     # closed-form algebraic identity
