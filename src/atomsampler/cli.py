@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exactsim, hom, lossmodel, sampling, scenarios
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError, ValidationError, check_count
 from .fock import FockState, check_size_cap, multiset_dimension
 from .interferometer import (
     clements_decompose,
@@ -154,8 +154,7 @@ def cmd_rates(args):
 
 def _default_input_state(n, m):
     """One atom per site in the plus mode when room allows, else packed."""
-    if n < 0:
-        raise ValidationError(f"atom number must be >= 0, got {n}")
+    check_count("atom number", n, 0)
     occ = [0] * m
     if n > 0 and 2 * (n - 1) < m:
         for s in range(n):
@@ -326,10 +325,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        check_count("--workers", args.workers, 1)
+        check_count("--seed", args.seed, 0)
         _write_files(args.handler(args))
         return 0
     except ValidationError as exc:

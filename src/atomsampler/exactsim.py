@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lossmodel
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_lifetime, check_positive, check_time
 from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
                    state_rank)
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
@@ -99,8 +99,8 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
     basis-length integer vector, so the narrow occupation table is never
     widened as a whole and no (dim, M/2) temporary is built.
     """
-    lossmodel.check_lifetime("tau_bg", tau_bg)
-    lossmodel.check_lifetime("tau_tb", tau_tb)
+    check_lifetime("tau_bg", tau_bg)
+    check_lifetime("tau_tb", tau_tb)
     sites = site_count(m)
     arr = basis_array(n, m)
     pair_terms = np.zeros(len(arr), dtype=np.int64)
@@ -116,7 +116,7 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
 
 def _decay_weights(amps, rates, t):
     """exp(-rate t) for every amplitude, once t and the shape of `rates` are checked."""
-    lossmodel.check_time(t)
+    check_time(t)
     if np.shape(amps) != np.shape(rates):
         raise ValidationError(
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
@@ -250,6 +250,7 @@ def _apply_couplings(amps, n, m, modes, blocks):
 
 def apply_layer(amps, n, plan, layer):
     """Apply layer `layer` of a plan, an index into `mesh_layers(plan.m)`."""
+    check_count("layer", layer, 0)
     _check_length(amps, n, plan)
     modes, blocks = _plan_steps(plan, n)[layer]
     amps = amps.astype(complex)
@@ -288,10 +289,8 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     pair lifetime to the execution time t_exec = M t_step matters; it must
     be a finite positive number.
     """
-    if realizations < 1:
-        raise ValidationError(f"need at least one realization, got {realizations}")
-    if not (math.isfinite(tau_tb_over_texec) and tau_tb_over_texec > 0.0):
-        raise ValidationError(f"tau_tb / t_exec must be finite and positive: {tau_tb_over_texec}")
+    check_count("realizations", realizations, 1)
+    check_positive("tau_tb / t_exec", tau_tb_over_texec)
     initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
     t_step = BenchmarkResult.t_step
     tau_tb = tau_tb_over_texec * m * t_step

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError, ValidationError, check_count
 
 #: Most rows, amplitudes or unitary entries an input-sized array may hold.
 BASIS_CAP = 10**7
@@ -60,8 +60,8 @@ def multiset_dimension(n, m):
     Equals the multiset coefficient binomial(M + N - 1, N); exact integer
     arithmetic, so there is no overflow for any representable input.
     """
-    if n < 0 or m < 1:
-        raise ValidationError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    check_count("n", n, 0)
+    check_count("m", m, 1)
     return comb(m + n - 1, n)
 
 
@@ -125,6 +125,8 @@ def collision_free_array(n, m):
     is descending lexicographic on occupation vectors like the full basis;
     the type is that of `basis_array`.
     """
+    check_count("n", n, 0)
+    check_count("m", m, 1)
     dim = check_size_cap(comb(m, n), f"collision-free patterns for n={n}, m={m}")
     return _occupation_rows(combinations(range(m), n), dim, n, m)
 
@@ -161,6 +163,7 @@ def state_rank(state):
 
 def site_count(m):
     """Lattice sites spanned by M modes; site s is modes 2s and 2s+1, so M must be even."""
+    check_count("mode count", m, 0)
     if m % 2 != 0:
         raise ValidationError(f"mode count {m} is odd; sites need mode pairs")
     return m // 2

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ValidationError
+from .errors import (DegenerateSampleError, ValidationError, check_count, check_positive_probability,
+                     check_probability)
 from .fock import check_size_cap
 from .parallel import spawn_seeds, parallel_map
 
@@ -69,9 +70,7 @@ class HomParams:
 
     def __post_init__(self):
         for name in ("survival_s", "p_lic0", "gamma", "p_addr", "p_rec"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+            check_probability(name, getattr(self, name))
 
     @property
     def p_bunch(self):
@@ -90,6 +89,8 @@ class HomOutcomes:
 
     @classmethod
     def from_counts(cls, n0, n1, n2):
+        for name, count in (("n0", n0), ("n1", n1), ("n2", n2)):
+            check_count(name, count, 0)
         total = n0 + n1 + n2
         if total <= 0:
             raise DegenerateSampleError("no trial kept: outcome counts are all zero")
@@ -165,10 +166,7 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     Trials whose addressing or position reconstruction fails are discarded,
     as the post-selection of the analytic model assumes.
     """
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    check_count("trials", trials, 1)
     full, rest = divmod(trials, MC_BLOCK)
     check_size_cap(full + (rest > 0), "Monte Carlo blocks")
     blocks = [MC_BLOCK] * full + [rest] * (rest > 0)
@@ -265,15 +263,15 @@ def fit_bunching(measured, survival_s, p_lic0, trials, seed):
     parametric `BOOTSTRAP_RESAMPLES` bootstrap resamples of the measured
     counts, which numpy draws for at most 2**63 - 1 trials.
     """
-    if measured.trials_kept <= 0:
-        raise ValidationError("measured outcomes carry no trials")
+    check_count("measured trials_kept", measured.trials_kept, 1)
     if measured.trials_kept > MAX_MEASURED_TRIALS:
         raise ValidationError(
             f"measured counts total {measured.trials_kept} trials, more than the "
             f"{MAX_MEASURED_TRIALS} a bootstrap resample can draw"
         )
-    if trials < 1:
-        raise ValidationError(f"need at least one Monte Carlo trial, got {trials}")
+    check_probability("survival_s", survival_s)
+    check_probability("p_lic0", p_lic0)
+    check_count("trials", trials, 1)
     model = _McObjective(survival_s, p_lic0, trials, seed)
 
     def solve(target):
@@ -299,8 +297,7 @@ def fit_bunching(measured, survival_s, p_lic0, trials, seed):
 
 def bunching_from_p2(p2, s):
     """Invert P2 = S^2 (1 - P_bunch) for P_bunch, with S in (0, 1] and P2 in [0, S^2]."""
-    if not 0.0 < s <= 1.0:
-        raise ValidationError(f"survival must lie in (0, 1], got {s}")
+    check_positive_probability("survival", s)
     if not 0.0 <= p2 <= s * s:
         raise ValidationError(f"p2 = {p2} lies outside [0, s^2 = {s * s}]")
     return 1.0 - p2 / (s * s)

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .fock import check_size_cap
 
 TWO_PI = 2.0 * np.pi
@@ -104,6 +104,7 @@ def mesh_layers(m):
     < M - 1.  There are M layers for M >= 3, one for M = 2 and none for
     M = 1; a plan's slots are these pairs, layer by layer.
     """
+    check_count("mode count", m, 0)
     layers = (range(idx % 2, m - 1, 2) for idx in range(m))
     return tuple(layer for layer in layers if layer)
 
@@ -157,8 +158,7 @@ def haar_random_unitary(m, seed):
     Orthonormalizes a complex Ginibre matrix and fixes the phases so the
     triangular factor of the QR factorization has a positive real diagonal.
     """
-    if m < 1:
-        raise ValidationError(f"mode count must be >= 1, got {m}")
+    check_count("mode count", m, 1)
     check_size_cap(m * m, f"unitary entries for m={m}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)

@@ -23,8 +23,9 @@ Sampling rates: the lossless machine draws collision-free events at
 (1/e) / (c N^2 t_step + t_init + t_det); preparation and detection
 inefficiencies contribute (eta_init eta_det)^N and the survival factor
 multiplies on top.  Photonic and classical-computer competitor rates follow
-the same conventions so the curves can be compared directly.  Of all
-scenario values only the lifetimes tau_bg and tau_tb may be infinite.
+the same conventions so the curves can be compared directly.  Every count,
+time, lifetime, rate and efficiency goes through its check in `errors`; of
+all scenario values only the lifetimes tau_bg and tau_tb may be infinite.
 """
 
 import math
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from numbers import Integral
 
-from .errors import SizeCapError, ValidationError
+from .errors import (SizeCapError, ValidationError, check_count, check_lifetime, check_positive,
+                     check_positive_probability, check_time)
 from .fock import site_count
 
 #: Largest N the finite-size sector sum evaluates.  Its cost grows steeply
@@ -49,34 +50,6 @@ def check_finite_cap(n):
             f"the finite-size survival sum is capped at N <= {FINITE_MODEL_CAP}, got N = {n};"
             " the closed form (--model closed) has no cap"
         )
-
-
-def check_count(name, n, minimum):
-    """Raise unless n is an integer count n >= minimum."""
-    if not (isinstance(n, Integral) and n >= minimum):
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {n!r}")
-
-
-def check_time(t):
-    """Raise unless t is a finite time t >= 0."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError(f"time must be finite and non-negative, got {t}")
-
-
-def check_lifetime(name, tau):
-    """Raise unless the lifetime tau > 0; inf switches its loss channel off."""
-    if not tau > 0.0:
-        raise ValidationError(f"{name} must be positive, got {tau}")
-
-
-def _require_finite_positive(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be finite and positive, got {value}")
-
-
-def _require_probability(name, value):
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +69,9 @@ class LossScenario:
         for name in ("tau_bg", "tau_tb"):
             check_lifetime(name, getattr(self, name))
         for name in ("t_step", "t_init", "t_det", "mode_ratio_c"):
-            _require_finite_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         for name in ("eta_init", "eta_det"):
-            _require_probability(name, getattr(self, name))
+            check_positive_probability(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -110,9 +83,9 @@ class PhotonicScenario:
     eta_c: float
 
     def __post_init__(self):
-        _require_finite_positive("r0", self.r0)
-        _require_probability("eta_f", self.eta_f)
-        _require_probability("eta_c", self.eta_c)
+        check_positive("r0", self.r0)
+        check_positive_probability("eta_f", self.eta_f)
+        check_positive_probability("eta_c", self.eta_c)
 
 
 @dataclass(frozen=True)
@@ -122,7 +95,7 @@ class ClassicalScenario:
     a_tilde: float
 
     def __post_init__(self):
-        _require_finite_positive("a_tilde", self.a_tilde)
+        check_positive("a_tilde", self.a_tilde)
         # the rate falls with N, so a finite N = 1 rate bounds every other
         if not math.isfinite(r_classical(self, 1)):
             raise ValidationError(f"a_tilde = {self.a_tilde} overflows the classical rate at N = 1")
@@ -130,6 +103,8 @@ class ClassicalScenario:
 
 def even_mode_count(n, c):
     """Even mode count nearest to c * n^2, for site-paired combinatorics; at least one site."""
+    check_count("n", n, 0)
+    check_positive("mode ratio c", c)
     if not math.isfinite(c * n * n):
         raise ValidationError(f"mode count c N^2 overflows at c = {c}, N = {n}")
     return max(2, 2 * round(c * n * n / 2.0))
@@ -213,14 +188,9 @@ def excluded_occupancy_mass(n, m):
     return float(1 - truncated_sector_mass(n, m))
 
 
-def _check_mode_ratio(c):
-    if not c > 0.0:
-        raise ValidationError(f"mode ratio c must be positive, got {c}")
-
-
 def poisson_pair_limit(c, k2):
     """Large-N limit of the pair-count distribution: Poisson, mean 3/(2c)."""
-    _check_mode_ratio(c)
+    check_positive("mode ratio c", c)
     check_count("k2", k2, 0)
     lam = 3.0 / (2.0 * c)
     return lam**k2 * math.exp(-lam) / math.factorial(k2)
@@ -230,7 +200,7 @@ def p_step_twobody_closed(c, t, tau_tb):
     """Large-N per-step two-body survival exp[(3/(2c)) (exp(-t/tau) - 1)], for c > 0."""
     check_time(t)
     check_lifetime("tau_tb", tau_tb)
-    _check_mode_ratio(c)
+    check_positive("mode ratio c", c)
     return math.exp(1.5 / c * math.expm1(-t / tau_tb))
 
 
@@ -261,6 +231,7 @@ def p_step_background(n, t, tau_bg):
 
 def circuit_steps(scenario, n):
     """Number of circuit steps c * N^2 (kept exact, not rounded)."""
+    check_count("n", n, 1)
     return scenario.mode_ratio_c * n * n
 
 
@@ -295,7 +266,6 @@ def n_threshold(scenario):
 
 def r_ideal(scenario, n):
     """Collision-free sampling rate of the lossless machine, in Hz."""
-    check_count("n", n, 1)
     t_exec = circuit_steps(scenario, n) * scenario.t_step
     return (1.0 / math.e) / (t_exec + scenario.t_init + scenario.t_det)
 
@@ -333,6 +303,8 @@ def crossover(scenario, classical, n_range=(2, 200), model="finite"):
     empty range is a ValidationError.
     """
     lo, hi = n_range
+    check_count("n_min", lo, 1)
+    check_count("n_max", hi, 1)
     if hi < lo:
         raise ValidationError(f"empty atom-number range: n_min={lo} > n_max={hi}")
     for n in range(lo, hi + 1):

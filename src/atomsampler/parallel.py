@@ -10,13 +10,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import check_count
+
 
 def spawn_seeds(seed, count):
     """Derive `count` child seed sequences from a root seed, in fixed order."""
+    check_count("seed count", count, 0)
     return np.random.SeedSequence(seed).spawn(count)
 
 
 def parallel_map(fn, items, workers):
     """Map `fn` over `items` on a pool of `workers` threads, results in input order."""
+    check_count("workers", workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

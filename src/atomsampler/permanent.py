@@ -37,7 +37,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError, ValidationError, check_count
 
 #: Glynn evaluation refuses matrices larger than this.
 GLYNN_CAP = 28
@@ -58,8 +58,7 @@ def _checked_square(a, name):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n < 1:
-        raise ValidationError(f"{name} needs n >= 1")
+    check_count(f"{name}'s matrix size", n, 1)
     return a, n
 
 

@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ValidationError
+from .errors import DegenerateSampleError, ValidationError, check_count
 from .fock import FockState, basis_array, check_size_cap, collision_free_array, multiset_dimension
 from .interferometer import UNITARITY_TOL, unitarity_defect
 from .permanent import check_glynn_cap, permanents_of_rows
@@ -122,8 +122,7 @@ def draw_samples(dist, shots, seed):
     of the type of `dist.states`.  Deterministic for a fixed seed; inverse-CDF over the canonical
     outcome order.
     """
-    if shots < 0:
-        raise ValidationError(f"shots must be >= 0, got {shots}")
+    check_count("shots", shots, 0)
     check_size_cap(shots, "shots")
     total_mass = dist.total_mass
     if not total_mass > 0.0:  # a NaN mass fails this test too
@@ -144,4 +143,5 @@ def collision_free_mass(n, m):
     binomial(M, N) singly-occupied patterns out of the full multiset count;
     approaches exp(-N^2/M)-type behavior, about 1/e for M = N^2 and large N.
     """
-    return comb(m, n) / multiset_dimension(n, m)
+    dim = multiset_dimension(n, m)  # checks both counts before comb sees them
+    return comb(m, n) / dim

@@ -296,7 +296,7 @@ def test_sample_rejects_negative_atom_number(tmp_path, capsys, n):
 @every_command
 def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, argv, workers):
     assert run(*argv, "--workers", workers, "--out", tmp_path / "out") == 2
-    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert "--workers must be an integer >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -355,7 +355,7 @@ def test_every_input_sized_allocation_exits_3_above_the_cap(
 @every_command
 def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
     assert run(*argv, "--seed", -1, "--out", tmp_path / "out") == 2
-    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -78,7 +78,7 @@ def test_monte_carlo_determinism_and_worker_invariance():
 
 @pytest.mark.parametrize("workers", [0, -2])
 def test_monte_carlo_rejects_fewer_than_one_worker(workers):
-    with pytest.raises(ValidationError, match="workers must be >= 1"):
+    with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
         hom_monte_carlo(EXPERIMENT, 1_000, seed=0, workers=workers)
 
 
