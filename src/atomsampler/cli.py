@@ -155,15 +155,11 @@ def cmd_rates(args):
 def _default_input_state(n, m):
     """One atom per site in the plus mode when room allows, else packed."""
     check_count("atom number", n, 0)
-    occ = [0] * m
-    if n > 0 and 2 * (n - 1) < m:
-        for s in range(n):
-            occ[2 * s] = 1
-    elif n <= m:
-        for j in range(n):
-            occ[j] = 1
-    else:
+    if n > m:
         raise ValidationError(f"cannot place {n} collision-free atoms in {m} modes")
+    step = 2 if 2 * (n - 1) < m else 1  # plus modes 0, 2, ... while the sites hold every atom
+    occ = [0] * m
+    occ[: step * n : step] = [1] * n
     return FockState(tuple(occ))
 
 

@@ -17,8 +17,8 @@ class DegenerateSampleError(ValidationError):
 
 
 def check_count(name, n, minimum):
-    """Raise unless n is an integer count n >= minimum."""
-    if not (isinstance(n, Integral) and n >= minimum):
+    """Raise unless n is an integer count n >= minimum; a bool is not a count."""
+    if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 

@@ -167,6 +167,7 @@ def hom_monte_carlo(params, trials, seed, workers=1):
     as the post-selection of the analytic model assumes.
     """
     check_count("trials", trials, 1)
+    check_count("workers", workers, 1)
     full, rest = divmod(trials, MC_BLOCK)
     check_size_cap(full + (rest > 0), "Monte Carlo blocks")
     blocks = [MC_BLOCK] * full + [rest] * (rest > 0)

@@ -14,7 +14,7 @@ from atomsampler.interferometer import unitary_from_json, unitary_to_json
 from atomsampler.lossmodel import r_ideal
 from atomsampler.permanent import GLYNN_CAP
 from atomsampler.sampling import outcome_probability
-from atomsampler.scenarios import load_bundle
+from atomsampler.scenarios import load_bundle, load_hom_counts
 
 
 def run(*argv):
@@ -563,6 +563,12 @@ def test_hom_fit_custom_counts(tmp_path):
     assert json.loads(out.read_text())["trials_kept"] == 100
 
 
+def test_integer_valued_float_counts_are_read_as_ints(tmp_path):
+    data = tmp_path / "counts.json"
+    data.write_text(json.dumps({"n0": 40.0, "n1": 41, "n2": 1.9e1}))
+    assert load_hom_counts(data).counts == (40, 41, 19)
+
+
 def test_validation_exit_code(tmp_path, capsys):
     data = tmp_path / "zero.json"
     data.write_text(json.dumps({"n0": 0, "n1": 0, "n2": 0}))
@@ -595,6 +601,8 @@ def test_hom_rejects_scenario_that_is_not_an_object(tmp_path, capsys, command, c
     {"n0": 40, "n1": -1, "n2": 19},
     {"n0": 40, "n1": 4.5, "n2": 19},
     {"n0": 40, "n1": "41", "n2": 19},
+    {"n0": 40, "n1": True, "n2": 19},
+    {"n0": 40, "n1": math.inf, "n2": 19},
 ])
 def test_hom_fit_rejects_malformed_counts(tmp_path, capsys, counts):
     data = tmp_path / "in" / "counts.json"

@@ -226,6 +226,44 @@ OWN_RULE_CALLERS = {
     "hom.purity_from_bunching.p_bunch": purity_from_bunching,
 }
 
+#: Callers whose result is a probability, a rate or a mass: a float or a
+#: `Fraction` in [0, inf) at the edge of the domain.  Every other caller
+#: returns an array, a record, an integer or None.
+NUMBER_RESULTS = {
+    "lossmodel.p_pairs_trios.n",
+    "lossmodel.p_pairs_trios.m",
+    "lossmodel.p_pairs_trios.k2",
+    "lossmodel.p_pairs_trios.k3",
+    "lossmodel.truncated_sector_mass.n",
+    "lossmodel.truncated_sector_mass.m",
+    "lossmodel.excluded_occupancy_mass.n",
+    "lossmodel.excluded_occupancy_mass.m",
+    "lossmodel.poisson_pair_limit.k2",
+    "lossmodel.poisson_pair_limit.c",
+    "lossmodel.p_step_twobody.n",
+    "lossmodel.p_step_twobody.m",
+    "lossmodel.p_step_twobody.t",
+    "lossmodel.p_step_twobody.tau_tb",
+    "lossmodel.p_step_twobody_closed.c",
+    "lossmodel.p_step_twobody_closed.t",
+    "lossmodel.p_step_twobody_closed.tau_tb",
+    "lossmodel.p_step_background.n",
+    "lossmodel.p_step_background.t",
+    "lossmodel.p_step_background.tau_bg",
+    "lossmodel.circuit_steps.n",
+    "lossmodel.p_survival.n",
+    "lossmodel.r_ideal.n",
+    "lossmodel.r_nisq.n",
+    "lossmodel.r_photonic.n",
+    "lossmodel.r_photonic.depth",
+    "lossmodel.r_classical.n",
+    "sampling.collision_free_mass.n",
+    "sampling.collision_free_mass.m",
+    "hom.bunching_from_p2.s",
+    "hom.bunching_from_p2.p2",
+    "hom.purity_from_bunching.p_bunch",
+}
+
 INF, NAN = math.inf, math.nan
 
 #: kind -> (callers, values outside the domain, a value at its edge, the owner's wording)
@@ -477,10 +515,21 @@ EDGES = [pytest.param(kind, key, id=key) for kind, (callers, *_) in SWEEPS.items
 def test_the_edge_of_each_domain_is_taken(kind, key):
     callers, _, edge, _ = SWEEPS[kind]
     result = callers[key](edge)
-    if isinstance(result, (float, Fraction)):
+    assert isinstance(result, (float, Fraction)) == (key in NUMBER_RESULTS)
+    if key in NUMBER_RESULTS:
         assert 0.0 <= result < math.inf
     if kind == "lifetime" and ".p_step" in key:
         assert result == 1.0  # inf switches the channel off
+
+
+def test_every_number_result_is_a_swept_caller():
+    assert NUMBER_RESULTS <= {key for callers, *_ in SWEEPS.values() for key in callers}
+
+
+def test_a_bool_is_not_a_count():
+    for call in (lambda: check_count("n", True, 0), lambda: HomOutcomes.from_counts(40, True, 19)):
+        with pytest.raises(ValidationError, match="must be an integer >="):
+            call()
 
 
 @pytest.mark.parametrize("call", list(REPORTED))
@@ -490,16 +539,19 @@ def test_each_reported_call_raises_validation_error(call):
 
 
 #: Functions that raise `ValidationError` from a comparison of a parameter,
-#: for a rule that is not one of the plain domains `errors` owns.
+#: each with the one rule it may state so, as `ast.unparse` writes its test:
+#: a rule that is not one of the plain domains `errors` owns.
 ALLOWED_RULES = {
+    # n collision-free atoms need at least n modes
+    "cli._default_input_state": "n > m",
     # P_bunch of two atoms lies in [1/2, 1]: distinguishable atoms bunch half the time
-    "hom.purity_from_bunching",
+    "hom.purity_from_bunching": "not P_BUNCH_MIN <= p_bunch <= 1.0",
     # P2 lies in [0, s^2], a bound set by the other parameter
-    "hom.bunching_from_p2",
+    "hom.bunching_from_p2": "not 0.0 <= p2 <= s * s",
     # an empty atom-number range, n_min > n_max, ties its two ends
-    "lossmodel.crossover",
+    "lossmodel.crossover": "hi < lo",
     # an odd mode count: sites are mode pairs
-    "fock.site_count",
+    "fock.site_count": "m % 2 != 0",
 }
 
 
@@ -542,7 +594,7 @@ def _raises_validation_error(body):
 
 
 def _domain_rules(tree):
-    """(line, function) of every `if` that raises `ValidationError` on a compared parameter."""
+    """(line, function, test) of every `if` that raises `ValidationError` on a compared parameter."""
     found = []
 
     def visit(node, prefix):
@@ -564,20 +616,19 @@ def _domain_rules(tree):
         for node in ast.walk(function):
             if (isinstance(node, ast.If) and _raises_validation_error(node.body)
                     and _compares_a_parameter(node.test, params)):
-                found.append((node.lineno, name))
+                found.append((node.lineno, name, ast.unparse(node.test)))
 
     visit(tree, "")
     return found
 
 
 def test_domain_rules_live_in_errors():
-    found = {
-        f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "errors.py"
-        for _, name in _domain_rules(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert found == ALLOWED_RULES
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "errors.py":
+            for _, name, rule in _domain_rules(ast.parse(path.read_text(encoding="utf-8"))):
+                found.setdefault(f"{path.stem}.{name}", []).append(rule)
+    assert found == {name: [rule] for name, rule in ALLOWED_RULES.items()}
 
 
 def test_the_guard_sees_every_inline_domain_rule():
@@ -610,5 +661,9 @@ def test_the_guard_sees_every_inline_domain_rule():
         "            raise ValidationError('x')\n"
     )
     assert _domain_rules(ast.parse(source)) == [
-        (2, "f"), (4, "f"), (8, "g"), (11, "h"), (25, "A.__post_init__"),
+        (2, "f", "n < 0"),
+        (4, "f", "not 0.0 <= m <= 1.0"),
+        (8, "g", "hi < lo"),
+        (11, "h", "m % 2 != 0"),
+        (25, "A.__post_init__", "x >= -1"),
     ]

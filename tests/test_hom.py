@@ -82,6 +82,14 @@ def test_monte_carlo_rejects_fewer_than_one_worker(workers):
         hom_monte_carlo(EXPERIMENT, 1_000, seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [0, 1.5])
+def test_monte_carlo_refuses_the_worker_count_before_it_plans_blocks(workers):
+    # more blocks than the cap allows: the worker count is refused first, with no seed split
+    trials = (fock.BASIS_CAP + 1) * hom.MC_BLOCK
+    with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
+        hom_monte_carlo(EXPERIMENT, trials, seed=0, workers=workers)
+
+
 def test_post_selection_invariance():
     plain = hom_monte_carlo(
         HomParams(0.84, 0.71, 0.462, p_addr=1.0, p_rec=1.0), 400_000, seed=13
