@@ -70,8 +70,6 @@ from .hom import (
     purity_from_bunching,
 )
 from .exactsim import (
-    apply_decay,
-    apply_layer,
     benchmark_vs_model,
     build_decay_diagonal,
     run_circuit,

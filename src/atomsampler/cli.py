@@ -182,12 +182,10 @@ def cmd_sample(args):
 
 
 def cmd_decompose(args):
-    if args.data:
+    if args.data is not None:
         u = unitary_from_json(scenarios.read_json(args.data))
-    elif args.m:
-        u = haar_random_unitary(args.m, args.seed)
     else:
-        raise ValidationError("decompose needs --data with a unitary or --m to draw one")
+        u = haar_random_unitary(args.m, args.seed)
     return [(args.out, _json(plan_to_json(clements_decompose(u))))]
 
 
@@ -287,8 +285,9 @@ def build_parser():
 
     decompose = commands.add_parser("decompose", help="factor a unitary into a mesh plan")
     _add_common(decompose)
-    decompose.add_argument("--data", help="unitary JSON path; omit to draw a random one")
-    decompose.add_argument("--m", type=int, help="mode count for a random unitary")
+    source = decompose.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="unitary JSON path")
+    source.add_argument("--m", type=int, help="mode count of a random unitary to draw instead")
     decompose.set_defaults(handler=cmd_decompose)
 
     exact = commands.add_parser("exactsim", help="stepped lossy circuit benchmark")

@@ -25,16 +25,13 @@ once, multiplies each n_pair's contiguous slice by its block and scatters
 them back.  Couplings of one layer share no mode but their fibers share
 basis rows, so they are applied one after another.
 
-`run_circuit` evaluates the coupling matrices of every slot of the plan in
-one call and their pair blocks in one call per n_pair; an idle slot
-(theta = phi = 0) keeps its block, which is exactly the identity.  It decays
-by the rates its caller passes, as `apply_decay` does, so `benchmark_vs_model`
-builds them once for all its realizations.  It steps through the same layer
-kernel as `apply_layer`, and its survival ratios and amplitudes are
-bit-identical to a loop of `apply_decay` and `apply_layer` over the plan's
-layers.  It returns the final amplitudes and the p_j vector; the total
-survival is their product.  The plan's output phases change no p_j and are
-not applied.
+`run_circuit` is the one path through a circuit.  It evaluates the
+coupling matrices of every slot of the plan in one call and their pair
+blocks in one call per n_pair; an idle slot (theta = phi = 0) keeps its
+block, which is exactly the identity.  It decays by the rates its caller
+passes, so `benchmark_vs_model` builds them once for all its realizations.
+It returns the final amplitudes and the p_j vector; the total survival is
+their product.  The plan's output phases change no p_j and are not applied.
 """
 
 import math
@@ -114,30 +111,6 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
     return n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
 
 
-def _decay_weights(amps, rates, t):
-    """exp(-rate t) for every amplitude, once t and the shape of `rates` are checked."""
-    check_time(t)
-    if np.shape(amps) != np.shape(rates):
-        raise ValidationError(
-            f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
-        )
-    return np.exp(-rates * t)
-
-
-def apply_decay(amps, rates, t):
-    """Multiply amplitudes by exp(-rate t); never increases the norm."""
-    return amps * _decay_weights(amps, rates, t)
-
-
-def _check_length(amps, n, plan):
-    """Raise unless `amps` spans the (n, plan.m) basis."""
-    dim = multiset_dimension(n, plan.m)
-    if len(amps) != dim:
-        raise ValidationError(
-            f"{len(amps)} amplitudes, but n={n} atoms on the plan's {plan.m} modes span {dim} states"
-        )
-
-
 @lru_cache(maxsize=256)
 def _pair_fibers(n, m, mode):
     """Basis indices grouped into fibers of the coupled pair (mode, mode+1).
@@ -207,25 +180,6 @@ def _pair_block(t2, n_pair):
     return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
-def _plan_steps(plan, n):
-    """Each mesh layer of a plan as (layer, blocks): its `mesh_layers` range
-    and, per n_pair = 1..n, the stacked pair blocks of its slots.
-
-    Every slot keeps its block; an idle one (theta = phi = 0) is exactly the
-    identity.  The coupling matrices come from one call, and each n_pair's
-    blocks from one call over them; a layer's blocks are views into that
-    stack.
-    """
-    t2 = coupling_matrix(plan.theta, plan.phi)
-    stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
-    steps, start = [], 0
-    for layer in mesh_layers(plan.m):
-        stop = start + len(layer)
-        steps.append((layer, [stack[start:stop] for stack in stacks]))
-        start = stop
-    return steps
-
-
 def _apply_couplings(amps, n, m, modes, blocks):
     """Apply, in place and in order, the couplings on pairs (mode, mode + 1).
 
@@ -248,31 +202,36 @@ def _apply_couplings(amps, n, m, modes, blocks):
         amps[flat] = out
 
 
-def apply_layer(amps, n, plan, layer):
-    """Apply layer `layer` of a plan, an index into `mesh_layers(plan.m)`."""
-    check_count("layer", layer, 0)
-    _check_length(amps, n, plan)
-    modes, blocks = _plan_steps(plan, n)[layer]
-    amps = amps.astype(complex)
-    _apply_couplings(amps, n, plan.m, modes, blocks)
-    return amps
-
-
 def run_circuit(amps, n, plan, rates, t_step):
     """Alternate decay and coherent layers from `amps`; return (amps, p_j).
 
-    Decay by exp(-rates t_step), as `apply_decay` applies it, acts before
-    each layer.  The plan's output phases, which change no survival ratio,
-    are not applied.  A step starting from zero norm has p_j = 0.
+    Decay by exp(-rates t_step) acts before each layer of
+    `mesh_layers(plan.m)`.  The plan's output phases, which change no
+    survival ratio, are not applied.  A step starting from zero norm has
+    p_j = 0.
     """
-    _check_length(amps, n, plan)
-    factor = _decay_weights(amps, rates, t_step)
+    dim = multiset_dimension(n, plan.m)
+    if len(amps) != dim:
+        raise ValidationError(
+            f"{len(amps)} amplitudes, but n={n} atoms on the plan's {plan.m} modes span {dim} states"
+        )
+    check_time(t_step)
+    if np.shape(amps) != np.shape(rates):
+        raise ValidationError(
+            f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
+        )
+    factor = np.exp(-rates * t_step)
+    t2 = coupling_matrix(plan.theta, plan.phi)
+    # per n_pair = 1..n, the pair blocks of every slot; a layer takes its slots' share
+    stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
     norm = float(np.vdot(amps, amps).real)
     amps = amps.astype(complex)
-    ratios = []
-    for layer, blocks in _plan_steps(plan, n):
+    ratios, start = [], 0
+    for layer in mesh_layers(plan.m):
+        stop = start + len(layer)
         amps *= factor
-        _apply_couplings(amps, n, plan.m, layer, blocks)
+        _apply_couplings(amps, n, plan.m, layer, [stack[start:stop] for stack in stacks])
+        start = stop
         # this step's ending norm is the next step's starting norm
         after = float(np.vdot(amps, amps).real)
         ratios.append(after / norm if norm else 0.0)

@@ -87,6 +87,14 @@ class HomOutcomes:
     p2: float
     counts: tuple = None
 
+    def __post_init__(self):
+        check_count("trials_kept", self.trials_kept, 0)
+        for name in ("p0", "p1", "p2"):
+            check_probability(name, getattr(self, name))
+        total = self.p0 + self.p1 + self.p2
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"p0 + p1 + p2 must be 1, got {total}")
+
     @classmethod
     def from_counts(cls, n0, n1, n2):
         for name, count in (("n0", n0), ("n1", n1), ("n2", n2)):

@@ -338,11 +338,13 @@ def unitary_to_json(u):
 
 
 def unitary_from_json(data):
+    """The unitary of a `unitary_to_json` payload; `re` and `im` are each m x m."""
     try:
         m = data["m"]
-        u = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"unitary payload needs m, numeric re and im: {exc}") from exc
-    if u.shape != (m, m):
-        raise ValidationError(f"unitary payload shape {u.shape} does not match m={m}")
-    return u
+    check_count("unitary payload m", m, 1)
+    if re.shape != (m, m) or im.shape != (m, m):
+        raise ValidationError(f"unitary payload re {re.shape} and im {im.shape} are not {m} x {m}")
+    return re + 1j * im

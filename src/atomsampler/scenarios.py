@@ -17,6 +17,7 @@ small measured-counts sample.
 import json
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Real
 
 from .errors import ValidationError
 from .hom import HomOutcomes, HomParams
@@ -39,10 +40,14 @@ class ScenarioBundle:
 
 
 def _as_float(section, key, value):
+    """A field's JSON number, or the string "inf", as a float; a bool is not a number."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if not (number or isinstance(value, str) and value == "inf"):
+        raise ValidationError(f"scenario field {section}.{key} is not a number: {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"scenario field {section}.{key} is not numeric: {value!r}")
+    except OverflowError:
+        raise ValidationError(f"scenario field {section}.{key} is too large for a float") from None
 
 
 def _build(cls, section, data):

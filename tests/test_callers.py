@@ -17,11 +17,8 @@ PACKAGE = Path(atomsampler.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 REFERENCES = [
-    # the decay step that `run_circuit` matches bit for bit
-    "exactsim.apply_decay",
-    # the layer step that `run_circuit` matches bit for bit
-    "exactsim.apply_layer",
-    # the one-Fock-state input of the state-vector vs permanent oracle (criterion 11)
+    # the one-Fock-state input of the state-vector vs permanent oracle (criterion 11) and of the
+    # decay laws, which run `run_circuit` on a plan whose pair blocks are all the identity
     "exactsim.basis_state",
     # the basis as `FockState`s, walked by the rank, occupancy and oracle tests
     "fock.enumerate_basis",

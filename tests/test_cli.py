@@ -104,6 +104,28 @@ def test_rates_rejects_infinite_scenario_value(tmp_path, capsys, section, field)
     assert not out.exists()
 
 
+HOM_SCENARIO = {"survival_s": 0.84, "p_lic0": 0.71, "gamma": 0.462}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", "1e-3", 10**400],
+                         ids=["true", "string", "exponent-string", "int-beyond-float"])
+@pytest.mark.parametrize("command,field", [("rates", "t_step"), ("hom-sim", "p_lic0")])
+def test_scenario_fields_are_json_numbers(tmp_path, capsys, command, field, value):
+    # a bool or a numeric string is not a number, and an integer beyond a float's range is refused
+    if command == "rates":
+        scenario = valid_scenario()
+        scenario["loss"][field] = value
+    else:
+        scenario = {**HOM_SCENARIO, field: value}
+    data = tmp_path / "in" / "s.json"
+    data.parent.mkdir()
+    data.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(command, "--scenario", data, "--out", out) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_frequencies_match_distribution(tmp_path):
     out = tmp_path / "samples.csv"
     assert run("sample", "--n", 2, "--m", 4, "--shots", 10_000, "--seed", 7, "--out", out) == 0
@@ -367,6 +389,12 @@ def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
     {"m": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
     {"m": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0, 0], [0, 0, 0]]},
     {"m": 2, "re": [[float("nan"), 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    # re and im must each be m x m, not broadcast to it
+    {"m": 2, "re": [[1, 0], [0, 1]], "im": 0},
+    {"m": 2, "re": [[1, 0], [0, 1]], "im": [0, 0]},
+    {"m": 1, "re": 1, "im": [[0]]},
+    {"m": True, "re": [[1]], "im": [[0]]},
+    {"m": 0, "re": [], "im": []},
 ])
 def test_decompose_rejects_malformed_unitary(tmp_path, capsys, payload):
     data = tmp_path / "in" / "u.json"
@@ -483,6 +511,21 @@ def test_decompose_identity(tmp_path):
 def test_decompose_needs_input(tmp_path, capsys):
     assert run("decompose", "--out", tmp_path / "p.json") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--data", "{u}", "--m", 5], "not allowed with argument"),
+    (["--m", 0], "must be an integer >= 1"),
+])
+def test_decompose_takes_one_source(tmp_path, capsys, argv, message):
+    # --data and --m exclude each other, and --m 0 is a mode count, not a missing flag
+    upath = tmp_path / "in" / "u.json"
+    upath.parent.mkdir()
+    upath.write_text(json.dumps(unitary_to_json(np.eye(2, dtype=complex))))
+    out = tmp_path / "plan.json"
+    assert run("decompose", *(str(a).format(u=upath) for a in argv), "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exactsim_outputs(tmp_path):

@@ -36,8 +36,6 @@ from atomsampler.errors import (
     check_time,
 )
 from atomsampler.exactsim import (
-    apply_decay,
-    apply_layer,
     benchmark_vs_model,
     build_decay_diagonal,
     run_circuit,
@@ -110,8 +108,6 @@ COUNT_CALLERS = {
     "exactsim.uniform_state.m": lambda k: uniform_state(1, k + 1),
     "exactsim.build_decay_diagonal.n": lambda k: build_decay_diagonal(k, 4, 1.0, 1.0),
     "exactsim.build_decay_diagonal.m": lambda k: build_decay_diagonal(1, 2 * k + 2, 1.0, 1.0),
-    "exactsim.apply_layer.n": lambda k: apply_layer(VACUUM, k, PLAN, 0),
-    "exactsim.apply_layer.layer": lambda k: apply_layer(VACUUM, 0, PLAN, k),
     "exactsim.run_circuit.n": lambda k: run_circuit(VACUUM, k, PLAN, VACUUM_RATES, 1.0),
     "exactsim.benchmark_vs_model.n": lambda k: benchmark_vs_model(k, 4, 1.0, 1, 0),
     "exactsim.benchmark_vs_model.m": lambda k: benchmark_vs_model(1, 2 * k + 2, 1.0, 1, 0),
@@ -125,6 +121,7 @@ COUNT_CALLERS = {
     "fock.collision_free_array.n": lambda k: collision_free_array(k, 3),
     "fock.collision_free_array.m": lambda k: collision_free_array(1, k + 1),
     "fock.site_count.m": lambda k: site_count(2 * k),
+    "hom.HomOutcomes.trials_kept": lambda k: HomOutcomes(k, 1.0, 0.0, 0.0),
     "hom.HomOutcomes.from_counts.n0": lambda k: HomOutcomes.from_counts(k, 1, 1),
     "hom.HomOutcomes.from_counts.n1": lambda k: HomOutcomes.from_counts(1, k, 1),
     "hom.HomOutcomes.from_counts.n2": lambda k: HomOutcomes.from_counts(1, 1, k),
@@ -164,7 +161,6 @@ COUNT_CALLERS = {
 
 TIME_CALLERS = {
     "errors.check_time.t": check_time,
-    "exactsim.apply_decay.t": lambda t: apply_decay(VACUUM, VACUUM_RATES, t),
     "exactsim.run_circuit.t_step": lambda t: run_circuit(VACUUM, 0, PLAN, VACUUM_RATES, t),
     "lossmodel.p_step_twobody_closed.t": lambda t: p_step_twobody_closed(1.0, t, 1.0),
     "lossmodel.p_step_twobody.t": lambda t: p_step_twobody(4, 16, t, 1.0),
@@ -204,6 +200,9 @@ PROBABILITY_CALLERS = {
     "hom.HomParams.gamma": lambda p: HomParams(survival_s=0.5, p_lic0=0.5, gamma=p),
     "hom.HomParams.p_addr": lambda p: HomParams(0.5, 0.5, 0.5, p_addr=p),
     "hom.HomParams.p_rec": lambda p: HomParams(0.5, 0.5, 0.5, p_rec=p),
+    "hom.HomOutcomes.p0": lambda p: HomOutcomes(1, p, 0.0, 0.0),
+    "hom.HomOutcomes.p1": lambda p: HomOutcomes(1, 0.0, p, 0.0),
+    "hom.HomOutcomes.p2": lambda p: HomOutcomes(1, 0.0, 0.0, p),
     "hom.fit_bunching.survival_s": lambda p: fit_bunching(MEASURED, p, 0.71, 1000, 0),
     "hom.fit_bunching.p_lic0": lambda p: fit_bunching(MEASURED, 0.84, p, 1000, 0),
 }
@@ -313,10 +312,6 @@ UNSWEPT = {
     "exactsim.BenchmarkResult.model_p_step": "record",
     "exactsim.BenchmarkResult.excluded_occupancy_mass": "record",
     "exactsim.basis_state.state": "object",
-    "exactsim.apply_decay.amps": "array",
-    "exactsim.apply_decay.rates": "array",
-    "exactsim.apply_layer.amps": "array",
-    "exactsim.apply_layer.plan": "object",
     "exactsim.run_circuit.amps": "array",
     "exactsim.run_circuit.plan": "object",
     "exactsim.run_circuit.rates": "array",
@@ -330,10 +325,6 @@ UNSWEPT = {
     "fock.state_rank.state": "object",
     "fock.site_occupancy.state": "object",
     "fock.is_collision_free.state": "object",
-    "hom.HomOutcomes.trials_kept": "record",
-    "hom.HomOutcomes.p0": "record",
-    "hom.HomOutcomes.p1": "record",
-    "hom.HomOutcomes.p2": "record",
     "hom.HomOutcomes.counts": "record",
     "hom.BunchingFit.p_bunch": "record",
     "hom.BunchingFit.sigma": "record",
@@ -422,6 +413,8 @@ REPORTED = {
     "p_step_twobody_closed(inf, 1, 1)": lambda: p_step_twobody_closed(math.inf, 1.0, 1.0),
     "even_mode_count(-3, 1.0)": lambda: even_mode_count(-3, 1.0),
     "even_mode_count(3, -1.0)": lambda: even_mode_count(3, -1.0),
+    "HomOutcomes(10, p0=2.0, p1=-1.0, p2=0.0)": lambda: HomOutcomes(10, 2.0, -1.0, 0.0),
+    "HomOutcomes(10, p0=0.9, p1=0.9, p2=0.0)": lambda: HomOutcomes(10, 0.9, 0.9, 0.0),
 }
 
 

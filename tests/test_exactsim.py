@@ -7,8 +7,6 @@ from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
     _pair_block,
     _pair_fibers,
-    apply_decay,
-    apply_layer,
     basis_state,
     benchmark_vs_model,
     build_decay_diagonal,
@@ -24,7 +22,7 @@ from atomsampler.interferometer import (
     mesh_layers,
 )
 from atomsampler.lossmodel import p_step_twobody
-from atomsampler.permanent import permanent_naive
+from atomsampler.permanent import permanent_naive, permanents_of_rows
 from atomsampler.sampling import outcome_probability
 
 
@@ -63,19 +61,26 @@ def test_decay_diagonal_equals_whole_table_formula(n, m, tau_bg):
     assert np.array_equal(build_decay_diagonal(n, m, tau_bg, 5.0), expected)
 
 
-def test_apply_decay_laws():
+def _idle_plan(m):
+    # every angle zero: each pair block is exactly the identity, so a step is its decay alone
+    slots = sum(map(len, mesh_layers(m)))
+    return CircuitPlan(m=m, theta=np.zeros(slots), phi=np.zeros(slots), output_phases=np.zeros(m))
+
+
+def test_decay_laws():
     pair = basis_state(FockState((1, 1, 0, 0)))
     rates = build_decay_diagonal(2, 4, tau_bg=math.inf, tau_tb=0.7)
-    assert np.array_equal(apply_decay(pair, rates, 0.0), pair)
+    final, p_j = run_circuit(pair, 2, _idle_plan(4), rates, 0.0)
+    assert np.array_equal(final, pair)
+    assert np.array_equal(p_j, np.ones(4))
     for t in (0.1, 0.5, 2.0):
-        survived = _norm_squared(apply_decay(pair, rates, t))
-        assert survived == pytest.approx(math.exp(-t / 0.7), rel=1e-12)
+        _, p_j = run_circuit(pair, 2, _idle_plan(4), rates, t)
+        assert p_j == pytest.approx(np.full(4, math.exp(-t / 0.7)), rel=1e-12)
     # zero-pair sector with two-body loss off: exp(-N t / tau_bg)
     free = basis_state(FockState((1, 0, 1, 0)))
     rates_bg = build_decay_diagonal(2, 4, tau_bg=1.3, tau_tb=math.inf)
-    assert _norm_squared(apply_decay(free, rates_bg, 0.4)) == pytest.approx(
-        math.exp(-2 * 0.4 / 1.3), rel=1e-12
-    )
+    _, p_j = run_circuit(free, 2, _idle_plan(4), rates_bg, 0.4)
+    assert p_j == pytest.approx(np.full(4, math.exp(-2 * 0.4 / 1.3)), rel=1e-12)
 
 
 def test_pair_sector_decay_law():
@@ -84,31 +89,33 @@ def test_pair_sector_decay_law():
     rates = build_decay_diagonal(5, 8, tau_bg=9.0, tau_tb=2.0)
     t = 0.37
     expected = math.exp(-5 * t / 9.0) * math.exp(-2 * t / 2.0)
-    assert _norm_squared(apply_decay(state, rates, t)) == pytest.approx(expected, rel=1e-12)
+    _, p_j = run_circuit(state, 5, _idle_plan(8), rates, t)
+    assert p_j == pytest.approx(np.full(8, expected), rel=1e-12)
 
 
 def _two_mode_plan(theta):
     return CircuitPlan(m=2, theta=[theta], phi=[0.0], output_phases=np.zeros(2))
 
 
-def test_apply_layer_identity_and_hom():
+def test_two_mode_identity_and_hom():
     state = basis_state(FockState((1, 1)))
-    assert np.array_equal(apply_layer(state, 2, _two_mode_plan(0.0), 0), state)
-    out = apply_layer(state, 2, _two_mode_plan(np.pi / 2.0), 0)
+    lossless = build_decay_diagonal(2, 2, math.inf, math.inf)
+    assert np.array_equal(run_circuit(state, 2, _two_mode_plan(0.0), lossless, 1.0)[0], state)
+    out, p_j = run_circuit(state, 2, _two_mode_plan(np.pi / 2.0), lossless, 1.0)
     probs = np.abs(out) ** 2
     assert probs[state_rank(FockState((2, 0)))] == pytest.approx(0.5, abs=1e-12)
     assert probs[state_rank(FockState((1, 1)))] == pytest.approx(0.0, abs=1e-12)
     assert probs[state_rank(FockState((0, 2)))] == pytest.approx(0.5, abs=1e-12)
-    assert _norm_squared(out) == pytest.approx(1.0, abs=1e-12)
+    assert p_j == pytest.approx([1.0], abs=1e-12)
 
 
 def test_norm_conservation_without_decay():
     for m, seed in ((4, 0), (8, 1), (12, 2)):
         plan = clements_decompose(haar_random_unitary(m, seed=seed))
-        state = uniform_state(3, m)
-        for layer in range(len(mesh_layers(m))):
-            state = apply_layer(state, 3, plan, layer)
-        assert abs(_norm_squared(state) - 1.0) < 1e-12
+        lossless = build_decay_diagonal(3, m, math.inf, math.inf)
+        final, p_j = run_circuit(uniform_state(3, m), 3, plan, lossless, 1.0)
+        assert np.max(np.abs(p_j - 1.0)) < 1e-12
+        assert abs(_norm_squared(final) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n,m,seed", [(2, 4, 0), (3, 6, 1), (2, 6, 2)])
@@ -138,15 +145,35 @@ def test_run_circuit_first_step_background_bound():
     assert all(p <= 1.0 + 1e-12 for p in p_j)
 
 
-def _layer_by_layer(initial, n, plan, t_step, tau_bg, tau_tb):
-    # reference: the public one-step functions, one layer at a time
-    rates = build_decay_diagonal(n, plan.m, tau_bg, tau_tb)
-    state, ratios = initial, []
-    for layer in range(len(mesh_layers(plan.m))):
+def _step_matrix(n, m, layer, t2):
+    # the layer's N-particle matrix from permanents: entry [out, in] is the permanent of the
+    # M x M transfer matrix on out's rows and in's columns, over sqrt(out! in!)
+    transfer, support = np.eye(m, dtype=complex), np.eye(m, dtype=int)
+    for k, block in zip(layer, t2):
+        transfer[k : k + 2, k : k + 2] = block
+        support[k : k + 2, k : k + 2] = 1
+    arr = basis_array(n, m)
+    norms = np.sqrt([math.prod(map(math.factorial, row)) for row in arr.tolist()])
+    # the permanent vanishes unless out and in hold as many atoms on each coupled pair
+    # and on each uncoupled mode
+    sums = arr @ support
+    step = np.zeros((len(arr), len(arr)), dtype=complex)
+    for i, row in enumerate(arr):
+        out = np.flatnonzero((sums == sums[i]).all(axis=1))
+        step[out, i] = permanents_of_rows(transfer[:, np.repeat(np.arange(m), row)], arr[out])
+    return step / np.outer(norms, norms)
+
+
+def _step_by_step(initial, n, plan, rates, t_step):
+    # reference: decay by exp(-rates t_step), then the layer's permanent matrix
+    t2 = coupling_matrix(plan.theta, plan.phi)
+    state, ratios, start = initial.astype(complex), [], 0
+    for layer in mesh_layers(plan.m):
         before = _norm_squared(state)
-        state = apply_decay(state, rates, t_step)
-        state = apply_layer(state, n, plan, layer)
+        step = _step_matrix(n, plan.m, layer, t2[start : start + len(layer)])
+        state = step @ (state * np.exp(-rates * t_step))
         ratios.append(_norm_squared(state) / before)
+        start += len(layer)
     return state, np.asarray(ratios)
 
 
@@ -163,15 +190,17 @@ def _with_idle_couplings(plan, index, count):
 @pytest.mark.parametrize("n,m,seed", [(3, 8, 5), (4, 10, 6)])
 @pytest.mark.parametrize("tau_bg", [math.inf, 7.0])
 @pytest.mark.parametrize("idle", [0, 1, 99])  # 99: the whole layer is idle
-def test_run_circuit_is_bit_identical_to_layer_by_layer(n, m, seed, tau_bg, idle):
+def test_run_circuit_matches_the_permanent_step_reference(n, m, seed, tau_bg, idle):
     plan = _with_idle_couplings(clements_decompose(haar_random_unitary(m, seed=seed)), 2, idle)
     initial = uniform_state(n, m)
     rates = build_decay_diagonal(n, m, tau_bg, 1.7)
-    for _ in range(2):  # a second run on the same rates gives the same bits
-        final, p_j = run_circuit(initial, n, plan, rates, 0.3)
-        expected, ratios = _layer_by_layer(initial, n, plan, 0.3, tau_bg, 1.7)
-        assert np.array_equal(p_j, ratios)
-        assert np.array_equal(final, expected)
+    final, p_j = run_circuit(initial, n, plan, rates, 0.3)
+    expected, ratios = _step_by_step(initial, n, plan, rates, 0.3)
+    assert np.max(np.abs(p_j - ratios)) <= 1e-12
+    assert np.max(np.abs(final - expected)) <= 1e-12
+    # a second run on the same rates gives the same bits
+    again, p_again = run_circuit(initial, n, plan, rates, 0.3)
+    assert np.array_equal(again, final) and np.array_equal(p_again, p_j)
 
 
 def test_idle_slots_change_no_amplitude():
@@ -181,9 +210,8 @@ def test_idle_slots_change_no_amplitude():
     n, m = 3, 6
     amps = uniform_state(n, m)
     amps *= np.exp(2j * np.pi * np.random.default_rng(3).random(amps.size))
-    slots = sum(map(len, mesh_layers(m)))
-    idle = CircuitPlan(m=m, theta=np.zeros(slots), phi=np.zeros(slots), output_phases=np.zeros(m))
-    final, p_j = run_circuit(amps, n, idle, build_decay_diagonal(n, m, math.inf, math.inf), 0.3)
+    lossless = build_decay_diagonal(n, m, math.inf, math.inf)
+    final, p_j = run_circuit(amps, n, _idle_plan(m), lossless, 0.3)
     assert np.array_equal(final, amps)
     assert np.array_equal(p_j, np.ones(m))
 
@@ -210,39 +238,31 @@ def test_run_circuit_validates_dimensions():
     plan6 = clements_decompose(haar_random_unitary(6, seed=8))
     for amps, n in ((uniform_state(2, 8), 2), (uniform_state(2, 4), 2), (uniform_state(2, 6), 3)):
         with pytest.raises(ValidationError, match="amplitudes"):
-            apply_layer(amps, n, plan6, 3)
+            run_circuit(amps, n, plan6, np.zeros(len(amps)), 1.0)
     amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 1.0, 1.0)
     for wrong in (build_decay_diagonal(2, 6, 1.0, 1.0), rates[:, None]):
         with pytest.raises(ValidationError, match="do not match rates"):
-            apply_decay(amps, wrong, 0.5)
-    with pytest.raises(ValidationError, match="non-negative"):
-        apply_decay(amps, rates, -0.5)
+            run_circuit(amps, 2, plan, wrong, 0.5)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_decay_refuses_non_finite_or_negative_times(t):
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, math.inf, 1.0)
-    # at t = 0 both leave every amplitude as it was
-    assert np.array_equal(apply_decay(amps, rates, 0.0), amps)
+    # at t = 0 the decay leaves every amplitude as it was
+    assert np.array_equal(run_circuit(amps, 2, _idle_plan(4), rates, 0.0)[0], amps)
     assert np.array_equal(run_circuit(amps, 2, plan, rates, 0.0)[0],
                           run_circuit(amps, 2, plan, np.zeros_like(rates), 1.0)[0])
-    with pytest.raises(ValidationError, match="finite and non-negative"):
-        apply_decay(amps, rates, t)
     with pytest.raises(ValidationError, match="finite and non-negative"):
         run_circuit(amps, 2, plan, rates, t)
 
 
 def test_decaying_norm_is_monotone():
     plan = clements_decompose(haar_random_unitary(6, seed=4))
-    state = uniform_state(3, 6)
     rates = build_decay_diagonal(3, 6, tau_bg=50.0, tau_tb=3.0)
-    norms = [_norm_squared(state)]
-    for layer in range(len(mesh_layers(6))):
-        state = apply_decay(state, rates, 0.2)
-        state = apply_layer(state, 3, plan, layer)
-        norms.append(_norm_squared(state))
-    assert all(a >= b for a, b in zip(norms, norms[1:]))
+    _, p_j = run_circuit(uniform_state(3, 6), 3, plan, rates, 0.2)
+    assert len(p_j) == 6
+    assert np.all(p_j <= 1.0)
 
 
 def test_benchmark_first_step_is_exact_uniform_average():

@@ -46,6 +46,15 @@ def test_analytic_probabilities_sum_to_one():
         assert out.p0 + out.p1 + out.p2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_the_package_builds_outcome_records_that_pass_their_check():
+    # every record `hom_analytic` and `from_counts` build passes `HomOutcomes`' own check, edges too
+    for s, p_lic0, gamma in itertools.product((0.0, 0.5, 0.84, 1.0), (0.0, 0.71, 1.0),
+                                              (0.0, 0.462, 1.0)):
+        hom_analytic(HomParams(s, p_lic0, gamma))
+    for counts in ((0, 0, 1), (1, 2, 3), (10**18, 1, 0)):
+        assert HomOutcomes.from_counts(*counts).counts == counts
+
+
 def test_p2_strictly_decreasing_in_gamma():
     values = [
         hom_analytic(HomParams(survival_s=0.84, p_lic0=0.71, gamma=g)).p2
