@@ -30,7 +30,10 @@ coupling matrices of every slot of the plan in one call and their pair
 blocks in one call per n_pair; an idle slot (theta = phi = 0) keeps its
 block, which is exactly the identity.  It decays by the rates its caller
 passes, so `benchmark_vs_model` builds them once for all its realizations.
-It returns the final amplitudes and the p_j vector; the total survival is
+Each step calls the two step kernels, `apply_decay` and `apply_layer`,
+which check nothing and have no other caller; they are module functions
+so that `bench/spans.py` times each half of a step.  `run_circuit`
+returns the final amplitudes and the p_j vector; the total survival is
 their product.  The plan's output phases change no p_j and are not applied.
 """
 
@@ -180,8 +183,14 @@ def _pair_block(t2, n_pair):
     return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
-def _apply_couplings(amps, n, m, modes, blocks):
-    """Apply, in place and in order, the couplings on pairs (mode, mode + 1).
+def apply_decay(amps, factor):
+    """One step's decay: multiply `amps`, in place, by exp(-rates t_step)."""
+    amps *= factor
+
+
+def apply_layer(amps, n, m, modes, blocks):
+    """One step's coherent layer: apply, in place and in order, the couplings
+    on pairs (mode, mode + 1) to `amps`.
 
     blocks[n_pair - 1][i] is the pair block of the coupling on modes[i].
     """
@@ -229,8 +238,8 @@ def run_circuit(amps, n, plan, rates, t_step):
     ratios, start = [], 0
     for layer in mesh_layers(plan.m):
         stop = start + len(layer)
-        amps *= factor
-        _apply_couplings(amps, n, plan.m, layer, [stack[start:stop] for stack in stacks])
+        apply_decay(amps, factor)
+        apply_layer(amps, n, plan.m, layer, [stack[start:stop] for stack in stacks])
         start = stop
         # this step's ending norm is the next step's starting norm
         after = float(np.vdot(amps, amps).real)

@@ -312,6 +312,13 @@ UNSWEPT = {
     "exactsim.BenchmarkResult.model_p_step": "record",
     "exactsim.BenchmarkResult.excluded_occupancy_mass": "record",
     "exactsim.basis_state.state": "object",
+    "exactsim.apply_decay.amps": "array",
+    "exactsim.apply_decay.factor": "array",
+    "exactsim.apply_layer.amps": "array",
+    "exactsim.apply_layer.n": "size",
+    "exactsim.apply_layer.m": "size",
+    "exactsim.apply_layer.modes": "object",
+    "exactsim.apply_layer.blocks": "array",
     "exactsim.run_circuit.amps": "array",
     "exactsim.run_circuit.plan": "object",
     "exactsim.run_circuit.rates": "array",
