@@ -250,8 +250,6 @@ def _add_common(sub, scenario_default=None):
         sub.add_argument("--scenario", default=scenario_default,
                          help="scenario preset name or JSON path")
     sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads, at least 1; only hom-sim uses them")
     sub.add_argument("--out", required=True, help="output file path")
 
 
@@ -310,6 +308,10 @@ def build_parser():
     hom_fit.add_argument("--trials", type=int, default=10**6)
     hom_fit.set_defaults(handler=cmd_hom_fit)
 
+    # sample and exactsim accept the flag and ignore it: bench/workloads.py passes it to them
+    for sub in (sample, exact, hom_sim):
+        sub.add_argument("--workers", type=int, default=1,
+                         help="worker threads, at least 1; only hom-sim uses them")
     return parser
 
 
@@ -320,7 +322,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        check_count("--workers", args.workers, 1)
+        if "workers" in args:
+            check_count("--workers", args.workers, 1)
         check_count("--seed", args.seed, 0)
         _write_files(args.handler(args))
         return 0

@@ -219,6 +219,7 @@ def run_circuit(amps, n, plan, rates, t_step):
     survival ratio, are not applied.  A step starting from zero norm has
     p_j = 0.
     """
+    amps, rates = np.asarray(amps), np.asarray(rates, dtype=float)
     dim = multiset_dimension(n, plan.m)
     if len(amps) != dim:
         raise ValidationError(

@@ -171,91 +171,19 @@ def _wrap_phi(phi):
     return float(np.mod(phi, TWO_PI))
 
 
-def _null_by_columns(work, row, col):
-    """Right-multiply by T(theta, phi)^-1 on columns (col, col+1) so that
-    work[row, col] becomes zero; returns the coupling angles."""
-    a = work[row, col]
-    b = work[row, col + 1]
-    if abs(a) == 0.0:
-        return 0.0, 0.0
-    theta = 2.0 * np.arctan2(abs(a), abs(b))
-    phi = _wrap_phi(np.angle(b) - np.angle(a))
-    t_inv = coupling_matrix(theta, phi).conj().T
-    work[:, col : col + 2] = work[:, col : col + 2] @ t_inv
-    return float(theta), phi
-
-
-def _null_by_rows(work, row, col):
-    """Left-multiply by T(theta, phi) on rows (row-1, row) so that
-    work[row, col] becomes zero; returns the coupling angles."""
-    a = work[row - 1, col]
-    b = work[row, col]
-    if abs(b) == 0.0:
-        return 0.0, 0.0
-    theta = 2.0 * np.arctan2(abs(b), abs(a))
-    phi = _wrap_phi(np.angle(a) - np.angle(b) - np.pi)
-    t = coupling_matrix(theta, phi)
-    work[row - 1 : row + 1, :] = t @ work[row - 1 : row + 1, :]
-    return float(theta), phi
-
-
-def _push_through_diagonal(mode, theta, phi, phases):
-    """Rewrite T(theta, phi)^-1 . diag(phases) as diag(phases') . T(theta, phi').
-
-    Exact identity: with psi1, psi2 the phases on the coupled pair,
-    phi' = psi2 - psi1 - pi and the new pair phases are
-    (phi + psi2 + pi, psi2).  For theta = 0 the coupling is dropped into the
-    diagonal entirely.
-    """
-    psi1 = phases[mode]
-    psi2 = phases[mode + 1]
-    if theta == 0.0:
-        phases[mode] = psi1 + phi
-        return 0.0, 0.0
-    phases[mode] = phi + psi2 + np.pi
-    return theta, _wrap_phi(psi2 - psi1 - np.pi)
-
-
-def _mesh_ops(u):
-    """Couplings (mode, theta, phi) of a unitary in application order, first
-    applied first, and the residual output phases.
-
-    Nulling sweeps alternate between column operations (absorbed directly
-    into the mesh) and row operations (pushed through the residual
-    diagonal), following the rectangular-mesh construction of Clements et al.
-    """
-    m = u.shape[0]
-    work = u.astype(complex)
-    right_ops = []  # application order, first applied first
-    left_ops = []  # recorded order of left multiplications
-    for diag in range(1, m):
-        if diag % 2 == 1:
-            for j in range(diag):
-                row = m - 1 - j
-                col = diag - 1 - j
-                theta, phi = _null_by_columns(work, row, col)
-                right_ops.append((col, theta, phi))
-        else:
-            for j in range(1, diag + 1):
-                row = m + j - diag - 1
-                col = j - 1
-                theta, phi = _null_by_rows(work, row, col)
-                left_ops.append((row - 1, theta, phi))
-    phases = list(np.angle(np.diagonal(work)))
-    converted = []
-    for mode, theta, phi in reversed(left_ops):
-        theta2, phi2 = _push_through_diagonal(mode, theta, phi, phases)
-        converted.append((mode, theta2, phi2))
-    return right_ops + converted, np.angle(np.exp(1j * np.asarray(phases, dtype=float)))
-
-
 def clements_decompose(u):
     """Factor a unitary into the canonical rectangular coupling mesh.
 
     Returns a CircuitPlan such that `reconstruct(plan)` equals `u` to within
-    numerical precision.  The i-th coupling applied on pair (k, k + 1) takes
-    that pair's slot in layer k mod 2 + 2 i; the nulling order fills every
-    slot of `mesh_layers(M)` this way.
+    numerical precision.  One pass of nulling sweeps, following the
+    rectangular-mesh construction of Clements et al., alternates between
+    column couplings (right multiplications, absorbed directly into the
+    mesh) and row couplings (left multiplications).  The i-th coupling
+    applied on pair (k, k + 1) takes that pair's slot in layer
+    k mod 2 + 2 i: each column coupling is placed as it nulls its entry; the
+    row couplings are pushed, last made first, through the residual
+    diagonal and then placed after every column coupling on their pair.
+    The nulling order fills every slot of `mesh_layers(M)` this way.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -266,15 +194,55 @@ def clements_decompose(u):
             f"matrix is not unitary: max-abs defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     m = u.shape[0]
-    ops, output_phases = _mesh_ops(u)
+    work = u.copy()
     layer_start = [0, *accumulate(map(len, mesh_layers(m)))]
     placed = [0] * m  # couplings placed so far on each pair
-    theta, phi = [0.0] * len(ops), [0.0] * len(ops)
-    for mode, t, p in ops:
+    theta, phi = np.zeros(layer_start[-1]), np.zeros(layer_start[-1])
+
+    def place(mode, t, p):
         slot = layer_start[mode % 2 + 2 * placed[mode]] + mode // 2
         placed[mode] += 1
-        theta[slot] = t
-        phi[slot] = p
+        theta[slot], phi[slot] = t, p
+
+    row_ops = []  # (mode, theta, phi) of the left multiplications, in the order made
+    for diag in range(1, m):
+        if diag % 2 == 1:
+            for j in range(diag):
+                # T(t, p)^-1 on columns (col, col + 1) nulls work[row, col]
+                row, col = m - 1 - j, diag - 1 - j
+                a, b = work[row, col], work[row, col + 1]
+                t = p = 0.0  # an entry that is zero already keeps the identity coupling
+                if abs(a) != 0.0:
+                    t = 2.0 * np.arctan2(abs(a), abs(b))
+                    p = _wrap_phi(np.angle(b) - np.angle(a))
+                    cols = work[:, col : col + 2]
+                    cols[...] = cols @ coupling_matrix(t, p).conj().T
+                place(col, t, p)
+        else:
+            for j in range(1, diag + 1):
+                # T(t, p) on rows (row - 1, row) nulls work[row, col]
+                row, col = m + j - diag - 1, j - 1
+                a, b = work[row - 1, col], work[row, col]
+                t = p = 0.0
+                if abs(b) != 0.0:
+                    t = 2.0 * np.arctan2(abs(b), abs(a))
+                    p = _wrap_phi(np.angle(a) - np.angle(b) - np.pi)
+                    rows = work[row - 1 : row + 1, :]
+                    rows[...] = coupling_matrix(t, p) @ rows
+                row_ops.append((row - 1, t, p))
+    phases = list(np.angle(np.diagonal(work)))
+    for mode, t, p in reversed(row_ops):
+        # exactly T(t, p)^-1 diag(phases) = diag(phases') T(t, p'): with psi1, psi2
+        # the pair's phases, p' = psi2 - psi1 - pi and the pair's new phases are
+        # (p + psi2 + pi, psi2); for t = 0 the coupling drops into the diagonal
+        psi1, psi2 = phases[mode], phases[mode + 1]
+        if t == 0.0:
+            phases[mode] = psi1 + p
+            place(mode, 0.0, 0.0)
+        else:
+            phases[mode] = p + psi2 + np.pi
+            place(mode, t, _wrap_phi(psi2 - psi1 - np.pi))
+    output_phases = np.angle(np.exp(1j * np.asarray(phases, dtype=float)))
     return CircuitPlan(m=m, theta=theta, phi=phi, output_phases=output_phases)
 
 

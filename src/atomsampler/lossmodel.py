@@ -26,9 +26,12 @@ multiplies on top.  Photonic and classical-computer competitor rates follow
 the same conventions so the curves can be compared directly.  Every count,
 time, lifetime, rate and efficiency goes through its check in `errors`; of
 all scenario values only the lifetimes tau_bg and tau_tb may be infinite.
+A count has no upper bound, but one that the float formulas cannot hold is
+a ValidationError, never an OverflowError.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +44,24 @@ from .fock import site_count
 #: Largest N the finite-size sector sum evaluates.  Its cost grows steeply
 #: with N (about 0.1 s for one sector at N = 300); the closed form has no cap.
 FINITE_MODEL_CAP = 200
+
+
+@contextmanager
+def _float_range(name):
+    """Refuse, as a ValidationError, a `name` too large for the float arithmetic in the block."""
+    try:
+        yield
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for float arithmetic") from None
+
+
+def _c_n_squared(c, n):
+    """c N^2 as a finite float: the circuit's step count, and its mode count before rounding."""
+    with _float_range("N"):
+        value = c * n * n
+    if not math.isfinite(value):
+        raise ValidationError(f"c N^2 overflows at c = {c}, N = {n:.6g}")
+    return value
 
 
 def check_finite_cap(n):
@@ -105,9 +126,7 @@ def even_mode_count(n, c):
     """Even mode count nearest to c * n^2, for site-paired combinatorics; at least one site."""
     check_count("n", n, 0)
     check_positive("mode ratio c", c)
-    if not math.isfinite(c * n * n):
-        raise ValidationError(f"mode count c N^2 overflows at c = {c}, N = {n}")
-    return max(2, 2 * round(c * n * n / 2.0))
+    return max(2, 2 * round(_c_n_squared(c, n) / 2.0))
 
 
 def p_pairs_trios(n, m, k2, k3):
@@ -193,7 +212,10 @@ def poisson_pair_limit(c, k2):
     check_positive("mode ratio c", c)
     check_count("k2", k2, 0)
     lam = 3.0 / (2.0 * c)
-    return lam**k2 * math.exp(-lam) / math.factorial(k2)
+    # in logs: lam^k2 and k2! leave the float range long before their ratio does;
+    # log 1.5 - log c stays finite where lam overflows
+    with _float_range("k2"):
+        return math.exp(k2 * (math.log(1.5) - math.log(c)) - lam - math.lgamma(k2 + 1))
 
 
 def p_step_twobody_closed(c, t, tau_tb):
@@ -226,13 +248,14 @@ def p_step_background(n, t, tau_bg):
     check_count("n", n, 0)
     check_time(t)
     check_lifetime("tau_bg", tau_bg)
-    return math.exp(-n * t / tau_bg)
+    with _float_range("n"):
+        return math.exp(-n * t / tau_bg)
 
 
 def circuit_steps(scenario, n):
     """Number of circuit steps c * N^2 (kept exact, not rounded)."""
     check_count("n", n, 1)
-    return scenario.mode_ratio_c * n * n
+    return _c_n_squared(scenario.mode_ratio_c, n)
 
 
 def p_survival(scenario, n, model):
@@ -252,10 +275,11 @@ def p_survival(scenario, n, model):
         return (p_bg * p_tb) ** circuit_steps(scenario, n)
     if model == "closed":
         # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact
-        return math.exp(
-            -c * n**3 * t / scenario.tau_bg
-            + 1.5 * n * n * math.expm1(-t / scenario.tau_tb)
-        )
+        with _float_range("N^3"):
+            return math.exp(
+                -c * n**3 * t / scenario.tau_bg
+                + 1.5 * n * n * math.expm1(-t / scenario.tau_tb)
+            )
     raise ValidationError(f"unknown model {model!r}")
 
 
@@ -272,7 +296,8 @@ def r_ideal(scenario, n):
 
 def r_nisq(scenario, n, model="finite"):
     """Sampling rate with preparation, loss, and detection penalties, in Hz."""
-    eta = (scenario.eta_init * scenario.eta_det) ** n
+    with _float_range("n"):
+        eta = (scenario.eta_init * scenario.eta_det) ** n
     return eta * p_survival(scenario, n, model=model) * r_ideal(scenario, n)
 
 
@@ -286,14 +311,16 @@ def r_photonic(photonic, n, depth=None):
     if depth is None:
         depth = n * n
     check_count("depth", depth, 0)
-    eta = photonic.eta_f * photonic.eta_c**depth
-    return (1.0 / math.e) * (photonic.r0 / n) * eta**n
+    with _float_range("n or depth"):
+        eta = photonic.eta_f * photonic.eta_c**depth
+        return (1.0 / math.e) * (photonic.r0 / n) * eta**n
 
 
 def r_classical(classical, n):
     """Rate of Metropolised-independence sampling on a classical machine."""
     check_count("n", n, 1)
-    return 2.0 ** (-n) / (100.0 * classical.a_tilde * n * n)
+    with _float_range("n"):
+        return 2.0 ** (-n) / (100.0 * classical.a_tilde * n * n)
 
 
 def crossover(scenario, classical, n_range=(2, 200), model="finite"):

@@ -36,6 +36,8 @@ SMALL_RUNS = {
     "hom-fit": ["hom-fit", "--trials", 10],
 }
 every_command = pytest.mark.parametrize("argv", list(SMALL_RUNS.values()), ids=list(SMALL_RUNS))
+#: Only hom-sim uses its workers; sample and exactsim accept the flag and ignore it.
+WITH_WORKERS = ("sample", "exactsim", "hom-sim")
 
 
 def test_rates_determinism_and_crossover(tmp_path):
@@ -315,10 +317,17 @@ def test_sample_rejects_negative_atom_number(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("workers", [0, -4])
-@every_command
-def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, argv, workers):
-    assert run(*argv, "--workers", workers, "--out", tmp_path / "out") == 2
+@pytest.mark.parametrize("command", WITH_WORKERS)
+def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, command, workers):
+    assert run(*SMALL_RUNS[command], "--workers", workers, "--out", tmp_path / "out") == 2
     assert "--workers must be an integer >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(set(SMALL_RUNS) - set(WITH_WORKERS)))
+def test_commands_without_workers_refuse_the_flag(tmp_path, capsys, command):
+    assert run(*SMALL_RUNS[command], "--workers", 2, "--out", tmp_path / "out") == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -245,6 +245,18 @@ def test_run_circuit_validates_dimensions():
             run_circuit(amps, 2, plan, wrong, 0.5)
 
 
+def test_run_circuit_takes_lists_as_it_takes_arrays():
+    plan = clements_decompose(haar_random_unitary(4, seed=8))
+    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 3.0, 1.0)
+    expected = run_circuit(amps, 2, plan, rates, 0.5)
+    for a, r in ((amps.tolist(), rates.tolist()), (amps.tolist(), rates), (amps, rates.tolist())):
+        got = run_circuit(a, 2, plan, r, 0.5)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
+    # one atom on a one-mode circuit: a list of one amplitude and one rate
+    final, p_j = run_circuit([1.0], 1, clements_decompose(np.eye(1)), [0.0], 1.0)
+    assert final.tolist() == [1.0] and p_j.size == 0
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_decay_refuses_non_finite_or_negative_times(t):
     plan = clements_decompose(haar_random_unitary(4, seed=8))

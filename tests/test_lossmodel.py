@@ -10,6 +10,7 @@ from atomsampler.lossmodel import (
     ClassicalScenario,
     LossScenario,
     PhotonicScenario,
+    circuit_steps,
     crossover,
     even_mode_count,
     excluded_occupancy_mass,
@@ -78,6 +79,14 @@ def test_poisson_limit_values():
     assert sum(poisson_pair_limit(1.0, k) for k in range(60)) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         poisson_pair_limit(0.0, 1)
+
+
+def test_poisson_limit_past_the_float_factorial():
+    # 171! exceeds the float range; the probability does not
+    for k2 in (0, 5, 170, 171, 300):
+        exact = Fraction(1.5) ** k2 * Fraction(math.exp(-1.5)) / math.factorial(k2)
+        assert poisson_pair_limit(1.0, k2) == pytest.approx(float(exact), rel=1e-12)
+    assert 0.0 < poisson_pair_limit(0.01, 200) < 1.0  # 150^200 exceeds the float range too
 
 
 def test_pair_distribution_converges_to_poisson():
@@ -335,3 +344,33 @@ def test_even_mode_count():
     assert even_mode_count(3, 1.0) == 8
     assert even_mode_count(5, 1.0) == 24
     assert even_mode_count(10, 0.5) == 50
+
+
+HUGE = 10**400  # past the float range, as are its square and cube
+
+#: Calls whose float arithmetic meets a count, its square or cube, or its factorial past the float range.
+FLOAT_RANGE_CALLS = {
+    "r_photonic": lambda: r_photonic(SOTA.photonic, HUGE),
+    "r_classical": lambda: r_classical(SOTA.classical, HUGE),
+    "r_ideal": lambda: r_ideal(SOTA.loss, HUGE),
+    "circuit_steps": lambda: circuit_steps(SOTA.loss, HUGE),
+    "circuit_steps(10**200)": lambda: circuit_steps(SOTA.loss, 10**200),
+    "p_survival finite": lambda: p_survival(SOTA.loss, HUGE, "finite"),
+    "p_survival closed": lambda: p_survival(SOTA.loss, HUGE, "closed"),
+    "r_nisq finite": lambda: r_nisq(SOTA.loss, HUGE, "finite"),
+    "r_nisq closed": lambda: r_nisq(SOTA.loss, HUGE, "closed"),
+    "p_step_background": lambda: p_step_background(HUGE, 1.0, 1.0),
+    "even_mode_count": lambda: even_mode_count(HUGE, 1.0),
+    "crossover": lambda: crossover(SOTA.loss, SOTA.classical, (HUGE, HUGE)),
+    "poisson_pair_limit(1.0, 171)": lambda: poisson_pair_limit(1.0, 171),
+    "poisson_pair_limit(1.0, HUGE)": lambda: poisson_pair_limit(1.0, HUGE),
+}
+
+
+@pytest.mark.parametrize("call", list(FLOAT_RANGE_CALLS))
+def test_counts_past_the_float_range_give_a_rate_or_validation_error(call):
+    try:
+        result = FLOAT_RANGE_CALLS[call]()
+    except ValidationError:
+        return
+    assert isinstance(result, float) and 0.0 <= result < math.inf
