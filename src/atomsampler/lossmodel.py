@@ -223,7 +223,12 @@ def p_step_twobody_closed(c, t, tau_tb):
     check_time(t)
     check_lifetime("tau_tb", tau_tb)
     check_positive("mode ratio c", c)
-    return math.exp(1.5 / c * math.expm1(-t / tau_tb))
+    decay = math.expm1(-t / tau_tb)
+    # no decay (t = 0, tau_tb = inf, or t / tau_tb below the float range) is
+    # survival 1, also where 1.5 / c overflows and inf * 0 would be nan
+    if decay == 0.0:
+        return 1.0
+    return math.exp(1.5 / c * decay)
 
 
 def p_step_twobody(n, m, t, tau_tb):
@@ -238,6 +243,9 @@ def p_step_twobody(n, m, t, tau_tb):
     terms, _ = _occupancy_sector(n, m)
     if not terms:
         raise ValidationError(f"every placement of {n} atoms in {m} modes puts four on a site")
+    # a channel that is off keeps every atom, even where k t overflows and inf / inf is nan
+    if tau_tb == math.inf:
+        return 1.0
     # sum the same float weights for mass and decay so t = 0 gives exactly 1
     decayed = sum(w * math.exp(-(k2 + 3.0 * k3) * t / tau_tb) for k2, k3, w in terms)
     return decayed / sum(w for _, _, w in terms)
@@ -248,6 +256,9 @@ def p_step_background(n, t, tau_bg):
     check_count("n", n, 0)
     check_time(t)
     check_lifetime("tau_bg", tau_bg)
+    # a channel that is off keeps every atom, even where n t overflows and inf / inf is nan
+    if tau_bg == math.inf:
+        return 1.0
     with _float_range("n"):
         return math.exp(-n * t / tau_bg)
 
@@ -274,12 +285,13 @@ def p_survival(scenario, n, model):
         p_tb = p_step_twobody(n, m, t, scenario.tau_tb)
         return (p_bg * p_tb) ** circuit_steps(scenario, n)
     if model == "closed":
-        # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact
+        # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact; a
+        # channel without decay adds 0, where inf / inf or inf * 0 would be nan
+        decay = math.expm1(-t / scenario.tau_tb)
         with _float_range("N^3"):
-            return math.exp(
-                -c * n**3 * t / scenario.tau_bg
-                + 1.5 * n * n * math.expm1(-t / scenario.tau_tb)
-            )
+            background = 0.0 if scenario.tau_bg == math.inf else c * n**3 * t / scenario.tau_bg
+            two_body = 0.0 if decay == 0.0 else 1.5 * n * n * decay
+            return math.exp(-background + two_body)
     raise ValidationError(f"unknown model {model!r}")
 
 

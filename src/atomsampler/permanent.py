@@ -4,17 +4,37 @@
 
     perm(A) = 2^-(n-1) sum_d (prod_i d_i) prod_j (sum_i d_i a_ij)
 
-over the 2^(n-1) sign vectors d with d_0 = +1, for a whole (D, n, n) stack
-at once.  The n - 1 free signs split into a low block of up to `LOW_SIGNS`
-signs and the remaining high signs.  The low block is one vectorized step:
-the low rows' contributions to every column sum, under all 2^low sign
-patterns, form one offset tensor, built by doubling (pattern s + 2^i is
-pattern s with row i + 1 subtracted instead of added); the column sums are
-multiplied together and summed against the patterns' parities.  A short
-Python loop walks the high signs and recomputes each base column sum
-directly from the rows.  Every column sum is thus a fresh sum of at most n
-terms, so rounding error cannot build up along the walk.  The kernel makes
-no BLAS call, so its speed does not depend on the BLAS thread settings.
+over the 2^(n-1) sign vectors d with d_0 = +1, for a stack of D matrices
+at once.  The batch axis is the last, contiguous one: the stack is
+(n, n, D), entry a[j, i, d] being entry (i, j) of matrix d, and every
+array the kernel builds ends in D, so each numpy call is one long loop over
+the batch.  The n - 1 free signs split into a low block of up to
+`LOW_SIGNS` signs and the remaining high signs.  The low block is one
+vectorized step: row 0 plus the low rows, under all 2^low sign patterns,
+form the (n, 2^low, D) column sums, built by doubling (pattern s + 2^i is
+pattern s with row i + 1 subtracted instead of added).  A short Python loop
+walks the high signs; for each pattern it sums the high rows afresh and
+shifts every column sum by them.  Every column sum is thus a fresh sum of
+at most n terms, so rounding error cannot build up along the walk.  The
+column sums are multiplied together, and the products are summed against
+the patterns' parities by a halving tree: the upper half of each block of
+patterns carries one more minus sign, so it is subtracted from the lower
+half until one value per matrix is left.  Every lane takes the same steps
+in the same order whatever D is, so a matrix's permanent has the same bits
+alone, at any position of any batch, and in a short last batch (tested,
+also with numpy's AVX-512 loops off).  A reduction such as `.sum(axis=0)`
+would not keep that: numpy's order of summation changes with the batch
+size.  The kernel makes no BLAS call, so its speed does not depend on the
+BLAS thread settings.
+
+Batch rule, which depends on n alone: `glynn_batch_size` fills `WORKSPACE`
+with the (n, 2^low, D) column sums, which gives thousands of matrices per
+batch at small n, 11 at n = 11, 5 at n = 12 and 2 at n = 13..16.  Where
+fewer than four fit, one matrix goes at a time: a numpy call that
+broadcasts over a batch axis of two loops 2^low times over two lanes, and
+at n = 13..16 that costs 2.6 to 2.9 times as much per matrix as one
+matrix, whose 2^low patterns form one contiguous loop.  At n = 12 five
+lanes still beat one.
 
 Drift bound: on the rank-one closed form perm(x y^T) = n! prod x prod y
 with random complex x, y at n = 20 the relative gap stays below 1e-11
@@ -23,16 +43,15 @@ with random complex x, y at n = 20 the relative gap stays below 1e-11
 `permanents_of_rows` is the kernel's only caller.  It holds the package's
 only loop over Glynn batches, for every matrix whose rows repeat those of
 one column block by an occupation row, as boson-sampling outcomes do.  Each
-batch gathers its own submatrix stack, and the kernel takes fresh scratch
-arrays of at most `WORKSPACE` complex elements each.  `check_glynn_cap` is
-the only comparison with `GLYNN_CAP`; `permanents_of_rows` and callers that
-refuse early ask it.  `permanent_glynn` is the checked single-matrix entry
-point, one all-ones occupation row through `permanents_of_rows`, and
-`permanent_naive` the factorial-time cross-check, summing row products over
-all permutations.
+batch gathers its own submatrix stack straight into the kernel's layout,
+and the kernel takes fresh scratch arrays of at most `WORKSPACE` complex
+elements each.  `check_glynn_cap` is the only comparison with `GLYNN_CAP`;
+`permanents_of_rows` and callers that refuse early ask it.
+`permanent_glynn` is the checked single-matrix entry point, one all-ones
+occupation row through `permanents_of_rows`, and `permanent_naive` the
+factorial-time cross-check, summing row products over all permutations.
 """
 
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -48,7 +67,7 @@ NAIVE_CAP = 9
 #: Signs evaluated in one vectorized step; 2^LOW_SIGNS sign vectors per matrix.
 LOW_SIGNS = 12
 
-#: Complex elements of the (batch, n, 2^low) offset tensor held at one time
+#: Complex elements of the (n, 2^low, batch) column sums held at one time
 #: (2 MiB); also sizes the submatrix stacks `permanents_of_rows` gathers.
 WORKSPACE = 1 << 17
 
@@ -69,54 +88,53 @@ def check_glynn_cap(n):
 
 
 def glynn_batch_size(n):
-    """Matrices of size n the kernel evaluates in one step within `WORKSPACE`."""
+    """Matrices of size n per kernel call: what `WORKSPACE` holds, or one if fewer than 4 fit."""
     low = min(max(n - 1, 0), LOW_SIGNS)
-    return max(1, WORKSPACE // (max(n, 1) << low))
-
-
-@lru_cache(maxsize=None)
-def _parity(low):
-    """Read-only parities of the 2^low low sign patterns, in doubling order."""
-    parity = np.empty(1 << low)
-    parity[0] = 1.0
-    for i in range(low):
-        h = 1 << i
-        np.negative(parity[:h], out=parity[h : 2 * h])
-    parity.setflags(write=False)
-    return parity
+    lanes = WORKSPACE // (max(n, 1) << low)
+    return lanes if lanes >= 4 else 1
 
 
 def _glynn_batch(a):
-    """Permanents of a (D, n, n) complex stack in one vectorized pass; n = 0 gives 1."""
-    d, n = a.shape[:2]
+    """Permanents of an (n, n, D) stack; a[j, i, d] is entry (i, j) of matrix d, n = 0 gives 1."""
+    n, _, d = a.shape
     if n == 0:
         return np.ones(d, dtype=complex)
     low = min(n - 1, LOW_SIGNS)
-    parity = _parity(low)
-    # sums[s, :, j]: rows 1..low's part of column sum j under low sign pattern s
-    sums = np.empty((1 << low, d, n), dtype=complex)
-    sums[0] = 0.0
+    high = n - 1 - low
+    # sums[j, s]: row 0 plus rows 1..low under low sign pattern s, in column j
+    sums = np.empty((n, 1 << low, d), dtype=complex)
+    sums[:, 0] = a[:, 0]
     for i in range(low):
         h = 1 << i
-        np.subtract(sums[:h], a[:, i + 1], out=sums[h : 2 * h])
-        sums[:h] += a[:, i + 1]
-    # (D, n, 2^low): each column's offsets contiguous for the product below
-    offsets = np.ascontiguousarray(sums.transpose(1, 2, 0))
-    high = a[:, low + 1 :]
-    base = np.empty((d, n), dtype=complex)
-    prods = np.empty((d, 1 << low), dtype=complex)
-    factor = np.empty((d, 1 << low), dtype=complex)
+        row = a[:, i + 1, None]
+        np.subtract(sums[:, :h], row, out=sums[:, h : 2 * h])
+        sums[:, :h] += row
+    base = np.empty((n, d), dtype=complex)
+    factor = np.empty((1 << low, d), dtype=complex)
+    prods = np.empty((1 << low, d), dtype=complex)
     total = np.zeros(d, dtype=complex)
-    for k in range(1 << (n - 1 - low)):
-        signs = 1.0 - 2.0 * ((k >> np.arange(n - 1 - low)) & 1)
-        np.einsum("h,dhj->dj", signs, high, out=base)
-        base += a[:, 0]
-        np.add(offsets[:, 0], base[:, :1], out=prods)
-        prods *= parity
+    for k in range(1 << high):
+        if high:
+            # the high rows under high sign pattern k, summed afresh, shift every column sum
+            base[:] = 0.0
+            for i in range(high):
+                if k >> i & 1:
+                    base -= a[:, low + 1 + i]
+                else:
+                    base += a[:, low + 1 + i]
+            np.add(sums[0], base[0], out=prods)
+        else:
+            prods[:] = sums[0]
         for j in range(1, n):
-            np.add(offsets[:, j], base[:, j : j + 1], out=factor)
-            prods *= factor
-        total += signs.prod() * prods.sum(axis=1)
+            prods *= np.add(sums[j], base[j], out=factor) if high else sums[j]
+        # sum over patterns weighted by their parities, as a halving tree: the
+        # upper half of every block flips one more sign, so it is subtracted;
+        # each lane takes the same steps at any D
+        h = 1 << low
+        while h > 1:
+            h >>= 1
+            prods[:h] -= prods[h : 2 * h]
+        total += (-1.0 if bin(k).count("1") & 1 else 1.0) * prods[0]
     return total / (1 << (n - 1))
 
 
@@ -139,12 +157,13 @@ def permanents_of_rows(columns, occupations):
     out = np.empty(d, dtype=complex)
     batch = glynn_batch_size(n)
     tiled_modes = np.tile(np.arange(m), min(batch, d))
+    columns_t = np.ascontiguousarray(columns.T)
     for i in range(0, d, batch):
         rows = occupations[i : i + batch]
         b = len(rows)
         # each row holds N atoms, so its expanded mode indices fill one line of N
         row_modes = np.repeat(tiled_modes[: b * m], rows.ravel()).reshape(b, n)
-        out[i : i + b] = _glynn_batch(columns[row_modes])
+        out[i : i + b] = _glynn_batch(np.take(columns_t, row_modes.T, axis=1))
     return out
 
 

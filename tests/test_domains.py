@@ -19,6 +19,7 @@ parameter with a number or with another parameter, apart from the rules in
 
 import ast
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,12 +266,17 @@ NUMBER_RESULTS = {
 
 INF, NAN = math.inf, math.nan
 
+#: An int past the float range; a rule that feeds float arithmetic refuses it
+#: as a ValidationError, not as an OverflowError.
+BIG = 10**400
+
 #: kind -> (callers, values outside the domain, a value at its edge, the owner's wording)
 SWEEPS = {
     "count": (COUNT_CALLERS, [-1, -3, 2.5, 0.0, NAN, INF, -INF], 0, "must be an integer >="),
-    "time": (TIME_CALLERS, [-1.0, NAN, INF, -INF], 0.0, "time must be finite and non-negative"),
-    "lifetime": (LIFETIME_CALLERS, [-1.0, 0.0, NAN, -INF], INF, "must be positive, got"),
-    "positive": (POSITIVE_CALLERS, [-1.0, 0.0, NAN, INF, -INF], 1.0, "must be finite and positive"),
+    "time": (TIME_CALLERS, [-1.0, NAN, INF, -INF, BIG], 0.0, "time must be finite and non-negative"),
+    "lifetime": (LIFETIME_CALLERS, [-1.0, 0.0, NAN, -INF, BIG], INF, "must be positive, got"),
+    "positive": (
+        POSITIVE_CALLERS, [-1.0, 0.0, NAN, INF, -INF, BIG], 1.0, "must be finite and positive"),
     "probability": (
         PROBABILITY_CALLERS, [-1.0, 1.5, 2.5, NAN, INF, -INF], 1.0, r"must lie in \[0, 1\]"),
     "positive probability": (
@@ -422,6 +428,10 @@ REPORTED = {
     "even_mode_count(3, -1.0)": lambda: even_mode_count(3, -1.0),
     "HomOutcomes(10, p0=2.0, p1=-1.0, p2=0.0)": lambda: HomOutcomes(10, 2.0, -1.0, 0.0),
     "HomOutcomes(10, p0=0.9, p1=0.9, p2=0.0)": lambda: HomOutcomes(10, 0.9, 0.9, 0.0),
+    "p_step_twobody_closed(1, 1, 10**400)": lambda: p_step_twobody_closed(1.0, 1.0, BIG),
+    "p_step_twobody_closed(10**400, 1, 1)": lambda: p_step_twobody_closed(BIG, 1.0, 1.0),
+    "p_step_twobody(2, 4, 10**400, 1)": lambda: p_step_twobody(2, 4, BIG, 1.0),
+    "replace(preset, t_step=10**400)": lambda: replace(SOTA.loss, t_step=BIG),
 }
 
 
@@ -494,7 +504,7 @@ def test_the_parameter_walk_sees_functions_methods_and_fields():
 
 
 OUTSIDE = [
-    pytest.param(kind, key, value, id=f"{key}-{value}")
+    pytest.param(kind, key, value, id=f"{key}-{'10**400' if value == BIG else value}")
     for kind, (callers, values, _, _) in SWEEPS.items()
     for key in callers
     for value in values

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -374,3 +375,27 @@ def test_counts_past_the_float_range_give_a_rate_or_validation_error(call):
     except ValidationError:
         return
     assert isinstance(result, float) and 0.0 <= result < math.inf
+
+
+#: Survivals whose float arithmetic met inf / inf or inf * 0 and came out nan:
+#: a channel that is off, or t = 0, keeps every atom, and an overflowing
+#: exponent loses them all.
+NAN_SURVIVALS = {
+    "p_step_background(2**340, 1e300, inf)": (lambda: p_step_background(2**340, 1e300, math.inf), 1.0),
+    "p_step_twobody_closed(5e-324, 0, 1)": (lambda: p_step_twobody_closed(5e-324, 0.0, 1.0), 1.0),
+    "p_step_twobody(4, 16, 1e308, inf)": (lambda: p_step_twobody(4, 16, 1e308, math.inf), 1.0),
+    "p_survival(2**340, closed), tau_bg = inf": (
+        lambda: p_survival(replace(SOTA.loss, tau_bg=math.inf, mode_ratio_c=100.0), 2**340, "closed"),
+        0.0,
+    ),
+    "p_survival(10**200, closed), both lifetimes inf": (
+        lambda: p_survival(replace(SOTA.loss, tau_bg=math.inf, tau_tb=math.inf), 10**200, "closed"),
+        1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(NAN_SURVIVALS))
+def test_survivals_past_the_float_range_are_probabilities(call):
+    survival, expected = NAN_SURVIVALS[call]
+    assert survival() == expected

@@ -15,6 +15,7 @@ from atomsampler.fock import (
 )
 from atomsampler.interferometer import coupling_matrix, haar_random_unitary
 from atomsampler.permanent import (
+    NAIVE_CAP,
     _glynn_batch,
     glynn_batch_size,
     permanent_glynn,
@@ -129,8 +130,11 @@ def test_permanents_of_rows_empty_cases():
 
 
 def _fresh_batches(stack, batch):
-    """Permanents of `stack`, one kernel call per `batch` matrices."""
-    return np.concatenate([_glynn_batch(stack[i : i + batch]) for i in range(0, len(stack), batch)])
+    """Permanents of a (D, n, n) `stack`, one kernel call per `batch` matrices."""
+    kernel_stack = stack.transpose(2, 1, 0)
+    return np.concatenate(
+        [_glynn_batch(kernel_stack[..., i : i + batch]) for i in range(0, len(stack), batch)]
+    )
 
 
 # batches of four; every case below has at least three and a short last one
@@ -181,6 +185,33 @@ def test_reused_workspace_matches_fresh_single_batch_calls(monkeypatch, n, m, co
     assert np.array_equal(dist.probs, expected_probs)
     short = len(stack) - 3
     assert np.array_equal(_fresh_batches(stack[:short], batch), expected_perms[:-3])
+
+
+def _bits(z):
+    """The two 64-bit words of a complex number: equal bits, not merely equal values."""
+    return tuple(np.array([z], dtype=complex).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_a_permanents_bits_do_not_depend_on_its_batch(n):
+    # n = 1..16 crosses every batch-size regime: thousands of lanes, a few,
+    # one, and one walking one to three high signs; the first, middle and
+    # last lanes of a full batch are probed, the last one in any SIMD tail
+    rng = np.random.default_rng(100 + n)
+    full = max(glynn_batch_size(n), 5)
+    stack = rng.standard_normal((n, n, full)) + 1j * rng.standard_normal((n, n, full))
+    together = _glynn_batch(stack)
+    for lane in sorted({0, full // 2, full - 1}):
+        alone = _glynn_batch(stack[..., lane : lane + 1])[0]
+        assert _bits(together[lane]) == _bits(alone)
+        for size in (3, 5):
+            for offset in range(size):
+                batch = rng.standard_normal((n, n, size)) + 1j * rng.standard_normal((n, n, size))
+                batch[..., offset] = stack[..., lane]
+                assert _bits(_glynn_batch(batch)[offset]) == _bits(alone)
+        if n <= NAIVE_CAP:
+            expected = permanent_naive(stack[..., lane].T)
+            assert abs(alone - expected) <= 1e-12 * max(1.0, abs(alone))
 
 
 @pytest.mark.parametrize("sizes", [(7, 7), (8, 8), (6, 9)])
