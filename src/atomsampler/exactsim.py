@@ -20,21 +20,25 @@ touches amplitudes outside its pairs' fibers.  A fiber grows from its head,
 the basis row with no atom in the pair's first mode: moving p atoms across
 the pair gives its p-th row, whose combinadic rank differs from the head's
 in one `fock.rank_table` term, so no sort or search is needed.  The fibers
-of a pair are kept as one flat index: a coupling gathers its amplitudes
-once, multiplies each n_pair's contiguous slice by its block and scatters
-them back.  Couplings of one layer share no mode but their fibers share
-basis rows, so they are applied one after another.
+of a pair are kept as one flat index in which each n_pair's fibers lie as
+n_pair + 1 rows, one per atom count p in the first mode: a coupling gathers
+its amplitudes once, multiplies each n_pair's contiguous (n_pair + 1, F)
+slice from the left by its block, one zgemm per n_pair, and scatters them
+back.  Couplings of one layer share no mode but their fibers share basis
+rows, so they are applied one after another.
 
 `run_circuit` is the one path through a circuit.  It evaluates the
 coupling matrices of every slot of the plan in one call and their pair
-blocks in one call per n_pair; an idle slot (theta = phi = 0) keeps its
-block, which is exactly the identity.  It decays by the rates its caller
-passes, so `benchmark_vs_model` builds them once for all its realizations.
-Each step calls the two step kernels, `apply_decay` and `apply_layer`,
-which check nothing and have no other caller; they are module functions
-so that `bench/spans.py` times each half of a step.  `run_circuit`
-returns the final amplitudes and the p_j vector; the total survival is
-their product.  The plan's output phases change no p_j and are not applied.
+blocks in one call per n_pair; a block sums only its nonzero terms, and an
+idle slot (theta = phi = 0) keeps its block, which is exactly the identity.
+It decays by the rates its caller passes, so `benchmark_vs_model` builds
+them once for all its realizations.  Each step calls the two step kernels,
+`apply_decay` and `apply_layer`, which check nothing and have no other
+caller; they are module functions so that `bench/spans.py` times each half
+of a step.  Norms are summed over the amplitudes' float view without BLAS,
+so p_j has the same bits at any BLAS thread count.  `run_circuit` returns
+the final amplitudes and the p_j vector; the total survival is their
+product.  The plan's output phases change no p_j and are not applied.
 """
 
 import math
@@ -120,21 +124,24 @@ def _pair_fibers(n, m, mode):
 
     Returns (flat, groups).  `flat` is one read-only index array holding
     every fiber; `groups` holds, for n_pair = 1..n in the order of `flat`,
-    a (fibers, n_pair + 1) view `rows` into it, where rows[f, p] is the
+    an (n_pair + 1, fibers) view `rows` into it, where rows[p, f] is the
     basis index of the f-th fiber's state with p atoms in `mode` and
-    n_pair - p in the partner mode.  Row 0 of a fiber is its head.
+    n_pair - p in the partner mode.  Row 0 holds the fibers' heads.
     """
     arr = basis_array(n, m)
     heads = np.flatnonzero(arr[:, mode] == 0)
-    after = n - arr[:, :mode].sum(axis=1, dtype=np.intp)[heads]  # atoms after `mode` in each head
-    paired = arr[heads, mode + 1]
+    # atoms after `mode` in each head: n less those before it, a column at a time over the heads
+    after = np.full(len(heads), n, dtype=np.intp)
+    for column in range(mode):
+        after -= arr[:, column][heads]
+    paired = arr[:, mode + 1][heads]
     term = rank_table(n, m)[mode]
     pieces = []
     for n_pair in range(1, n + 1):
         fiber = paired == n_pair
         # moving p atoms into `mode` changes only that mode's rank term
-        shift = term[after[fiber, None] - np.arange(n_pair + 1)] - term[after[fiber, None]]
-        pieces.append(heads[fiber, None] + shift)
+        shift = term[after[fiber] - np.arange(n_pair + 1)[:, None]] - term[after[fiber]]
+        pieces.append(heads[fiber] + shift)
     # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
     flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
     flat.setflags(write=False)
@@ -147,17 +154,29 @@ def _pair_fibers(n, m, mode):
 
 @lru_cache(maxsize=None)
 def _block_terms(n_pair):
-    """`_pair_block`'s coefficients and exponents on axes (p_out, p_in, i), and scales."""
-    p_out, p_in, i = np.ogrid[: n_pair + 1, : n_pair + 1, : n_pair + 1]
-    exponents = np.broadcast_arrays(i, p_in - i, p_out - i, n_pair - p_in - p_out + i)
-    valid = np.min(exponents, axis=0) >= 0
-    e00, e10, e01, e11 = (np.where(valid, e, 0) for e in exponents)
-    binom = np.array([[math.comb(a, b) for b in range(n_pair + 1)] for a in range(n_pair + 1)])
-    coef = np.where(valid, binom[p_in, e00] * binom[n_pair - p_in, e01], 0).astype(float)
+    """`_pair_block`'s valid terms: coefficients, exponents, sum rounds and scales.
+
+    A term (p_out, p_in, i) is valid when none of its four exponents is
+    negative; the valid i of an entry run from max(0, p_in + p_out - n_pair)
+    to min(p_in, p_out).  Terms are ordered by their place d in that run:
+    the first (n_pair + 1)^2 terms, d = 0, start every entry's sum in flat
+    order, and rounds[d - 1] lists the flat entries p_out (n_pair + 1) + p_in
+    that the next stretch of terms, at place d, is added to.
+    """
+    k = n_pair + 1
+    p_out, p_in = np.divmod(np.arange(k * k), k)
+    low = np.maximum(0, p_in + p_out - n_pair)
+    count = np.minimum(p_in, p_out) - low + 1
+    rounds = [np.flatnonzero(count > d) for d in range(count.max())]
+    entry = np.concatenate(rounds)
+    p_out, p_in = p_out[entry], p_in[entry]
+    i = low[entry] + np.repeat(np.arange(len(rounds)), [len(r) for r in rounds])
+    binom = np.array([[math.comb(a, b) for b in range(k)] for a in range(k)])
+    coef = (binom[p_in, i] * binom[n_pair - p_in, p_out - i]).astype(float)
     # scales from exact integers, rounded once
-    weight = [math.factorial(p) * math.factorial(n_pair - p) for p in range(n_pair + 1)]
+    weight = [math.factorial(p) * math.factorial(n_pair - p) for p in range(k)]
     scale = np.array([[math.sqrt(w_out / w_in) for w_in in weight] for w_out in weight])
-    return coef, (e00, e10, e01, e11), scale
+    return coef, (i, p_in - i, p_out - i, n_pair - p_in - p_out + i), rounds[1:], scale
 
 
 def _cmul(x, y):
@@ -171,16 +190,22 @@ def _pair_block(t2, n_pair):
 
     Entry [p_out, p_in] is sqrt(p_out! q_out! / (p_in! q_in!)) times the sum,
     in increasing i, of binomial(p_in, i) binomial(q_in, p_out - i)
-    t00^i t10^(p_in - i) t01^(p_out - i) t11^(q_in - p_out + i).
+    t00^i t10^(p_in - i) t01^(p_out - i) t11^(q_in - p_out + i), over the
+    terms with no negative exponent.
     """
-    coef, (e00, e10, e01, e11), scale = _block_terms(n_pair)
+    coef, (e00, e10, e01, e11), rounds, scale = _block_terms(n_pair)
     k = np.arange(n_pair + 1)
     t00, t10, t01, t11 = (t2[..., r, c, None] ** k for r, c in ((0, 0), (1, 0), (0, 1), (1, 1)))
     terms = coef * t00[..., e00]
     for power, exponent in ((t10, e10), (t01, e01), (t11, e11)):
         terms = _cmul(terms, power[..., exponent])
+    start = scale.size
+    block = terms[..., :start]
+    for entries in rounds:
+        block[..., entries] += terms[..., start : start + len(entries)]
+        start += len(entries)
     # C order: matmul takes the same BLAS path for every block
-    return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
+    return np.ascontiguousarray(scale * block.reshape(block.shape[:-1] + scale.shape))
 
 
 def apply_decay(amps, factor):
@@ -201,10 +226,10 @@ def apply_layer(amps, n, m, modes, blocks):
         start = 0
         for rows, block in zip(groups, blocks):
             part = slice(start, start + rows.size)
-            # (F, k) @ block.T, the zgemm orientation every payload was computed in
+            # (k, k) @ (k, F): the wide operand is the contiguous p-major slice
             np.matmul(
+                block[index],
                 fibers[part].reshape(rows.shape),
-                block[index].T,
                 out=out[part].reshape(rows.shape),
             )
             start = part.stop
@@ -234,8 +259,10 @@ def run_circuit(amps, n, plan, rates, t_step):
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per n_pair = 1..n, the pair blocks of every slot; a layer takes its slots' share
     stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
-    norm = float(np.vdot(amps, amps).real)
     amps = amps.astype(complex)
+    # squared norms summed without BLAS, whose threads would split the sum
+    parts = amps.view(float)
+    norm = float(np.einsum("i,i->", parts, parts))
     ratios, start = [], 0
     for layer in mesh_layers(plan.m):
         stop = start + len(layer)
@@ -243,7 +270,7 @@ def run_circuit(amps, n, plan, rates, t_step):
         apply_layer(amps, n, plan.m, layer, [stack[start:stop] for stack in stacks])
         start = stop
         # this step's ending norm is the next step's starting norm
-        after = float(np.vdot(amps, amps).real)
+        after = float(np.einsum("i,i->", parts, parts))
         ratios.append(after / norm if norm else 0.0)
         norm = after
     return amps, np.asarray(ratios)

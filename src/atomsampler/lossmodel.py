@@ -224,11 +224,8 @@ def p_step_twobody_closed(c, t, tau_tb):
     check_lifetime("tau_tb", tau_tb)
     check_positive("mode ratio c", c)
     decay = math.expm1(-t / tau_tb)
-    # no decay (t = 0, tau_tb = inf, or t / tau_tb below the float range) is
-    # survival 1, also where 1.5 / c overflows and inf * 0 would be nan
-    if decay == 0.0:
-        return 1.0
-    return math.exp(1.5 / c * decay)
+    # decay / c first: a decay as small as c stays finite, where 1.5 / c could overflow
+    return math.exp(1.5 * (decay / c))
 
 
 def p_step_twobody(n, m, t, tau_tb):

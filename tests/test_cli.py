@@ -228,8 +228,10 @@ def test_hom_payload_is_pinned(tmp_path, argv, digest):
 
 
 #: SHA-256 of each payload file after its `#` stamp line (the output, then
-#: any sidecar), recorded before the HOM Monte Carlo rework, which runs none
-#: of these commands' code.
+#: any sidecar).  Each holds at any BLAS thread count.  The `exactsim` ones
+#: were recorded after `run_circuit` came to sum its norms without BLAS and
+#: to apply each pair block as a (k, k) @ (k, F) product; the others date
+#: from before the HOM Monte Carlo rework, which runs none of these commands' code.
 PAYLOAD_DIGESTS = {
     **{
         f"exactsim-seed-{seed}": (
@@ -237,12 +239,12 @@ PAYLOAD_DIGESTS = {
             digests,
         )
         for seed, digests in [
-            (1, ("0ae9819498d005a9c1486b3ae1c11113665ebf8795ddfb36af368f039a554100",
-                 "99137f75078e95a1b0e0140029a06b41b0603a4648a110ba0965a78e04092829")),
-            (2, ("92f38c717523f5e99bb2a3fc57e57b7f3d0c3a12924fe6e207fb55d95fc5a2e1",
-                 "a2c7b6b98402c32dbdfbe61d4337956bbf80124850792ed7dd0f0369af549f62")),
-            (3, ("c0c14de011807994d4b1552e8241a8bb84a9e45cfa2959203d65caf737116667",
-                 "732de1a0b26ad3c15985a65fdaae1233073acd89e8168e6e4b63daf535cdd77d")),
+            (1, ("bfb5273bd81b890c06e1d4819588ea971f6c28ca7335f41407ec491f2d528c3a",
+                 "cab4863a128fd613505785907f39f1eeac34478f6a2a5a74094e52af55d2f3c1")),
+            (2, ("6cbbe76217fc7e6158ee5909479355f150badfe28508e0e6e453198fd686fb10",
+                 "67ee46aeec1a264e716a06171e6ccc34268c7aff69ce087abedfca126b5fd7e3")),
+            (3, ("3bcb186324c5435e3706310e2873ef2ae1475e6c41e596ee5589fa28012e8e1f",
+                 "c3b493baad4343ead838b0618044a2d17791def7b5f6288b957dd696c453c02d")),
         ]
     },
     "decompose-m16": (

@@ -5,6 +5,7 @@ import pytest
 
 from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
+    _cmul,
     _pair_block,
     _pair_fibers,
     basis_state,
@@ -334,14 +335,15 @@ def test_pair_fibers_partition_the_paired_states(n, m):
         assert not flat.flags.writeable
         start = 0
         for n_pair, rows in enumerate(groups, start=1):
-            # each group is the next stretch of the flat index, viewed as fiber rows
+            # each group is the next stretch of the flat index, viewed as one row per p
             assert rows.base is flat
+            assert rows.shape[0] == n_pair + 1
             assert np.array_equal(rows.ravel(), flat[start : start + rows.size])
             start += rows.size
-            states = arr[rows]  # (fibers, n_pair + 1, m)
-            assert np.all(states[..., mode] == np.arange(n_pair + 1))
+            states = arr[rows]  # (n_pair + 1, fibers, m)
+            assert np.all(states[..., mode] == np.arange(n_pair + 1)[:, None])
             assert np.all(states[..., mode + 1] == n_pair - states[..., mode])
-            assert np.all(states[..., others] == states[:, :1, others])
+            assert np.all(states[..., others] == states[:1, :, others])
         assert start == flat.size
         paired = np.flatnonzero(arr[:, mode] + arr[:, mode + 1] >= 1)
         assert np.array_equal(np.sort(flat), paired)
@@ -364,3 +366,36 @@ def test_pair_block_matches_permanents():
                     )
                     expected = permanent_naive(t2[np.ix_(rows, cols)]) / norm
                     assert block[p_out, p_in] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def _pair_block_all_terms(t2, n_pair):
+    # reference: every (p_out, p_in, i), a term with a negative exponent zeroed by its
+    # coefficient, summed in increasing i
+    p_out, p_in, i = np.ogrid[: n_pair + 1, : n_pair + 1, : n_pair + 1]
+    exponents = np.broadcast_arrays(i, p_in - i, p_out - i, n_pair - p_in - p_out + i)
+    valid = np.min(exponents, axis=0) >= 0
+    e00, e10, e01, e11 = (np.where(valid, e, 0) for e in exponents)
+    binom = np.array([[math.comb(a, b) for b in range(n_pair + 1)] for a in range(n_pair + 1)])
+    coef = np.where(valid, binom[p_in, e00] * binom[n_pair - p_in, e01], 0).astype(float)
+    weight = [math.factorial(p) * math.factorial(n_pair - p) for p in range(n_pair + 1)]
+    scale = np.array([[math.sqrt(w_out / w_in) for w_in in weight] for w_out in weight])
+    k = np.arange(n_pair + 1)
+    t00, t10, t01, t11 = (t2[..., r, c, None] ** k for r, c in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    terms = coef * t00[..., e00]
+    for power, exponent in ((t10, e10), (t01, e01), (t11, e11)):
+        terms = _cmul(terms, power[..., exponent])
+    return np.ascontiguousarray(scale * np.add.accumulate(terms, axis=-1)[..., -1])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pair_block_of_the_valid_terms_matches_all_terms_bit_for_bit(k):
+    plan = clements_decompose(haar_random_unitary(20, seed=30 + k))
+    for t2 in (
+        coupling_matrix(plan.theta, plan.phi),  # every slot of the plan, stacked
+        coupling_matrix(np.zeros(3), np.zeros(3)),
+        coupling_matrix(0.0, 0.0),
+    ):
+        block, expected = _pair_block(t2, k), _pair_block_all_terms(t2, k)
+        assert block.shape == expected.shape
+        # integer views: zero signs count too
+        assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))

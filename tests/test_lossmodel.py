@@ -114,6 +114,12 @@ def test_p_step_twobody_boundaries():
     assert abs(p_step_twobody_closed(1.0, t, 1.0) - approx) / approx < 1e-3
 
 
+@pytest.mark.parametrize("c", [5e-324, 1e-310])
+def test_closed_step_survival_of_a_subnormal_mode_ratio(c):
+    # a decay as small as c: the exponent is -1.5, where 1.5 / c alone overflows
+    assert p_step_twobody_closed(c, c, 1.0) == pytest.approx(math.exp(-1.5), rel=1e-12)
+
+
 def test_p_step_twobody_monotone_and_bounded():
     values = [p_step_twobody(4, 16, t, 1.0) for t in (0.0, 0.1, 0.5, 1.0, 5.0, 50.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
