@@ -19,13 +19,14 @@ coupling acts through its symmetric-power representation, so a layer never
 touches amplitudes outside its pairs' fibers.  A fiber grows from its head,
 the basis row with no atom in the pair's first mode: moving p atoms across
 the pair gives its p-th row, whose combinadic rank differs from the head's
-in one `fock.rank_table` term, so no sort or search is needed.  The fibers
-of a pair are kept as one flat index in which each n_pair's fibers lie as
-n_pair + 1 rows, one per atom count p in the first mode: a coupling gathers
-its amplitudes once, multiplies each n_pair's contiguous (n_pair + 1, F)
-slice from the left by its block, one zgemm per n_pair, and scatters them
-back.  Couplings of one layer share no mode but their fibers share basis
-rows, so they are applied one after another.
+in one `fock.rank_table` term, so no sort or search is needed.  One pass
+over the basis builds the fibers of every pair, and only the last geometry
+(n, m) is kept.  A pair's fibers are one flat index in which each n_pair's
+fibers lie as n_pair + 1 rows, one per atom count p in the first mode: a
+coupling gathers its amplitudes once, multiplies each n_pair's contiguous
+(n_pair + 1, F) slice from the left by its block, one zgemm per n_pair,
+and scatters them back.  Couplings of one layer share no mode but their
+fibers share basis rows, so they are applied one after another.
 
 `run_circuit` is the one path through a circuit.  It evaluates the
 coupling matrices of every slot of the plan in one call and their pair
@@ -115,44 +116,44 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
         np.subtract(site, 1, out=term)
         term *= site
         pair_terms += term
-    return n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
+    # a lifetime so short that a pair's rate leaves the float range gives it an infinite rate
+    with np.errstate(over="ignore"):
+        return n / (2.0 * tau_bg) + pair_terms / (4.0 * tau_tb)
 
 
-@lru_cache(maxsize=256)
-def _pair_fibers(n, m, mode):
-    """Basis indices grouped into fibers of the coupled pair (mode, mode+1).
+@lru_cache(maxsize=1)
+def _pair_fibers(n, m):
+    """Basis indices grouped into fibers, one (flat, groups) per pair (mode, mode+1).
 
-    Returns (flat, groups).  `flat` is one read-only index array holding
-    every fiber; `groups` holds, for n_pair = 1..n in the order of `flat`,
-    an (n_pair + 1, fibers) view `rows` into it, where rows[p, f] is the
-    basis index of the f-th fiber's state with p atoms in `mode` and
-    n_pair - p in the partner mode.  Row 0 holds the fibers' heads.
+    `flat` is one read-only index array holding every fiber of the pair;
+    `groups` holds, for n_pair = 1..n in the order of `flat`, an
+    (n_pair + 1, fibers) view `rows` into it, where rows[p, f] is the basis
+    index of the f-th fiber's state with p atoms in `mode` and n_pair - p in
+    the partner mode.  Row 0 holds the fibers' heads.
     """
     arr = basis_array(n, m)
-    heads = np.flatnonzero(arr[:, mode] == 0)
-    # atoms after `mode` in each head: n less those before it, a column at a time over the heads
-    after = np.full(len(heads), n, dtype=np.intp)
-    for column in range(mode):
-        after -= arr[:, column][heads]
-    paired = arr[:, mode + 1][heads]
-    term = rank_table(n, m)[mode]
-    pieces = []
-    for n_pair in range(1, n + 1):
-        fiber = paired == n_pair
-        # moving p atoms into `mode` changes only that mode's rank term
-        shift = term[after[fiber] - np.arange(n_pair + 1)[:, None]] - term[after[fiber]]
-        pieces.append(heads[fiber] + shift)
-    # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
-    flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
-    flat.setflags(write=False)
-    groups, start = [], 0
-    for piece in pieces:
-        groups.append(flat[start : start + piece.size].reshape(piece.shape))
-        start += piece.size
-    return flat, tuple(groups)
+    # atoms from `mode` on in every row, a running count as `mode` advances
+    after = np.full(len(arr), n, dtype=np.intp)
+    pairs = []
+    for mode, term in enumerate(rank_table(n, m)[:-1]):
+        heads = np.flatnonzero(arr[:, mode] == 0)
+        paired, heads_after = arr[heads, mode + 1], after[heads]
+        after -= arr[:, mode]
+        pieces = []
+        for n_pair in range(1, n + 1):
+            fiber = paired == n_pair
+            # moving p atoms into `mode` changes only that mode's rank term
+            atoms = heads_after[fiber]
+            pieces.append(heads[fiber] + term[atoms - np.arange(n_pair + 1)[:, None]] - term[atoms])
+        # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
+        flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
+        flat.setflags(write=False)
+        ends = np.cumsum([piece.size for piece in pieces], dtype=np.intp)
+        groups = (flat[e - piece.size : e].reshape(piece.shape) for piece, e in zip(pieces, ends))
+        pairs.append((flat, tuple(groups)))
+    return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
 def _block_terms(n_pair):
     """`_pair_block`'s valid terms: coefficients, exponents, sum rounds and scales.
 
@@ -220,7 +221,7 @@ def apply_layer(amps, n, m, modes, blocks):
     blocks[n_pair - 1][i] is the pair block of the coupling on modes[i].
     """
     for index, mode in enumerate(modes):
-        flat, groups = _pair_fibers(n, m, mode)
+        flat, groups = _pair_fibers(n, m)[mode]
         fibers = amps[flat]
         out = np.empty_like(fibers)
         start = 0
@@ -255,7 +256,10 @@ def run_circuit(amps, n, plan, rates, t_step):
         raise ValidationError(
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
         )
-    factor = np.exp(-rates * t_step)
+    # a zero step keeps every amplitude, even at an infinite rate, where inf * 0 is nan;
+    # a decay past the float range keeps none
+    with np.errstate(over="ignore"):
+        factor = np.exp(-rates * t_step) if t_step else np.ones(len(rates))
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per n_pair = 1..n, the pair blocks of every slot; a layer takes its slots' share
     stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
@@ -292,6 +296,9 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     tau_tb = tau_tb_over_texec * m * t_step
     check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
     rates = build_decay_diagonal(n, m, math.inf, tau_tb)
+    # the model draws no random number: a geometry it refuses is refused before any circuit runs
+    model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb)
+    excluded = lossmodel.excluded_occupancy_mass(n, m)
     # the realization's first spawned child seeds its unitary
     plans = (clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
              for child in spawn_seeds(seed, realizations))
@@ -299,6 +306,6 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
         m=m,
         tau_tb=tau_tb,
         p_j=np.vstack([run_circuit(initial, n, plan, rates, t_step)[1] for plan in plans]),
-        model_p_step=lossmodel.p_step_twobody(n, m, t_step, tau_tb),
-        excluded_occupancy_mass=lossmodel.excluded_occupancy_mass(n, m),
+        model_p_step=model_p_step,
+        excluded_occupancy_mass=excluded,
     )

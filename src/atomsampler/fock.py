@@ -5,7 +5,7 @@ Modes come in pairs: mode ``2s + sigma`` with sigma in {0, 1} addresses the
 two internal states of lattice site ``s``, so M modes span M/2 sites.  The
 canonical basis order is descending lexicographic on occupation vectors,
 starting from (N, 0, ..., 0); ranks are combinadic, one lookup per mode in
-the cached `rank_table`.
+`rank_table`.  Only the last basis table is kept: a workload has one (N, M).
 """
 
 from dataclasses import dataclass
@@ -101,7 +101,7 @@ def _occupation_rows(mode_tuples, dim, n, m):
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _basis_array_cached(n, m):
     dim = multiset_dimension(n, m)
     return _occupation_rows(combinations_with_replacement(range(m), n), dim, n, m)
@@ -131,7 +131,6 @@ def collision_free_array(n, m):
     return _occupation_rows(combinations(range(m), n), dim, n, m)
 
 
-@lru_cache(maxsize=64)
 def rank_table(n, m):
     """Rank terms T[j, s] = binomial(s + m - j - 2, m - j - 1), s atoms after mode j.
 
@@ -146,7 +145,7 @@ def basis_rank(states):
     """Canonical basis index of every (..., M) occupation row, with no loop.
 
     The term for mode j depends only on the atoms in modes 0..j: one lookup
-    per mode in a cached binomial table.
+    per mode in the binomial `rank_table`.
     """
     states = np.asarray(states, dtype=np.int64)
     if states.size and states.min() < 0:

@@ -16,7 +16,9 @@ def test_demo_runs(script, tmp_path):
     # a fresh working directory takes whatever files a demo writes
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # the suite's warning filters and dev mode hold in the demo too
+    flags = [f"-W{option}" for option in sys.warnoptions] + ["-X", "dev"] * sys.flags.dev_mode
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, *flags, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr

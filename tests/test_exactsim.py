@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from atomsampler import exactsim, fock
 from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
     _cmul,
@@ -14,7 +16,7 @@ from atomsampler.exactsim import (
     run_circuit,
     uniform_state,
 )
-from atomsampler.fock import FockState, basis_array, enumerate_basis, state_rank
+from atomsampler.fock import FockState, basis_array, enumerate_basis, site_occupancy, state_rank
 from atomsampler.interferometer import (
     CircuitPlan,
     clements_decompose,
@@ -50,6 +52,33 @@ def test_decay_diagonal_entries():
             build_decay_diagonal(2, 4, tau, 5.0)
         with pytest.raises(ValidationError, match="tau_tb must be positive"):
             build_decay_diagonal(2, 4, 3.0, tau)
+
+
+def test_decay_diagonal_of_a_pair_rate_past_the_float_range():
+    # 2 / (4 * 1e-320) overflows: a state with a pair decays at once, the others not at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = build_decay_diagonal(2, 4, math.inf, 1e-320)
+    paired = [max(site_occupancy(s)) >= 2 for s in enumerate_basis(2, 4)]
+    assert rates.tolist() == [math.inf if p else 0.0 for p in paired]
+
+
+def test_infinite_rates_at_a_zero_or_overflowing_step():
+    plan = clements_decompose(haar_random_unitary(4, seed=8))
+    amps = uniform_state(2, 4)
+    rates = build_decay_diagonal(2, 4, math.inf, 1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at t_step = 0 the decay factor is exactly 1, as if no rate were set
+        final, p_j = run_circuit(amps, 2, plan, rates, 0.0)
+        expected = run_circuit(amps, 2, plan, np.zeros_like(rates), 1.0)
+        assert np.array_equal(final, expected[0]) and np.array_equal(p_j, expected[1])
+        # a finite rate whose decay exponent overflows removes its state, as an infinite one does
+        huge = np.where(np.isinf(rates), 1e300, 0.0)
+        for r in (rates, huge):
+            _, p_j = run_circuit(amps, 2, _idle_plan(4), r, 1e10)
+            # four of the ten states hold no pair
+            assert p_j.tolist() == pytest.approx([0.4, 1.0, 1.0, 1.0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(3, 8), (4, 10), (5, 20)])
@@ -315,6 +344,27 @@ def test_single_run_consistent_with_benchmark_spread():
     assert abs(np.prod(p_j) - reference.mean_p_total) <= 3.0 * spread
 
 
+def test_benchmark_refuses_an_unmodelled_geometry_before_it_simulates(monkeypatch):
+    def no_circuit(*args):
+        raise AssertionError("a circuit ran before the model was evaluated")
+
+    monkeypatch.setattr(exactsim, "run_circuit", no_circuit)
+    with pytest.raises(ValidationError, match="puts four on a site"):
+        benchmark_vs_model(200, 2, 1.0, 1, 0)
+
+
+def test_a_size_sweep_keeps_one_geometry_and_the_same_bits():
+    for n, m in ((4, 16), (5, 20), (3, 8)):
+        benchmark_vs_model(n, m, 1.0, realizations=1, seed=n)
+    assert _pair_fibers.cache_info().currsize == 1
+    assert fock._basis_array_cached.cache_info().currsize == 1
+    after_sweep = benchmark_vs_model(5, 20, 1.0, realizations=2, seed=7).p_j
+    _pair_fibers.cache_clear()
+    fock._basis_array_cached.cache_clear()
+    cold = benchmark_vs_model(5, 20, 1.0, realizations=2, seed=7).p_j
+    assert after_sweep.tobytes() == cold.tobytes()
+
+
 def test_benchmark_validates_realizations():
     with pytest.raises(ValidationError):
         benchmark_vs_model(2, 4, 1.0, realizations=0, seed=0)
@@ -329,9 +379,10 @@ def test_benchmark_rejects_bad_lifetime_ratio(ratio):
 @pytest.mark.parametrize("n,m", [(1, 2), (3, 2), (2, 5), (4, 8), (5, 20)])
 def test_pair_fibers_partition_the_paired_states(n, m):
     arr = basis_array(n, m)
-    for mode in range(m - 1):
+    pairs = _pair_fibers(n, m)
+    assert len(pairs) == m - 1
+    for mode, (flat, groups) in enumerate(pairs):
         others = np.delete(np.arange(m), [mode, mode + 1])
-        flat, groups = _pair_fibers(n, m, mode)
         assert not flat.flags.writeable
         start = 0
         for n_pair, rows in enumerate(groups, start=1):
