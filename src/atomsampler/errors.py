@@ -1,4 +1,5 @@
-"""Exception types, and the one check of each count, time, lifetime, positive or probability rule.
+"""Exception types, and the one check of each count, time, lifetime, positive, rate or
+probability rule.
 
 A time, lifetime or positive number is used in float arithmetic, so an int
 past the float range breaks its rule: a ValidationError, never an
@@ -7,6 +8,8 @@ OverflowError.
 
 import math
 from numbers import Integral
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -47,6 +50,13 @@ def check_lifetime(name, tau):
     rule = f"{name} must be positive"
     if not _as_float(tau, rule) > 0.0:
         raise ValidationError(f"{rule}, got {tau}")
+
+
+def check_rates(rates):
+    """Raise unless every entry of the float array `rates` is >= 0; inf is a rate, nan is not."""
+    bad = np.flatnonzero(~(rates >= 0.0))
+    if bad.size:
+        raise ValidationError(f"rates must be non-negative, got {rates[bad[0]]} at index {bad[0]}")
 
 
 def check_positive(name, x):

@@ -21,35 +21,39 @@ the basis row with no atom in the pair's first mode: moving p atoms across
 the pair gives its p-th row, whose combinadic rank differs from the head's
 in one `fock.rank_table` term, so no sort or search is needed.  One pass
 over the basis builds the fibers of every pair, and only the last geometry
-(n, m) is kept.  A pair's fibers are one flat index in which each n_pair's
-fibers lie as n_pair + 1 rows, one per atom count p in the first mode: a
-coupling gathers its amplitudes once, multiplies each n_pair's contiguous
-(n_pair + 1, F) slice from the left by its block, one zgemm per n_pair,
-and scatters them back.  Couplings of one layer share no mode but their
-fibers share basis rows, so they are applied one after another.
+(n, m) is kept.  A pair's fibers with n_pair atoms are one (n_pair + 1, F)
+index array, one row per atom count p in the first mode: a coupling
+gathers each group, multiplies it from the left by its block, one zgemm
+per n_pair, and scatters it back.  Couplings of one layer share no mode
+but their fibers share basis rows, so they are applied one after another.
 
 `run_circuit` is the one path through a circuit.  It evaluates the
 coupling matrices of every slot of the plan in one call and their pair
-blocks in one call per n_pair; a block sums only its nonzero terms, and an
-idle slot (theta = phi = 0) keeps its block, which is exactly the identity.
-It decays by the rates its caller passes, so `benchmark_vs_model` builds
-them once for all its realizations.  Each step calls the two step kernels,
-`apply_decay` and `apply_layer`, which check nothing and have no other
-caller; they are module functions so that `bench/spans.py` times each half
-of a step.  Norms are summed over the amplitudes' float view without BLAS,
-so p_j has the same bits at any BLAS thread count.  `run_circuit` returns
-the final amplitudes and the p_j vector; the total survival is their
-product.  The plan's output phases change no p_j and are not applied.
+blocks in one call per n_pair, and hands each layer the blocks of its
+slots in turn; a block sums only its nonzero terms, and an idle slot
+(theta = phi = 0) keeps its block, which is exactly the identity.  It
+decays by the rates its caller passes, each >= 0 or inf, so
+`benchmark_vs_model` builds them once for all its realizations.  A step's
+survival is capped at 1, which a lossless step can round past.  Each step
+calls the two step kernels, `apply_decay` and `apply_layer`, which check
+nothing and have no other caller; they are module functions so that
+`bench/spans.py` times each half of a step.  Norms are summed over the
+amplitudes' float view without BLAS, so p_j has the same bits at any BLAS
+thread count.  `run_circuit` returns the final amplitudes and the p_j
+vector; the total survival is their product.  The plan's output phases
+change no p_j and are not applied.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from . import lossmodel
-from .errors import ValidationError, check_count, check_lifetime, check_positive, check_time
+from .errors import (ValidationError, check_count, check_lifetime, check_positive, check_rates,
+                     check_time)
 from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
                    state_rank)
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
@@ -123,13 +127,12 @@ def build_decay_diagonal(n, m, tau_bg, tau_tb):
 
 @lru_cache(maxsize=1)
 def _pair_fibers(n, m):
-    """Basis indices grouped into fibers, one (flat, groups) per pair (mode, mode+1).
+    """Basis indices grouped into fibers: per pair (mode, mode+1), one group per n_pair.
 
-    `flat` is one read-only index array holding every fiber of the pair;
-    `groups` holds, for n_pair = 1..n in the order of `flat`, an
-    (n_pair + 1, fibers) view `rows` into it, where rows[p, f] is the basis
-    index of the f-th fiber's state with p atoms in `mode` and n_pair - p in
-    the partner mode.  Row 0 holds the fibers' heads.
+    The groups of a pair are, for n_pair = 1..n, read-only intp
+    (n_pair + 1, fibers) arrays `rows`, where rows[p, f] is the basis index
+    of the f-th fiber's state with p atoms in `mode` and n_pair - p in the
+    partner mode.  Row 0 holds the fibers' heads.
     """
     arr = basis_array(n, m)
     # atoms from `mode` on in every row, a running count as `mode` advances
@@ -139,18 +142,16 @@ def _pair_fibers(n, m):
         heads = np.flatnonzero(arr[:, mode] == 0)
         paired, heads_after = arr[heads, mode + 1], after[heads]
         after -= arr[:, mode]
-        pieces = []
+        groups = []
         for n_pair in range(1, n + 1):
             fiber = paired == n_pair
-            # moving p atoms into `mode` changes only that mode's rank term
+            # moving p atoms into `mode` changes only that mode's rank term;
+            # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
             atoms = heads_after[fiber]
-            pieces.append(heads[fiber] + term[atoms - np.arange(n_pair + 1)[:, None]] - term[atoms])
-        # intp, not int32: numpy would cast int32 indices on every gather (2x slower)
-        flat = np.concatenate([piece.ravel() for piece in pieces] or [np.empty(0, dtype=np.intp)])
-        flat.setflags(write=False)
-        ends = np.cumsum([piece.size for piece in pieces], dtype=np.intp)
-        groups = (flat[e - piece.size : e].reshape(piece.shape) for piece, e in zip(pieces, ends))
-        pairs.append((flat, tuple(groups)))
+            rows = heads[fiber] + term[atoms - np.arange(n_pair + 1)[:, None]] - term[atoms]
+            rows.setflags(write=False)
+            groups.append(rows)
+        pairs.append(tuple(groups))
     return tuple(pairs)
 
 
@@ -214,36 +215,26 @@ def apply_decay(amps, factor):
     amps *= factor
 
 
-def apply_layer(amps, n, m, modes, blocks):
+def apply_layer(amps, n, m, modes, couplings):
     """One step's coherent layer: apply, in place and in order, the couplings
     on pairs (mode, mode + 1) to `amps`.
 
-    blocks[n_pair - 1][i] is the pair block of the coupling on modes[i].
+    couplings[i] holds the pair blocks, n_pair = 1..n, of the coupling on
+    modes[i]; each block acts on its own group of fibers.
     """
-    for index, mode in enumerate(modes):
-        flat, groups = _pair_fibers(n, m)[mode]
-        fibers = amps[flat]
-        out = np.empty_like(fibers)
-        start = 0
-        for rows, block in zip(groups, blocks):
-            part = slice(start, start + rows.size)
-            # (k, k) @ (k, F): the wide operand is the contiguous p-major slice
-            np.matmul(
-                block[index],
-                fibers[part].reshape(rows.shape),
-                out=out[part].reshape(rows.shape),
-            )
-            start = part.stop
-        amps[flat] = out
+    for mode, blocks in zip(modes, couplings):
+        for rows, block in zip(_pair_fibers(n, m)[mode], blocks):
+            # (k, k) @ (k, F): the wide operand is the gathered p-major group
+            amps[rows] = block @ amps[rows]
 
 
 def run_circuit(amps, n, plan, rates, t_step):
     """Alternate decay and coherent layers from `amps`; return (amps, p_j).
 
     Decay by exp(-rates t_step) acts before each layer of
-    `mesh_layers(plan.m)`.  The plan's output phases, which change no
-    survival ratio, are not applied.  A step starting from zero norm has
-    p_j = 0.
+    `mesh_layers(plan.m)`; every rate is >= 0 or inf.  The plan's output
+    phases, which change no survival ratio, are not applied.  A step
+    starting from zero norm has p_j = 0, and no p_j exceeds 1.
     """
     amps, rates = np.asarray(amps), np.asarray(rates, dtype=float)
     dim = multiset_dimension(n, plan.m)
@@ -256,26 +247,26 @@ def run_circuit(amps, n, plan, rates, t_step):
         raise ValidationError(
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
         )
+    check_rates(rates)
     # a zero step keeps every amplitude, even at an infinite rate, where inf * 0 is nan;
     # a decay past the float range keeps none
     with np.errstate(over="ignore"):
         factor = np.exp(-rates * t_step) if t_step else np.ones(len(rates))
     t2 = coupling_matrix(plan.theta, plan.phi)
-    # per n_pair = 1..n, the pair blocks of every slot; a layer takes its slots' share
-    stacks = [_pair_block(t2, n_pair) for n_pair in range(1, n + 1)]
+    # per slot, in layer order, its pair blocks for n_pair = 1..n; a layer takes the next ones
+    couplings = zip(*(_pair_block(t2, n_pair) for n_pair in range(1, n + 1)))
     amps = amps.astype(complex)
     # squared norms summed without BLAS, whose threads would split the sum
     parts = amps.view(float)
     norm = float(np.einsum("i,i->", parts, parts))
-    ratios, start = [], 0
+    ratios = []
     for layer in mesh_layers(plan.m):
-        stop = start + len(layer)
         apply_decay(amps, factor)
-        apply_layer(amps, n, plan.m, layer, [stack[start:stop] for stack in stacks])
-        start = stop
+        apply_layer(amps, n, plan.m, layer, islice(couplings, len(layer)))
         # this step's ending norm is the next step's starting norm
         after = float(np.einsum("i,i->", parts, parts))
-        ratios.append(after / norm if norm else 0.0)
+        # a lossless step can round its ratio past 1; no step gains norm
+        ratios.append(min(after / norm, 1.0) if norm else 0.0)
         norm = after
     return amps, np.asarray(ratios)
 

@@ -577,6 +577,16 @@ def test_exactsim_reports_zero_survival_once_the_state_is_empty(tmp_path):
     assert summary["mean_p_total"] == 0.0
 
 
+def test_exactsim_lossless_survivals_do_not_exceed_one(tmp_path):
+    # a lossless step's norm ratio can round past 1, as it did in 10 of these 30 rows
+    out = tmp_path / "bench.csv"
+    assert run("exactsim", "--n", 3, "--m", 6, "--tau-tb", 1e300,
+               "--realizations", 5, "--seed", 1, "--out", out) == 0
+    p_j = [float(row.split(",")[2]) for row in payload_lines(out)[1:]]
+    assert len(p_j) == 30
+    assert max(p_j) == 1.0 and min(p_j) >= 1.0 - 1e-12
+
+
 def test_exactsim_worker_invariance(tmp_path):
     solo = tmp_path / "w1.csv"
     pooled = tmp_path / "w2.csv"

@@ -310,6 +310,7 @@ UNSWEPT = {
     "errors.check_count.minimum": "bound",
     "errors.check_lifetime.name": "name",
     "errors.check_positive.name": "name",
+    "errors.check_rates.rates": "array",
     "errors.check_probability.name": "name",
     "errors.check_positive_probability.name": "name",
     "exactsim.BenchmarkResult.m": "record",
@@ -324,7 +325,7 @@ UNSWEPT = {
     "exactsim.apply_layer.n": "size",
     "exactsim.apply_layer.m": "size",
     "exactsim.apply_layer.modes": "object",
-    "exactsim.apply_layer.blocks": "array",
+    "exactsim.apply_layer.couplings": "array",
     "exactsim.run_circuit.amps": "array",
     "exactsim.run_circuit.plan": "object",
     "exactsim.run_circuit.rates": "array",

@@ -247,12 +247,13 @@ def test_idle_slots_change_no_amplitude():
 
 
 def test_lossless_run_circuit_drift_bound():
-    # stated bound: a lossless run keeps every p_j and the final norm within 1e-12 of 1
+    # stated bound: a lossless run keeps every p_j and the final norm within 1e-12 of 1;
+    # a norm ratio that rounds past 1 (11 of these 20 did) is capped at 1
     plan = clements_decompose(haar_random_unitary(20, seed=5))
     lossless = build_decay_diagonal(5, 20, math.inf, math.inf)
     final, p_j = run_circuit(uniform_state(5, 20), 5, plan, lossless, 1.0)
     assert len(p_j) == 20
-    assert np.max(np.abs(p_j - 1.0)) <= 1e-12
+    assert np.all(p_j <= 1.0) and np.max(1.0 - p_j) <= 1e-12
     assert abs(_norm_squared(final) - 1.0) <= 1e-12
 
 
@@ -297,6 +298,19 @@ def test_decay_refuses_non_finite_or_negative_times(t):
                           run_circuit(amps, 2, plan, np.zeros_like(rates), 1.0)[0])
     with pytest.raises(ValidationError, match="finite and non-negative"):
         run_circuit(amps, 2, plan, rates, t)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_run_circuit_refuses_a_negative_or_nan_rate(bad):
+    # a negative rate would grow the norm (p_j = e^2 at -1), a nan one give nan survivals
+    plan = clements_decompose(haar_random_unitary(4, seed=8))
+    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, math.inf, 1.0)
+    rates[3] = bad
+    with pytest.raises(ValidationError, match="rates must be non-negative"):
+        run_circuit(amps, 2, plan, rates, 1.0)
+    # an infinite rate is a pair that decays at once
+    rates[3] = math.inf
+    assert np.all(run_circuit(amps, 2, plan, rates, 1.0)[1] <= 1.0)
 
 
 def test_decaying_norm_is_monotone():
@@ -381,23 +395,20 @@ def test_pair_fibers_partition_the_paired_states(n, m):
     arr = basis_array(n, m)
     pairs = _pair_fibers(n, m)
     assert len(pairs) == m - 1
-    for mode, (flat, groups) in enumerate(pairs):
+    for mode, groups in enumerate(pairs):
         others = np.delete(np.arange(m), [mode, mode + 1])
-        assert not flat.flags.writeable
-        start = 0
+        assert len(groups) == n
         for n_pair, rows in enumerate(groups, start=1):
-            # each group is the next stretch of the flat index, viewed as one row per p
-            assert rows.base is flat
-            assert rows.shape[0] == n_pair + 1
-            assert np.array_equal(rows.ravel(), flat[start : start + rows.size])
-            start += rows.size
+            # each group is its own read-only index, one row per p
+            assert rows.dtype == np.intp and not rows.flags.writeable
+            assert rows.ndim == 2 and rows.shape[0] == n_pair + 1
             states = arr[rows]  # (n_pair + 1, fibers, m)
             assert np.all(states[..., mode] == np.arange(n_pair + 1)[:, None])
             assert np.all(states[..., mode + 1] == n_pair - states[..., mode])
             assert np.all(states[..., others] == states[:1, :, others])
-        assert start == flat.size
+        # together the groups hold every paired state once
         paired = np.flatnonzero(arr[:, mode] + arr[:, mode + 1] >= 1)
-        assert np.array_equal(np.sort(flat), paired)
+        assert np.array_equal(np.sort(np.concatenate([rows.ravel() for rows in groups])), paired)
 
 
 def test_pair_block_matches_permanents():
