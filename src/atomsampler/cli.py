@@ -157,6 +157,8 @@ def _default_input_state(n, m):
     check_count("atom number", n, 0)
     if n > m:
         raise ValidationError(f"cannot place {n} collision-free atoms in {m} modes")
+    # the M x M unitary is the run's largest input-sized array; refuse it before the M-long state
+    check_size_cap(m * m, f"unitary entries for m={m}")
     step = 2 if 2 * (n - 1) < m else 1  # plus modes 0, 2, ... while the sites hold every atom
     occ = [0] * m
     occ[: step * n : step] = [1] * n

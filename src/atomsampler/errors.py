@@ -1,12 +1,13 @@
 """Exception types, and the one check of each count, time, lifetime, positive, rate or
 probability rule.
 
-A time, lifetime or positive number is used in float arithmetic, so an int
-past the float range breaks its rule: a ValidationError, never an
-OverflowError.
+`in_range` is the one OverflowError handler: a number past the float range (or
+int64, in a count array) breaks the rule of its block, a ValidationError.  The
+float checks, `as_array` and `lossmodel`'s formulas run under it; angles do not.
 """
 
 import math
+from contextlib import AbstractContextManager
 from numbers import Integral
 
 import numpy as np
@@ -30,26 +31,37 @@ def check_count(name, n, minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
-def _as_float(x, rule):
-    """x as a float; an int past the float range breaks `rule` instead of raising OverflowError."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValidationError(f"{rule}, got an integer past the float range") from None
+class in_range(AbstractContextManager):
+    """Block whose OverflowError breaks the rule `what`; cheaper to enter than a generator."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, OverflowError):
+            raise ValidationError(f"{self.what}, got a number out of range") from None
+
+
+def as_array(a, dtype, name):
+    """`np.asarray(a, dtype)`; an entry past the range of `dtype` is a ValidationError."""
+    with in_range(f"every entry of {name} must fit {np.dtype(dtype).name}"):
+        return np.asarray(a, dtype=dtype)
 
 
 def check_time(t):
     """Raise unless t is a finite time t >= 0."""
     rule = "time must be finite and non-negative"
-    if not (math.isfinite(_as_float(t, rule)) and t >= 0.0):
-        raise ValidationError(f"{rule}, got {t}")
+    with in_range(rule):
+        if not (math.isfinite(float(t)) and t >= 0.0):
+            raise ValidationError(f"{rule}, got {t}")
 
 
 def check_lifetime(name, tau):
     """Raise unless the lifetime tau > 0; inf switches its loss channel off."""
     rule = f"{name} must be positive"
-    if not _as_float(tau, rule) > 0.0:
-        raise ValidationError(f"{rule}, got {tau}")
+    with in_range(rule):
+        if not float(tau) > 0.0:
+            raise ValidationError(f"{rule}, got {tau}")
 
 
 def check_rates(rates):
@@ -62,8 +74,9 @@ def check_rates(rates):
 def check_positive(name, x):
     """Raise unless x is finite and x > 0."""
     rule = f"{name} must be finite and positive"
-    if not (math.isfinite(_as_float(x, rule)) and x > 0.0):
-        raise ValidationError(f"{rule}, got {x}")
+    with in_range(rule):
+        if not (math.isfinite(float(x)) and x > 0.0):
+            raise ValidationError(f"{rule}, got {x}")
 
 
 def check_probability(name, p):

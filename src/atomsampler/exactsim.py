@@ -52,8 +52,8 @@ from itertools import islice
 import numpy as np
 
 from . import lossmodel
-from .errors import (ValidationError, check_count, check_lifetime, check_positive, check_rates,
-                     check_time)
+from .errors import (ValidationError, as_array, check_count, check_lifetime, check_positive,
+                     check_rates, check_time)
 from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
                    state_rank)
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
@@ -236,7 +236,7 @@ def run_circuit(amps, n, plan, rates, t_step):
     phases, which change no survival ratio, are not applied.  A step
     starting from zero norm has p_j = 0, and no p_j exceeds 1.
     """
-    amps, rates = np.asarray(amps), np.asarray(rates, dtype=float)
+    amps, rates = as_array(amps, complex, "amps").copy(), as_array(rates, float, "rates")
     dim = multiset_dimension(n, plan.m)
     if len(amps) != dim:
         raise ValidationError(
@@ -255,7 +255,6 @@ def run_circuit(amps, n, plan, rates, t_step):
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per slot, in layer order, its pair blocks for n_pair = 1..n; a layer takes the next ones
     couplings = zip(*(_pair_block(t2, n_pair) for n_pair in range(1, n + 1)))
-    amps = amps.astype(complex)
     # squared norms summed without BLAS, whose threads would split the sum
     parts = amps.view(float)
     norm = float(np.einsum("i,i->", parts, parts))

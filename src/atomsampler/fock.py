@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError, check_count
+from .errors import SizeCapError, ValidationError, as_array, check_count
 
 #: Most rows, amplitudes or unitary entries an input-sized array may hold.
 BASIS_CAP = 10**7
@@ -136,6 +136,7 @@ def rank_table(n, m):
 
     A row's basis rank is the sum over modes j of T[j, atoms in modes > j].
     """
+    check_size_cap(m * (n + 1), f"rank table entries for n={n}, m={m}")
     table = [[comb(s + m - j - 2, m - j - 1) if s else 0 for s in range(n + 1)] for j in range(m)]
     dtype = np.int64 if comb(n + m, n) < 2**63 else object
     return np.array(table, dtype=dtype).reshape(m, n + 1)
@@ -147,7 +148,7 @@ def basis_rank(states):
     The term for mode j depends only on the atoms in modes 0..j: one lookup
     per mode in the binomial `rank_table`.
     """
-    states = np.asarray(states, dtype=np.int64)
+    states = as_array(states, np.int64, "states")
     if states.size and states.min() < 0:
         raise ValidationError("negative occupation in a state to rank")
     totals = states.sum(axis=-1, keepdims=True)

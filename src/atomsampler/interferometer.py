@@ -10,9 +10,13 @@ with theta in [0, pi] and phi in [0, 2 pi).  Any M x M unitary factors into a
 rectangular mesh of such couplings on adjacent mode pairs followed by one
 diagonal layer of output phases.  The mesh's slots depend on M alone and
 `mesh_layers` owns them: layers alternate between even pairs (0,1), (2,3), ...
-and odd pairs (1,2), (3,4), ..., at most M layers with M(M-1)/2 slots in all.
-A `CircuitPlan` holds one theta and one phi per slot; couplings that come out
-as the identity (theta = 0) keep their slot.
+and odd pairs (1,2), (3,4), ..., at most M layers with M(M-1)/2 slots in all,
+which `fock.check_size_cap` is asked for first.  A `CircuitPlan` holds one
+theta and one phi per slot; couplings that come out as the identity
+(theta = 0) keep their slot.  A caller's unitary, plan arrays and JSON
+payloads convert through `errors.as_array`, so an entry past the float range
+is a ValidationError; the angles of a single coupling or pulse go to numpy as
+they are.
 
 Hardware-wise a coupling is a composite pulse: a site-resolved phase imprint
 A(phi), a global Hadamard H = exp(-i sigma_x pi/4), a second imprint A(theta),
@@ -24,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, as_array, check_count
 from .fock import check_size_cap
 
 TWO_PI = 2.0 * np.pi
@@ -105,6 +109,7 @@ def mesh_layers(m):
     M = 1; a plan's slots are these pairs, layer by layer.
     """
     check_count("mode count", m, 0)
+    check_size_cap(m * (m - 1) // 2, f"mesh slots for m={m}")
     layers = (range(idx % 2, m - 1, 2) for idx in range(m))
     return tuple(layer for layer in layers if layer)
 
@@ -127,7 +132,7 @@ class CircuitPlan:
         slots = sum(map(len, mesh_layers(self.m)))
         for name, size, unit in (("theta", slots, "slots"), ("phi", slots, "slots"),
                                  ("output_phases", self.m, "modes")):
-            values = np.array(getattr(self, name), dtype=float)
+            values = as_array(getattr(self, name), float, name).copy()
             if values.shape != (size,):
                 raise ValidationError(
                     f"{name} has shape {values.shape}; the mesh on {self.m} modes has {size} {unit}"
@@ -148,7 +153,7 @@ class CircuitPlan:
 
 def unitarity_defect(u):
     """Max-abs deviation of U†U from the identity for an (M, K) matrix U; zero if K = 0."""
-    u = np.asarray(u)
+    u = as_array(u, complex, "U")
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0.0))
 
 
@@ -167,10 +172,6 @@ def haar_random_unitary(m, seed):
     return q * (d / np.abs(d))
 
 
-def _wrap_phi(phi):
-    return float(np.mod(phi, TWO_PI))
-
-
 def clements_decompose(u):
     """Factor a unitary into the canonical rectangular coupling mesh.
 
@@ -185,7 +186,7 @@ def clements_decompose(u):
     diagonal and then placed after every column coupling on their pair.
     The nulling order fills every slot of `mesh_layers(M)` this way.
     """
-    u = np.asarray(u, dtype=complex)
+    u = as_array(u, complex, "U")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
@@ -214,7 +215,7 @@ def clements_decompose(u):
                 t = p = 0.0  # an entry that is zero already keeps the identity coupling
                 if abs(a) != 0.0:
                     t = 2.0 * np.arctan2(abs(a), abs(b))
-                    p = _wrap_phi(np.angle(b) - np.angle(a))
+                    p = (np.angle(b) - np.angle(a)) % TWO_PI
                     cols = work[:, col : col + 2]
                     cols[...] = cols @ coupling_matrix(t, p).conj().T
                 place(col, t, p)
@@ -226,7 +227,7 @@ def clements_decompose(u):
                 t = p = 0.0
                 if abs(b) != 0.0:
                     t = 2.0 * np.arctan2(abs(b), abs(a))
-                    p = _wrap_phi(np.angle(a) - np.angle(b) - np.pi)
+                    p = (np.angle(a) - np.angle(b) - np.pi) % TWO_PI
                     rows = work[row - 1 : row + 1, :]
                     rows[...] = coupling_matrix(t, p) @ rows
                 row_ops.append((row - 1, t, p))
@@ -241,7 +242,7 @@ def clements_decompose(u):
             place(mode, 0.0, 0.0)
         else:
             phases[mode] = p + psi2 + np.pi
-            place(mode, t, _wrap_phi(psi2 - psi1 - np.pi))
+            place(mode, t, (psi2 - psi1 - np.pi) % TWO_PI)
     output_phases = np.angle(np.exp(1j * np.asarray(phases, dtype=float)))
     return CircuitPlan(m=m, theta=theta, phi=phi, output_phases=output_phases)
 
@@ -282,11 +283,11 @@ def plan_to_json(plan):
 def plan_from_json(data):
     """CircuitPlan of a `plan_to_json` payload whose pairs follow `mesh_layers`."""
     try:
-        phases = np.asarray(data["output_phases"], dtype=float)
+        phases = as_array(data["output_phases"], float, "output_phases")
         pairs = [[c["pair"] for c in layer] for layer in data["layers"]]
         couplings = [c for layer in data["layers"] for c in layer]
-        theta = np.array([c["theta"] for c in couplings], dtype=float)
-        phi = np.array([c["phi"] for c in couplings], dtype=float)
+        theta = as_array([c["theta"] for c in couplings], float, "theta")
+        phi = as_array([c["phi"] for c in couplings], float, "phi")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"plan payload needs numeric output_phases and layers of pair, theta, phi: {exc!r}"
@@ -309,7 +310,7 @@ def unitary_from_json(data):
     """The unitary of a `unitary_to_json` payload; `re` and `im` are each m x m."""
     try:
         m = data["m"]
-        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
+        re, im = as_array(data["re"], float, "re"), as_array(data["im"], float, "im")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"unitary payload needs m, numeric re and im: {exc}") from exc
     check_count("unitary payload m", m, 1)

@@ -26,19 +26,18 @@ multiplies on top.  Photonic and classical-computer competitor rates follow
 the same conventions so the curves can be compared directly.  Every count,
 time, lifetime, rate and efficiency goes through its check in `errors`; of
 all scenario values only the lifetimes tau_bg and tau_tb may be infinite.
-A count has no upper bound, but one that the float formulas cannot hold is
-a ValidationError, never an OverflowError.
+A count has no upper bound; the float formulas run under `errors.in_range`,
+so a count they cannot hold is a ValidationError.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import (SizeCapError, ValidationError, check_count, check_lifetime, check_positive,
-                     check_positive_probability, check_time)
+                     check_positive_probability, check_time, in_range)
 from .fock import multiset_dimension, site_count
 
 #: Largest N the finite-size sector sum evaluates.  Its cost grows steeply
@@ -46,18 +45,9 @@ from .fock import multiset_dimension, site_count
 FINITE_MODEL_CAP = 200
 
 
-@contextmanager
-def _float_range(name):
-    """Refuse, as a ValidationError, a `name` too large for the float arithmetic in the block."""
-    try:
-        yield
-    except OverflowError:
-        raise ValidationError(f"{name} is too large for float arithmetic") from None
-
-
 def _c_n_squared(c, n):
     """c N^2 as a finite float: the circuit's step count, and its mode count before rounding."""
-    with _float_range("N"):
+    with in_range("N must fit float arithmetic"):
         value = c * n * n
     if not math.isfinite(value):
         raise ValidationError(f"c N^2 overflows at c = {c}, N = {n:.6g}")
@@ -215,7 +205,7 @@ def poisson_pair_limit(c, k2):
     lam = 3.0 / (2.0 * c)
     # in logs: lam^k2 and k2! leave the float range long before their ratio does;
     # log 1.5 - log c stays finite where lam overflows
-    with _float_range("k2"):
+    with in_range("k2 must fit float arithmetic"):
         return math.exp(k2 * (math.log(1.5) - math.log(c)) - lam - math.lgamma(k2 + 1))
 
 
@@ -257,7 +247,7 @@ def p_step_background(n, t, tau_bg):
     # a channel that is off keeps every atom, even where n t overflows and inf / inf is nan
     if tau_bg == math.inf:
         return 1.0
-    with _float_range("n"):
+    with in_range("n must fit float arithmetic"):
         return math.exp(-n * t / tau_bg)
 
 
@@ -286,7 +276,7 @@ def p_survival(scenario, n, model):
         # single exponential keeps the (P_bg P_tb)^(c N^2) identity exact; a
         # channel without decay adds 0, where inf / inf or inf * 0 would be nan
         decay = math.expm1(-t / scenario.tau_tb)
-        with _float_range("N^3"):
+        with in_range("N^3 must fit float arithmetic"):
             background = 0.0 if scenario.tau_bg == math.inf else c * n**3 * t / scenario.tau_bg
             two_body = 0.0 if decay == 0.0 else 1.5 * n * n * decay
             return math.exp(-background + two_body)
@@ -306,7 +296,7 @@ def r_ideal(scenario, n):
 
 def r_nisq(scenario, n, model="finite"):
     """Sampling rate with preparation, loss, and detection penalties, in Hz."""
-    with _float_range("n"):
+    with in_range("n must fit float arithmetic"):
         eta = (scenario.eta_init * scenario.eta_det) ** n
     return eta * p_survival(scenario, n, model=model) * r_ideal(scenario, n)
 
@@ -321,7 +311,7 @@ def r_photonic(photonic, n, depth=None):
     if depth is None:
         depth = n * n
     check_count("depth", depth, 0)
-    with _float_range("n or depth"):
+    with in_range("n and depth must fit float arithmetic"):
         eta = photonic.eta_f * photonic.eta_c**depth
         return (1.0 / math.e) * (photonic.r0 / n) * eta**n
 
@@ -329,7 +319,7 @@ def r_photonic(photonic, n, depth=None):
 def r_classical(classical, n):
     """Rate of Metropolised-independence sampling on a classical machine."""
     check_count("n", n, 1)
-    with _float_range("n"):
+    with in_range("n must fit float arithmetic"):
         return 2.0 ** (-n) / (100.0 * classical.a_tilde * n * n)
 
 

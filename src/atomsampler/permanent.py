@@ -56,7 +56,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError, check_count
+from .errors import SizeCapError, ValidationError, as_array, check_count
 
 #: Glynn evaluation refuses matrices larger than this.
 GLYNN_CAP = 28
@@ -73,7 +73,7 @@ WORKSPACE = 1 << 17
 
 
 def _checked_square(a, name):
-    a = np.asarray(a, dtype=complex)
+    a = as_array(a, complex, f"{name}'s matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -145,7 +145,7 @@ def permanents_of_rows(columns, occupations):
     to N; N = 0 gives 1 per row.  Batches of `glynn_batch_size(N)` matrices
     are evaluated one at a time, so the scratch memory does not grow with D.
     """
-    columns = np.asarray(columns, dtype=complex)
+    columns = as_array(columns, complex, "columns")
     occupations = np.asarray(occupations)
     if columns.ndim != 2 or occupations.shape[1:] != columns.shape[:1]:
         raise ValidationError(f"need (M, N) and (D, M), got {columns.shape}, {occupations.shape}")

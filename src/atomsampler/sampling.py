@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ValidationError, check_count
+from .errors import DegenerateSampleError, ValidationError, as_array, check_count
 from .fock import FockState, basis_array, check_size_cap, collision_free_array, multiset_dimension
 from .interferometer import UNITARITY_TOL, unitarity_defect
 from .permanent import check_glynn_cap, permanents_of_rows
@@ -62,7 +62,7 @@ def _mode_indices(state):
 
 
 def _checked_unitary(u, state):
-    u = np.asarray(u, dtype=complex)
+    u = as_array(u, complex, "U")
     if u.shape != (state.m, state.m):
         raise ValidationError(f"state length {state.m} does not match the unitary shape {u.shape}")
     if not np.isfinite(u).all():

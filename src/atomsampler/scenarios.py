@@ -7,11 +7,11 @@ field names of the corresponding dataclass::
      "photonic": {...PhotonicScenario...},
      "classical": {...ClassicalScenario...}}
 
-The lifetimes tau_bg and tau_tb may be the string "inf" to switch a loss
-channel off; the two-atom parameters are one flat `HomParams` object.
-Presets "conservative", "state-of-the-art", and "lossless" ship with the
-package, as do the two-atom interference parameters ("hom-experiment") and a
-small measured-counts sample.
+The lifetimes tau_bg and tau_tb may be the string "inf" to switch a loss channel off;
+each field converts to a float under `errors.in_range`, and the two-atom parameters are
+one flat `HomParams` object.  Presets "conservative", "state-of-the-art", and "lossless"
+ship with the package, as do the two-atom interference parameters ("hom-experiment")
+and a small measured-counts sample.
 """
 
 import json
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from numbers import Real
 
-from .errors import ValidationError
+from .errors import ValidationError, in_range
 from .hom import HomOutcomes, HomParams
 from .lossmodel import ClassicalScenario, LossScenario, PhotonicScenario
 
@@ -44,10 +44,8 @@ def _as_float(section, key, value):
     number = isinstance(value, Real) and not isinstance(value, bool)
     if not (number or isinstance(value, str) and value == "inf"):
         raise ValidationError(f"scenario field {section}.{key} is not a number: {value!r}")
-    try:
+    with in_range(f"scenario field {section}.{key} must be a float"):
         return float(value)
-    except OverflowError:
-        raise ValidationError(f"scenario field {section}.{key} is too large for a float") from None
 
 
 def _build(cls, section, data):

@@ -357,6 +357,8 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
     "argv,refused",
     [
         (["sample", "--n", 1, "--m", 40, "--shots", 10], "unitary entries"),
+        (["sample", "--n", 1, "--m", 2**62], "unitary entries"),
+        (["sample", "--n", 1, "--m", 10**30], "unitary entries"),
         (["decompose", "--m", 40], "unitary entries"),
         (["exactsim", "--n", 1, "--m", 40, "--realizations", 1], "unitary entries"),
         (["exactsim", "--n", 3, "--m", 12, "--realizations", 1], "364 amplitudes"),
@@ -366,8 +368,9 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
         (["hom-sim", "--trials", 300 * hom.MC_BLOCK + 1], "301 Monte Carlo blocks"),
     ],
     ids=[
-        "sample-unitary", "decompose-unitary", "exactsim-unitary", "exactsim-state",
-        "exactsim-realizations", "rates-rows", "sample-shots", "hom-sim-blocks",
+        "sample-unitary", "sample-state-2**62", "sample-state-10**30", "decompose-unitary",
+        "exactsim-unitary", "exactsim-state", "exactsim-realizations", "rates-rows", "sample-shots",
+        "hom-sim-blocks",
     ],
 )
 def test_every_input_sized_allocation_exits_3_above_the_cap(
@@ -378,7 +381,8 @@ def test_every_input_sized_allocation_exits_3_above_the_cap(
     # pass a cap of 300 (10 shots stay below it, so the unitary is the first
     # refusal); the real cap stops M = 10^6, 10^12 shots, 10^9 realizations,
     # N up to 10^10 or 10^15 trials the same way, with no 7 TiB draw, 376 GB
-    # of seeds or 120 GB block list
+    # of seeds or 120 GB block list; an M-long input state of `sample` built
+    # first would raise MemoryError at M = 2**62 and OverflowError at 10**30
     monkeypatch.setattr(fock, "BASIS_CAP", 300)
     assert run(*argv, "--out", tmp_path / "out.csv") == 3
     assert refused in capsys.readouterr().err
@@ -406,6 +410,9 @@ def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
     {"m": 1, "re": 1, "im": [[0]]},
     {"m": True, "re": [[1]], "im": [[0]]},
     {"m": 0, "re": [], "im": []},
+    # an entry past the float range, in re and in im
+    {"m": 1, "re": [[10**400]], "im": [[0]]},
+    {"m": 1, "re": [[1]], "im": [[-10**400]]},
 ])
 def test_decompose_rejects_malformed_unitary(tmp_path, capsys, payload):
     data = tmp_path / "in" / "u.json"

@@ -33,13 +33,30 @@ VALID = {
     "unitary": unitary_to_json(haar_random_unitary(3, seed=0)),
 }
 
-#: Counts files whose trial total a bootstrap resample cannot draw.
-OVERSIZED_COUNTS = [
-    b'{"n0": 9223372036854775807, "n1": 5, "n2": 5}',
-    b'{"n0": 100000000000000000000, "n1": 5, "n2": 5}',
-    b'{"n0": 1' + b"0" * 400 + b', "n1": 5, "n2": 5}',
-    b'{"n0": 1' + b"0" * 5000 + b', "n1": 5, "n2": 5}',
-]
+
+def _unitary_with(part, literal):
+    """The valid unitary document with its first `part` entry written as `literal`."""
+    doc = json.loads(json.dumps(VALID["unitary"]))
+    doc[part][0][0] = "entry"
+    return json.dumps(doc).replace('"entry"', literal).encode()
+
+
+#: Documents valid in form past a limit: counts files whose trial total a
+#: bootstrap resample cannot draw, and unitaries with an entry past the
+#: float range (the last beyond Python's 4300-digit conversion limit).
+OVERSIZED = {
+    "counts": [
+        b'{"n0": 9223372036854775807, "n1": 5, "n2": 5}',
+        b'{"n0": 100000000000000000000, "n1": 5, "n2": 5}',
+        b'{"n0": 1' + b"0" * 400 + b', "n1": 5, "n2": 5}',
+        b'{"n0": 1' + b"0" * 5000 + b', "n1": 5, "n2": 5}',
+    ],
+    "unitary": [
+        _unitary_with(part, literal)
+        for part in ("re", "im")
+        for literal in ("1" + "0" * 400, "-1" + "0" * 400, "1e400", "1" + "0" * 5000)
+    ],
+}
 
 numbers = (
     st.integers(-3, 10**6)
@@ -65,12 +82,13 @@ def _paths(doc, prefix=()):
 def documents(draw, kind):
     """Bytes of a JSON input: garbage, any JSON value, or a valid file with one value changed.
 
-    Counts files may also be oversized: valid in form, with too many trials.
+    Counts and unitary files may also be oversized: valid in form, with too
+    many trials or an entry past the float range.
     """
-    shapes = ["valid", "mutated", "mutated", "json", "bytes"] + ["oversized"] * (kind == "counts")
+    shapes = ["valid", "mutated", "mutated", "json", "bytes"] + ["oversized"] * (kind in OVERSIZED)
     shape = draw(st.sampled_from(shapes))
     if shape == "oversized":
-        return draw(st.sampled_from(OVERSIZED_COUNTS))
+        return draw(st.sampled_from(OVERSIZED[kind]))
     if shape == "bytes":
         return draw(st.binary(max_size=20))
     if shape == "json":
@@ -218,13 +236,18 @@ def test_every_run_ends_in_a_documented_exit_code(command, data):
         assert all(0.0 <= v <= 1.0 for v in values), values
 
 
+#: The command that reads each kind of document, short of its path and --out.
+READERS = {"counts": ["hom-fit", "--trials", "100", "--data"], "unitary": ["decompose", "--data"]}
+
+
+@pytest.mark.parametrize("kind", list(READERS))
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(document=documents("counts"))
-def test_every_counts_file_ends_in_a_documented_exit_code(document):
-    # the all-commands run above rarely gets past its scenario and flags to the counts
+@given(data=st.data())
+def test_every_input_file_ends_in_a_documented_exit_code(kind, data):
+    # the all-commands run above rarely gets past its scenario and flags to the document
     with tempfile.TemporaryDirectory() as root:
-        data, out = Path(root, "counts.json"), Path(root, "fit.json")
-        data.write_bytes(document)
-        code = main(["hom-fit", "--data", str(data), "--trials", "100", "--out", str(out)])
+        path, out = Path(root, f"{kind}.json"), Path(root, "out.json")
+        path.write_bytes(data.draw(documents(kind)))
+        code = main([*READERS[kind], str(path), "--out", str(out)])
         assert code in EXIT_CODES
         assert out.exists() == (code == 0)

@@ -14,7 +14,10 @@ entry here, as a new default needs one in `tests/test_options.py`.
 A second `ast` guard keeps the rules in their owners: outside `errors.py`
 no function raises `ValidationError` from an `if` that compares a
 parameter with a number or with another parameter, apart from the rules in
-`ALLOWED_RULES`, which are not plain domains.
+`ALLOWED_RULES`, which are not plain domains.  A third keeps the name
+`OverflowError` in `errors.py`, whose `in_range` turns a number past the
+float range into a `ValidationError`; every public function that converts
+a caller's array or JSON payload does so through `errors.as_array`.
 """
 
 import ast
@@ -45,10 +48,12 @@ from atomsampler.exactsim import (
 from atomsampler.fock import (
     FockState,
     basis_array,
+    basis_rank,
     collision_free_array,
     enumerate_basis,
     multiset_dimension,
     site_count,
+    state_rank,
 )
 from atomsampler.hom import (
     HomOutcomes,
@@ -58,7 +63,16 @@ from atomsampler.hom import (
     hom_monte_carlo,
     purity_from_bunching,
 )
-from atomsampler.interferometer import clements_decompose, haar_random_unitary, mesh_layers
+from atomsampler.interferometer import (
+    CircuitPlan,
+    clements_decompose,
+    haar_random_unitary,
+    mesh_layers,
+    plan_from_json,
+    plan_to_json,
+    unitarity_defect,
+    unitary_from_json,
+)
 from atomsampler.lossmodel import (
     ClassicalScenario,
     LossScenario,
@@ -80,7 +94,13 @@ from atomsampler.lossmodel import (
     truncated_sector_mass,
 )
 from atomsampler.parallel import parallel_map, spawn_seeds
-from atomsampler.sampling import collision_free_mass, draw_samples, output_distribution
+from atomsampler.permanent import permanent_glynn, permanent_naive, permanents_of_rows
+from atomsampler.sampling import (
+    collision_free_mass,
+    draw_samples,
+    outcome_probability,
+    output_distribution,
+)
 from atomsampler.scenarios import load_bundle
 
 PACKAGE = Path(atomsampler.__file__).parent
@@ -296,6 +316,7 @@ UNSWEPT_KINDS = {
     "angle": "any real angle, or an array of them",
     "size": "a size its caller has checked or read from an array shape, compared with a cap",
     "record": "a field of a result record, which stores what the package computed",
+    "dtype": "the numpy type a caller's array converts to, fixed by the calling function",
 }
 
 UNSWEPT = {
@@ -306,6 +327,9 @@ UNSWEPT = {
     "cli.cmd_hom_sim.args": "object",
     "cli.cmd_hom_fit.args": "object",
     "cli.main.argv": "object",
+    "errors.as_array.a": "array",
+    "errors.as_array.dtype": "dtype",
+    "errors.as_array.name": "name",
     "errors.check_count.name": "name",
     "errors.check_count.minimum": "bound",
     "errors.check_lifetime.name": "name",
@@ -434,6 +458,41 @@ REPORTED = {
     "p_step_twobody(2, 4, 10**400, 1)": lambda: p_step_twobody(2, 4, BIG, 1.0),
     "replace(preset, t_step=10**400)": lambda: replace(SOTA.loss, t_step=BIG),
 }
+
+
+def _plan_payload(theta):
+    payload = plan_to_json(PLAN)
+    payload["layers"][0][0]["theta"] = theta
+    return payload
+
+
+ATOM = FockState((1,))
+
+#: One call per public entry point that converts a caller's array or JSON
+#: payload, each with one entry past the float range (past int64 for the
+#: occupations `basis_rank` counts in): an OverflowError before `as_array`.
+PAST_THE_RANGE = {
+    "unitary_from_json": lambda: unitary_from_json({"m": 1, "re": [[BIG]], "im": [[0]]}),
+    "plan_from_json": lambda: plan_from_json(_plan_payload(BIG)),
+    "CircuitPlan": lambda: CircuitPlan(m=2, theta=[BIG], phi=[0.0], output_phases=[0.0, 0.0]),
+    "clements_decompose": lambda: clements_decompose([[BIG]]),
+    "unitarity_defect": lambda: unitarity_defect([[BIG]]),
+    "permanent_glynn": lambda: permanent_glynn([[BIG]]),
+    "permanent_naive": lambda: permanent_naive([[BIG]]),
+    "permanents_of_rows": lambda: permanents_of_rows([[BIG]], [[1]]),
+    "output_distribution": lambda: output_distribution([[BIG]], ATOM),
+    "outcome_probability": lambda: outcome_probability([[BIG]], ATOM, ATOM),
+    "run_circuit.amps": lambda: run_circuit([BIG], 0, PLAN, VACUUM_RATES, 1.0),
+    "run_circuit.rates": lambda: run_circuit(VACUUM, 0, PLAN, [BIG], 1.0),
+    "basis_rank": lambda: basis_rank([[2**63, 0]]),
+    "state_rank": lambda: state_rank(FockState((2**63, 0))),
+}
+
+
+@pytest.mark.parametrize("call", list(PAST_THE_RANGE))
+def test_an_entry_past_the_range_raises_validation_error(call):
+    with pytest.raises(ValidationError, match="got a number out of range"):
+        PAST_THE_RANGE[call]()
 
 
 def _arguments(function, skip_first):
@@ -678,3 +737,9 @@ def test_the_guard_sees_every_inline_domain_rule():
         (11, "h", "m % 2 != 0"),
         (25, "A.__post_init__", "x >= -1"),
     ]
+
+
+def test_overflow_errors_are_handled_in_errors_alone():
+    named = {module for module, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "OverflowError"}
+    assert named == {"errors"}

@@ -17,10 +17,11 @@ from atomsampler.fock import (
     enumerate_basis,
     is_collision_free,
     multiset_dimension,
+    rank_table,
     site_occupancy,
     state_rank,
 )
-from atomsampler.interferometer import haar_random_unitary
+from atomsampler.interferometer import CircuitPlan, haar_random_unitary, mesh_layers
 from atomsampler.lossmodel import p_pairs_trios
 
 
@@ -74,7 +75,9 @@ def test_enumerate_basis_cap():
 
 
 # each would hold at least 240 kB: 42 504 amplitudes, 15 504 x 20 table entries
-# or 300 x 300 unitary entries
+# or 300 x 300 unitary entries; the rank tables (3 x (2**70 + 1) and
+# 2 x (2**40 + 1) terms) and the meshes (about 5e19 slots) would grow as
+# lists until the process ran out of memory
 @pytest.mark.parametrize(
     "allocate",
     [
@@ -82,8 +85,13 @@ def test_enumerate_basis_cap():
         lambda: basis_state(FockState((5,) + (0,) * 19)),
         lambda: collision_free_array(5, 20),
         lambda: haar_random_unitary(300, seed=0),
+        lambda: rank_table(2**70, 3),
+        lambda: basis_rank([[2**40, 0]]),
+        lambda: mesh_layers(10**10),
+        lambda: CircuitPlan(m=10**10, theta=[], phi=[], output_phases=[]),
     ],
-    ids=["uniform_state", "basis_state", "collision_free_array", "haar_random_unitary"],
+    ids=["uniform_state", "basis_state", "collision_free_array", "haar_random_unitary",
+         "rank_table", "basis_rank", "mesh_layers", "CircuitPlan"],
 )
 def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
     monkeypatch.setattr(fock, "BASIS_CAP", 1000)
