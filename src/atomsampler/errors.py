@@ -3,7 +3,8 @@ probability rule.
 
 `in_range` is the one OverflowError handler: a number past the float range (or
 int64, in a count array) breaks the rule of its block, a ValidationError.  The
-float checks, `as_array` and `lossmodel`'s formulas run under it; angles do not.
+float checks, `as_array`, `lossmodel`'s formulas and the angles of
+`interferometer` run under it.
 """
 
 import math

@@ -2,10 +2,10 @@
 
 The state is a plain complex amplitude vector over the canonical N-particle
 Fock basis on M modes; every public function takes and returns arrays, and
-the atom number n travels beside them while M comes from the plan.  One
-circuit step applies the non-unitary decay factor exp(-H t_step) followed by
-the coherent couplings of one mesh layer, where H is diagonal in the Fock
-basis with per-state rate
+the atom number n travels beside them while M comes from the plan.  Time is
+counted in circuit steps.  One step applies the non-unitary decay factor
+exp(-H) followed by the coherent couplings of one mesh layer, where H is
+diagonal in the Fock basis with per-state rate per step
 
     N / (2 tau_bg) + sum_s n_s (n_s - 1) / (4 tau_tb)
 
@@ -32,7 +32,7 @@ coupling matrices of every slot of the plan in one call and their pair
 blocks in one call per n_pair, and hands each layer the blocks of its
 slots in turn; a block sums only its nonzero terms, and an idle slot
 (theta = phi = 0) keeps its block, which is exactly the identity.  It
-decays by the rates its caller passes, each >= 0 or inf, so
+decays by the per-step rates its caller passes, each >= 0 or inf, so
 `benchmark_vs_model` builds them once for all its realizations.  A step's
 survival is capped at 1, which a lossless step can round past.  Each step
 calls the two step kernels, `apply_decay` and `apply_layer`, which check
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import lossmodel
 from .errors import (ValidationError, as_array, check_count, check_lifetime, check_positive,
-                     check_rates, check_time)
+                     check_rates)
 from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
                    state_rank)
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
@@ -64,11 +64,7 @@ from .parallel import spawn_seeds
 class BenchmarkResult:
     """Simulated per-step survival versus the closed-form step model."""
 
-    #: Step duration, the unit of every time (not a field).
-    t_step = 1.0
-
     m: int
-    tau_tb: float
     p_j: np.ndarray  # (realizations, steps)
     model_p_step: float
     excluded_occupancy_mass: float
@@ -103,10 +99,11 @@ def basis_state(state):
 def build_decay_diagonal(n, m, tau_bg, tau_tb):
     """Loss rates for every basis state from its site occupancies.
 
-    Each lifetime must be positive; inf switches its loss channel off.  The
-    pair term sum_s n_s (n_s - 1) is added up one site at a time in a
-    basis-length integer vector, so the narrow occupation table is never
-    widened as a whole and no (dim, M/2) temporary is built.
+    Rates are per unit of the lifetimes' time, per step for lifetimes in
+    steps.  Each lifetime must be positive; inf switches its loss channel
+    off.  The pair term sum_s n_s (n_s - 1) is added up one site at a time
+    in a basis-length integer vector, so the narrow occupation table is
+    never widened as a whole and no (dim, M/2) temporary is built.
     """
     check_lifetime("tau_bg", tau_bg)
     check_lifetime("tau_tb", tau_tb)
@@ -211,7 +208,7 @@ def _pair_block(t2, n_pair):
 
 
 def apply_decay(amps, factor):
-    """One step's decay: multiply `amps`, in place, by exp(-rates t_step)."""
+    """One step's decay: multiply `amps`, in place, by exp(-rates)."""
     amps *= factor
 
 
@@ -228,13 +225,13 @@ def apply_layer(amps, n, m, modes, couplings):
             amps[rows] = block @ amps[rows]
 
 
-def run_circuit(amps, n, plan, rates, t_step):
+def run_circuit(amps, n, plan, rates):
     """Alternate decay and coherent layers from `amps`; return (amps, p_j).
 
-    Decay by exp(-rates t_step) acts before each layer of
-    `mesh_layers(plan.m)`; every rate is >= 0 or inf.  The plan's output
-    phases, which change no survival ratio, are not applied.  A step
-    starting from zero norm has p_j = 0, and no p_j exceeds 1.
+    Decay by exp(-rates) acts before each layer of `mesh_layers(plan.m)`;
+    every rate is per step, >= 0 or inf (steps of duration t take rates * t).
+    The plan's output phases, which change no survival ratio, are not applied.
+    A step starting from zero norm has p_j = 0, and no p_j exceeds 1.
     """
     amps, rates = as_array(amps, complex, "amps").copy(), as_array(rates, float, "rates")
     dim = multiset_dimension(n, plan.m)
@@ -242,16 +239,12 @@ def run_circuit(amps, n, plan, rates, t_step):
         raise ValidationError(
             f"{len(amps)} amplitudes, but n={n} atoms on the plan's {plan.m} modes span {dim} states"
         )
-    check_time(t_step)
     if np.shape(amps) != np.shape(rates):
         raise ValidationError(
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
         )
     check_rates(rates)
-    # a zero step keeps every amplitude, even at an infinite rate, where inf * 0 is nan;
-    # a decay past the float range keeps none
-    with np.errstate(over="ignore"):
-        factor = np.exp(-rates * t_step) if t_step else np.ones(len(rates))
+    factor = np.exp(-rates)
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per slot, in layer order, its pair blocks for n_pair = 1..n; a layer takes the next ones
     couplings = zip(*(_pair_block(t2, n_pair) for n_pair in range(1, n + 1)))
@@ -275,27 +268,25 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
 
     Each realization decomposes a fresh Haar unitary and runs the circuit
     from the uniform initial state with background loss switched off.  Times
-    are measured in units of the step duration, so only the ratio of the
-    pair lifetime to the execution time t_exec = M t_step matters; it must
-    be a finite positive number.
+    are counted in steps, so only the ratio of the pair lifetime to the
+    execution time t_exec = M steps matters; it must be a finite positive
+    number.
     """
     check_count("realizations", realizations, 1)
     check_positive("tau_tb / t_exec", tau_tb_over_texec)
     initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
-    t_step = BenchmarkResult.t_step
-    tau_tb = tau_tb_over_texec * m * t_step
+    tau_tb = tau_tb_over_texec * m
     check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
     rates = build_decay_diagonal(n, m, math.inf, tau_tb)
     # the model draws no random number: a geometry it refuses is refused before any circuit runs
-    model_p_step = lossmodel.p_step_twobody(n, m, t_step, tau_tb)
+    model_p_step = lossmodel.p_step_twobody(n, m, 1.0, tau_tb)
     excluded = lossmodel.excluded_occupancy_mass(n, m)
     # the realization's first spawned child seeds its unitary
     plans = (clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
              for child in spawn_seeds(seed, realizations))
     return BenchmarkResult(
         m=m,
-        tau_tb=tau_tb,
-        p_j=np.vstack([run_circuit(initial, n, plan, rates, t_step)[1] for plan in plans]),
+        p_j=np.vstack([run_circuit(initial, n, plan, rates)[1] for plan in plans]),
         model_p_step=model_p_step,
         excluded_occupancy_mass=excluded,
     )

@@ -146,11 +146,14 @@ def basis_rank(states):
     """Canonical basis index of every (..., M) occupation row, with no loop.
 
     The term for mode j depends only on the atoms in modes 0..j: one lookup
-    per mode in the binomial `rank_table`.
+    per mode in the binomial `rank_table`.  An entry above `BASIS_CAP` is a
+    `SizeCapError`, so no int64 row sum wraps.
     """
     states = as_array(states, np.int64, "states")
     if states.size and states.min() < 0:
         raise ValidationError("negative occupation in a state to rank")
+    # an entry above the cap puts the rank table above it too; asked before a row sum can wrap
+    check_size_cap(int(states.max(initial=0)), "atoms in one mode of a state to rank")
     totals = states.sum(axis=-1, keepdims=True)
     table = rank_table(int(totals.max(initial=0)), states.shape[-1])
     return table[np.arange(states.shape[-1]), totals - np.cumsum(states, axis=-1)].sum(axis=-1)

@@ -14,9 +14,9 @@ and odd pairs (1,2), (3,4), ..., at most M layers with M(M-1)/2 slots in all,
 which `fock.check_size_cap` is asked for first.  A `CircuitPlan` holds one
 theta and one phi per slot; couplings that come out as the identity
 (theta = 0) keep their slot.  A caller's unitary, plan arrays and JSON
-payloads convert through `errors.as_array`, so an entry past the float range
-is a ValidationError; the angles of a single coupling or pulse go to numpy as
-they are.
+payloads convert through `errors.as_array`, and the angles of a single
+coupling, imprint or pulse go to numpy under `errors.in_range`, so an entry
+past the float range is a ValidationError.
 
 Hardware-wise a coupling is a composite pulse: a site-resolved phase imprint
 A(phi), a global Hadamard H = exp(-i sigma_x pi/4), a second imprint A(theta),
@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError, as_array, check_count
+from .errors import ValidationError, as_array, check_count, in_range
 from .fock import check_size_cap
 
 TWO_PI = 2.0 * np.pi
@@ -36,15 +36,18 @@ TWO_PI = 2.0 * np.pi
 #: Largest max-abs defect of U†U from the identity `clements_decompose` accepts.
 UNITARITY_TOL = 1e-10
 
+_ANGLE_RULE = "every angle must fit float64"
+
 _HADAMARD = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def coupling_matrix(theta, phi):
     """Two-mode couplings T(theta, phi) of shape (..., 2, 2) for broadcast
     angle arrays; each is unitary with determinant exp(-i phi)."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    ph = np.exp(-1j * phi)
+    with in_range(_ANGLE_RULE):
+        c = np.cos(theta / 2.0)
+        s = np.sin(theta / 2.0)
+        ph = np.exp(-1j * phi)
     top, bottom = ph * c, ph * s
     out = np.empty(top.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = top
@@ -56,10 +59,11 @@ def coupling_matrix(theta, phi):
 
 def phase_imprint(angle):
     """Differential phase A(angle) = exp(-i sigma_z angle / 2)."""
-    return np.array(
-        [[np.exp(-1j * angle / 2.0), 0.0], [0.0, np.exp(1j * angle / 2.0)]],
-        dtype=complex,
-    )
+    with in_range(_ANGLE_RULE):
+        return np.array(
+            [[np.exp(-1j * angle / 2.0), 0.0], [0.0, np.exp(1j * angle / 2.0)]],
+            dtype=complex,
+        )
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,17 @@ class PulseSequence:
     """Composite pulse realizing one coupling, in application order.
 
     The train is A(phi_imprint), Hadamard, A(theta_imprint), inverse
-    Hadamard, then a global phase factor exp(i global_phase).
+    Hadamard, then a global phase factor exp(i global_phase).  Both angles
+    are stored as floats.
     """
 
     phi_imprint: float
     theta_imprint: float
+
+    def __post_init__(self):
+        with in_range(_ANGLE_RULE):
+            object.__setattr__(self, "phi_imprint", float(self.phi_imprint))
+            object.__setattr__(self, "theta_imprint", float(self.theta_imprint))
 
     @property
     def global_phase(self):

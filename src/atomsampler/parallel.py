@@ -6,6 +6,7 @@ order.  Worker counts only control concurrency, never the task partition, so
 results are bit-identical for any number of workers.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,7 +21,11 @@ def spawn_seeds(seed, count):
 
 
 def parallel_map(fn, items, workers):
-    """Map `fn` over `items` on a pool of `workers` threads, results in input order."""
+    """Map `fn` over the sized `items` on a thread pool, results in input order.
+
+    The pool has `workers` threads, but no more than there are items or CPUs,
+    and at least one.
+    """
     check_count("workers", workers, 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max(1, min(workers, len(items), os.cpu_count() or 1))) as pool:
         return list(pool.map(fn, items))

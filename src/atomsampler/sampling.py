@@ -82,6 +82,7 @@ def _probabilities(u, input_state, states):
     input's.  prod_j n_j! is multiplied in one mode at a time, so the narrow
     table is never widened as a whole, and only for modes that hold two or
     more atoms in some row: 0! = 1! = 1 would not move a bit of the product.
+    No probability exceeds 1.
     """
     probs = np.abs(permanents_of_rows(u[:, _mode_indices(input_state)], states)) ** 2
     factorials = np.array([factorial(k) for k in range(input_state.total + 1)], dtype=float)
@@ -89,7 +90,8 @@ def _probabilities(u, input_state, states):
     for j in np.flatnonzero(states.max(axis=0, initial=0) > 1):
         norms *= np.take(factorials, states[:, j])
     probs /= norms * prod(map(factorial, input_state.occupations))
-    return probs
+    # a certain outcome can round past 1, as |e^(i phi)|^2 does
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def outcome_probability(u, input_state, output_state):

@@ -214,7 +214,7 @@ def test_criterion_11_cross_module_oracle():
                 occ[j] = 1
             inp = FockState(tuple(occ))
             lossless = build_decay_diagonal(n, m, math.inf, math.inf)
-            final, _ = run_circuit(basis_state(inp), n, plan, lossless, 1.0)
+            final, _ = run_circuit(basis_state(inp), n, plan, lossless)
             probs = np.abs(final) ** 2
             for out in enumerate_basis(n, m):
                 gap = abs(probs[state_rank(out)] - outcome_probability(u, inp, out))

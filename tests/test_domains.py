@@ -66,8 +66,11 @@ from atomsampler.hom import (
 from atomsampler.interferometer import (
     CircuitPlan,
     clements_decompose,
+    composite_pulse,
+    coupling_matrix,
     haar_random_unitary,
     mesh_layers,
+    phase_imprint,
     plan_from_json,
     plan_to_json,
     unitarity_defect,
@@ -129,7 +132,7 @@ COUNT_CALLERS = {
     "exactsim.uniform_state.m": lambda k: uniform_state(1, k + 1),
     "exactsim.build_decay_diagonal.n": lambda k: build_decay_diagonal(k, 4, 1.0, 1.0),
     "exactsim.build_decay_diagonal.m": lambda k: build_decay_diagonal(1, 2 * k + 2, 1.0, 1.0),
-    "exactsim.run_circuit.n": lambda k: run_circuit(VACUUM, k, PLAN, VACUUM_RATES, 1.0),
+    "exactsim.run_circuit.n": lambda k: run_circuit(VACUUM, k, PLAN, VACUUM_RATES),
     "exactsim.benchmark_vs_model.n": lambda k: benchmark_vs_model(k, 4, 1.0, 1, 0),
     "exactsim.benchmark_vs_model.m": lambda k: benchmark_vs_model(1, 2 * k + 2, 1.0, 1, 0),
     "exactsim.benchmark_vs_model.realizations": lambda k: benchmark_vs_model(1, 4, 1.0, k + 1, 0),
@@ -182,7 +185,6 @@ COUNT_CALLERS = {
 
 TIME_CALLERS = {
     "errors.check_time.t": check_time,
-    "exactsim.run_circuit.t_step": lambda t: run_circuit(VACUUM, 0, PLAN, VACUUM_RATES, t),
     "lossmodel.p_step_twobody_closed.t": lambda t: p_step_twobody_closed(1.0, t, 1.0),
     "lossmodel.p_step_twobody.t": lambda t: p_step_twobody(4, 16, t, 1.0),
     "lossmodel.p_step_background.t": lambda t: p_step_background(5, t, 1.0),
@@ -338,7 +340,6 @@ UNSWEPT = {
     "errors.check_probability.name": "name",
     "errors.check_positive_probability.name": "name",
     "exactsim.BenchmarkResult.m": "record",
-    "exactsim.BenchmarkResult.tau_tb": "record",
     "exactsim.BenchmarkResult.p_j": "record",
     "exactsim.BenchmarkResult.model_p_step": "record",
     "exactsim.BenchmarkResult.excluded_occupancy_mass": "record",
@@ -468,9 +469,9 @@ def _plan_payload(theta):
 
 ATOM = FockState((1,))
 
-#: One call per public entry point that converts a caller's array or JSON
-#: payload, each with one entry past the float range (past int64 for the
-#: occupations `basis_rank` counts in): an OverflowError before `as_array`.
+#: One call per public entry point that converts a caller's array, JSON
+#: payload or angle, each with one entry past the float range (past int64 for
+#: the occupations `basis_rank` counts in): an OverflowError before `in_range`.
 PAST_THE_RANGE = {
     "unitary_from_json": lambda: unitary_from_json({"m": 1, "re": [[BIG]], "im": [[0]]}),
     "plan_from_json": lambda: plan_from_json(_plan_payload(BIG)),
@@ -482,10 +483,14 @@ PAST_THE_RANGE = {
     "permanents_of_rows": lambda: permanents_of_rows([[BIG]], [[1]]),
     "output_distribution": lambda: output_distribution([[BIG]], ATOM),
     "outcome_probability": lambda: outcome_probability([[BIG]], ATOM, ATOM),
-    "run_circuit.amps": lambda: run_circuit([BIG], 0, PLAN, VACUUM_RATES, 1.0),
-    "run_circuit.rates": lambda: run_circuit(VACUUM, 0, PLAN, [BIG], 1.0),
+    "run_circuit.amps": lambda: run_circuit([BIG], 0, PLAN, VACUUM_RATES),
+    "run_circuit.rates": lambda: run_circuit(VACUUM, 0, PLAN, [BIG]),
     "basis_rank": lambda: basis_rank([[2**63, 0]]),
     "state_rank": lambda: state_rank(FockState((2**63, 0))),
+    "coupling_matrix": lambda: coupling_matrix(BIG, 0.0),
+    "phase_imprint": lambda: phase_imprint(BIG),
+    "composite_pulse.theta": lambda: composite_pulse(BIG, 0.0).as_matrix(),
+    "composite_pulse.phi": lambda: composite_pulse(0.0, BIG).global_phase,
 }
 
 

@@ -63,20 +63,15 @@ def test_decay_diagonal_of_a_pair_rate_past_the_float_range():
     assert rates.tolist() == [math.inf if p else 0.0 for p in paired]
 
 
-def test_infinite_rates_at_a_zero_or_overflowing_step():
-    plan = clements_decompose(haar_random_unitary(4, seed=8))
+def test_infinite_or_huge_rates_remove_their_states():
     amps = uniform_state(2, 4)
     rates = build_decay_diagonal(2, 4, math.inf, 1e-320)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # at t_step = 0 the decay factor is exactly 1, as if no rate were set
-        final, p_j = run_circuit(amps, 2, plan, rates, 0.0)
-        expected = run_circuit(amps, 2, plan, np.zeros_like(rates), 1.0)
-        assert np.array_equal(final, expected[0]) and np.array_equal(p_j, expected[1])
-        # a finite rate whose decay exponent overflows removes its state, as an infinite one does
+        # a finite rate whose decay underflows removes its state, as an infinite one does
         huge = np.where(np.isinf(rates), 1e300, 0.0)
         for r in (rates, huge):
-            _, p_j = run_circuit(amps, 2, _idle_plan(4), r, 1e10)
+            _, p_j = run_circuit(amps, 2, _idle_plan(4), r)
             # four of the ten states hold no pair
             assert p_j.tolist() == pytest.approx([0.4, 1.0, 1.0, 1.0], rel=1e-12)
 
@@ -100,16 +95,16 @@ def _idle_plan(m):
 def test_decay_laws():
     pair = basis_state(FockState((1, 1, 0, 0)))
     rates = build_decay_diagonal(2, 4, tau_bg=math.inf, tau_tb=0.7)
-    final, p_j = run_circuit(pair, 2, _idle_plan(4), rates, 0.0)
+    final, p_j = run_circuit(pair, 2, _idle_plan(4), np.zeros_like(rates))
     assert np.array_equal(final, pair)
     assert np.array_equal(p_j, np.ones(4))
     for t in (0.1, 0.5, 2.0):
-        _, p_j = run_circuit(pair, 2, _idle_plan(4), rates, t)
+        _, p_j = run_circuit(pair, 2, _idle_plan(4), rates * t)
         assert p_j == pytest.approx(np.full(4, math.exp(-t / 0.7)), rel=1e-12)
     # zero-pair sector with two-body loss off: exp(-N t / tau_bg)
     free = basis_state(FockState((1, 0, 1, 0)))
     rates_bg = build_decay_diagonal(2, 4, tau_bg=1.3, tau_tb=math.inf)
-    _, p_j = run_circuit(free, 2, _idle_plan(4), rates_bg, 0.4)
+    _, p_j = run_circuit(free, 2, _idle_plan(4), rates_bg * 0.4)
     assert p_j == pytest.approx(np.full(4, math.exp(-2 * 0.4 / 1.3)), rel=1e-12)
 
 
@@ -119,7 +114,7 @@ def test_pair_sector_decay_law():
     rates = build_decay_diagonal(5, 8, tau_bg=9.0, tau_tb=2.0)
     t = 0.37
     expected = math.exp(-5 * t / 9.0) * math.exp(-2 * t / 2.0)
-    _, p_j = run_circuit(state, 5, _idle_plan(8), rates, t)
+    _, p_j = run_circuit(state, 5, _idle_plan(8), rates * t)
     assert p_j == pytest.approx(np.full(8, expected), rel=1e-12)
 
 
@@ -130,8 +125,8 @@ def _two_mode_plan(theta):
 def test_two_mode_identity_and_hom():
     state = basis_state(FockState((1, 1)))
     lossless = build_decay_diagonal(2, 2, math.inf, math.inf)
-    assert np.array_equal(run_circuit(state, 2, _two_mode_plan(0.0), lossless, 1.0)[0], state)
-    out, p_j = run_circuit(state, 2, _two_mode_plan(np.pi / 2.0), lossless, 1.0)
+    assert np.array_equal(run_circuit(state, 2, _two_mode_plan(0.0), lossless)[0], state)
+    out, p_j = run_circuit(state, 2, _two_mode_plan(np.pi / 2.0), lossless)
     probs = np.abs(out) ** 2
     assert probs[state_rank(FockState((2, 0)))] == pytest.approx(0.5, abs=1e-12)
     assert probs[state_rank(FockState((1, 1)))] == pytest.approx(0.0, abs=1e-12)
@@ -143,7 +138,7 @@ def test_norm_conservation_without_decay():
     for m, seed in ((4, 0), (8, 1), (12, 2)):
         plan = clements_decompose(haar_random_unitary(m, seed=seed))
         lossless = build_decay_diagonal(3, m, math.inf, math.inf)
-        final, p_j = run_circuit(uniform_state(3, m), 3, plan, lossless, 1.0)
+        final, p_j = run_circuit(uniform_state(3, m), 3, plan, lossless)
         assert np.max(np.abs(p_j - 1.0)) < 1e-12
         assert abs(_norm_squared(final) - 1.0) < 1e-12
 
@@ -157,7 +152,7 @@ def test_lossless_circuit_matches_permanent_probabilities(n, m, seed):
         occ[2 * j] = 1
     inp = FockState(tuple(occ))
     lossless = build_decay_diagonal(n, m, math.inf, math.inf)
-    final, p_j = run_circuit(basis_state(inp), n, plan, lossless, 1.0)
+    final, p_j = run_circuit(basis_state(inp), n, plan, lossless)
     probs = np.abs(final) ** 2
     for out in enumerate_basis(n, m):
         expected = outcome_probability(u, inp, out)
@@ -169,7 +164,7 @@ def test_run_circuit_first_step_background_bound():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     inp = basis_state(FockState((1, 0, 1, 0)))  # collision free
     t_step, tau_bg, tau_tb = 0.05, 4.0, 0.6
-    _, p_j = run_circuit(inp, 2, plan, build_decay_diagonal(2, 4, tau_bg, tau_tb), t_step)
+    _, p_j = run_circuit(inp, 2, plan, build_decay_diagonal(2, 4, tau_bg, tau_tb) * t_step)
     floor = math.exp(-2 * t_step / tau_bg)
     assert p_j[0] == pytest.approx(floor, rel=1e-12)  # no pairs before layer 1
     assert all(p <= 1.0 + 1e-12 for p in p_j)
@@ -194,14 +189,14 @@ def _step_matrix(n, m, layer, t2):
     return step / np.outer(norms, norms)
 
 
-def _step_by_step(initial, n, plan, rates, t_step):
-    # reference: decay by exp(-rates t_step), then the layer's permanent matrix
+def _step_by_step(initial, n, plan, rates):
+    # reference: decay by exp(-rates), then the layer's permanent matrix
     t2 = coupling_matrix(plan.theta, plan.phi)
     state, ratios, start = initial.astype(complex), [], 0
     for layer in mesh_layers(plan.m):
         before = _norm_squared(state)
         step = _step_matrix(n, plan.m, layer, t2[start : start + len(layer)])
-        state = step @ (state * np.exp(-rates * t_step))
+        state = step @ (state * np.exp(-rates))
         ratios.append(_norm_squared(state) / before)
         start += len(layer)
     return state, np.asarray(ratios)
@@ -223,13 +218,13 @@ def _with_idle_couplings(plan, index, count):
 def test_run_circuit_matches_the_permanent_step_reference(n, m, seed, tau_bg, idle):
     plan = _with_idle_couplings(clements_decompose(haar_random_unitary(m, seed=seed)), 2, idle)
     initial = uniform_state(n, m)
-    rates = build_decay_diagonal(n, m, tau_bg, 1.7)
-    final, p_j = run_circuit(initial, n, plan, rates, 0.3)
-    expected, ratios = _step_by_step(initial, n, plan, rates, 0.3)
+    rates = build_decay_diagonal(n, m, tau_bg, 1.7) * 0.3
+    final, p_j = run_circuit(initial, n, plan, rates)
+    expected, ratios = _step_by_step(initial, n, plan, rates)
     assert np.max(np.abs(p_j - ratios)) <= 1e-12
     assert np.max(np.abs(final - expected)) <= 1e-12
     # a second run on the same rates gives the same bits
-    again, p_again = run_circuit(initial, n, plan, rates, 0.3)
+    again, p_again = run_circuit(initial, n, plan, rates)
     assert np.array_equal(again, final) and np.array_equal(p_again, p_j)
 
 
@@ -241,7 +236,7 @@ def test_idle_slots_change_no_amplitude():
     amps = uniform_state(n, m)
     amps *= np.exp(2j * np.pi * np.random.default_rng(3).random(amps.size))
     lossless = build_decay_diagonal(n, m, math.inf, math.inf)
-    final, p_j = run_circuit(amps, n, _idle_plan(m), lossless, 0.3)
+    final, p_j = run_circuit(amps, n, _idle_plan(m), lossless)
     assert np.array_equal(final, amps)
     assert np.array_equal(p_j, np.ones(m))
 
@@ -251,7 +246,7 @@ def test_lossless_run_circuit_drift_bound():
     # a norm ratio that rounds past 1 (11 of these 20 did) is capped at 1
     plan = clements_decompose(haar_random_unitary(20, seed=5))
     lossless = build_decay_diagonal(5, 20, math.inf, math.inf)
-    final, p_j = run_circuit(uniform_state(5, 20), 5, plan, lossless, 1.0)
+    final, p_j = run_circuit(uniform_state(5, 20), 5, plan, lossless)
     assert len(p_j) == 20
     assert np.all(p_j <= 1.0) and np.max(1.0 - p_j) <= 1e-12
     assert abs(_norm_squared(final) - 1.0) <= 1e-12
@@ -260,44 +255,33 @@ def test_lossless_run_circuit_drift_bound():
 def test_run_circuit_validates_dimensions():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     with pytest.raises(ValidationError, match="amplitudes"):
-        run_circuit(uniform_state(2, 6), 2, plan, build_decay_diagonal(2, 6, 1.0, 1.0), 1.0)
+        run_circuit(uniform_state(2, 6), 2, plan, build_decay_diagonal(2, 6, 1.0, 1.0))
     with pytest.raises(ValidationError, match="amplitudes"):
-        run_circuit(uniform_state(2, 4), 3, plan, build_decay_diagonal(3, 4, 1.0, 1.0), 1.0)
+        run_circuit(uniform_state(2, 4), 3, plan, build_decay_diagonal(3, 4, 1.0, 1.0))
+    # a negative step time makes every rate negative
     with pytest.raises(ValidationError, match="non-negative"):
-        run_circuit(uniform_state(2, 4), 2, plan, build_decay_diagonal(2, 4, 1.0, 1.0), -0.5)
+        run_circuit(uniform_state(2, 4), 2, plan, build_decay_diagonal(2, 4, 1.0, 1.0) * -0.5)
     # a larger basis would run on the wrong fibers, a smaller one index past its end
     plan6 = clements_decompose(haar_random_unitary(6, seed=8))
     for amps, n in ((uniform_state(2, 8), 2), (uniform_state(2, 4), 2), (uniform_state(2, 6), 3)):
         with pytest.raises(ValidationError, match="amplitudes"):
-            run_circuit(amps, n, plan6, np.zeros(len(amps)), 1.0)
+            run_circuit(amps, n, plan6, np.zeros(len(amps)))
     amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 1.0, 1.0)
     for wrong in (build_decay_diagonal(2, 6, 1.0, 1.0), rates[:, None]):
         with pytest.raises(ValidationError, match="do not match rates"):
-            run_circuit(amps, 2, plan, wrong, 0.5)
+            run_circuit(amps, 2, plan, wrong)
 
 
 def test_run_circuit_takes_lists_as_it_takes_arrays():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
-    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 3.0, 1.0)
-    expected = run_circuit(amps, 2, plan, rates, 0.5)
+    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 3.0, 1.0) * 0.5
+    expected = run_circuit(amps, 2, plan, rates)
     for a, r in ((amps.tolist(), rates.tolist()), (amps.tolist(), rates), (amps, rates.tolist())):
-        got = run_circuit(a, 2, plan, r, 0.5)
+        got = run_circuit(a, 2, plan, r)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
     # one atom on a one-mode circuit: a list of one amplitude and one rate
-    final, p_j = run_circuit([1.0], 1, clements_decompose(np.eye(1)), [0.0], 1.0)
+    final, p_j = run_circuit([1.0], 1, clements_decompose(np.eye(1)), [0.0])
     assert final.tolist() == [1.0] and p_j.size == 0
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
-def test_decay_refuses_non_finite_or_negative_times(t):
-    plan = clements_decompose(haar_random_unitary(4, seed=8))
-    amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, math.inf, 1.0)
-    # at t = 0 the decay leaves every amplitude as it was
-    assert np.array_equal(run_circuit(amps, 2, _idle_plan(4), rates, 0.0)[0], amps)
-    assert np.array_equal(run_circuit(amps, 2, plan, rates, 0.0)[0],
-                          run_circuit(amps, 2, plan, np.zeros_like(rates), 1.0)[0])
-    with pytest.raises(ValidationError, match="finite and non-negative"):
-        run_circuit(amps, 2, plan, rates, t)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
@@ -307,31 +291,34 @@ def test_run_circuit_refuses_a_negative_or_nan_rate(bad):
     amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, math.inf, 1.0)
     rates[3] = bad
     with pytest.raises(ValidationError, match="rates must be non-negative"):
-        run_circuit(amps, 2, plan, rates, 1.0)
+        run_circuit(amps, 2, plan, rates)
     # an infinite rate is a pair that decays at once
     rates[3] = math.inf
-    assert np.all(run_circuit(amps, 2, plan, rates, 1.0)[1] <= 1.0)
+    assert np.all(run_circuit(amps, 2, plan, rates)[1] <= 1.0)
+    # over a zero step it is a nan rate (inf * 0), refused as any nan rate is
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="non-negative"):
+        run_circuit(amps, 2, plan, rates * 0.0)
 
 
 def test_decaying_norm_is_monotone():
     plan = clements_decompose(haar_random_unitary(6, seed=4))
     rates = build_decay_diagonal(3, 6, tau_bg=50.0, tau_tb=3.0)
-    _, p_j = run_circuit(uniform_state(3, 6), 3, plan, rates, 0.2)
+    _, p_j = run_circuit(uniform_state(3, 6), 3, plan, rates * 0.2)
     assert len(p_j) == 6
     assert np.all(p_j <= 1.0)
 
 
 def test_benchmark_first_step_is_exact_uniform_average():
     result = benchmark_vs_model(3, 8, 1.0, realizations=5, seed=21)
-    rates = build_decay_diagonal(3, 8, tau_bg=math.inf, tau_tb=result.tau_tb)
-    expected_p1 = float(np.mean(np.exp(-2.0 * rates * result.t_step)))
+    rates = build_decay_diagonal(3, 8, tau_bg=math.inf, tau_tb=1.0 * 8)
+    expected_p1 = float(np.mean(np.exp(-2.0 * rates)))
     assert np.allclose(result.p_j[:, 0], expected_p1, atol=1e-12)
 
 
 def test_benchmark_against_step_model():
     result = benchmark_vs_model(4, 16, 1.0, realizations=10, seed=2)
     assert result.p_j.shape == (10, 16)
-    model = p_step_twobody(4, 16, result.t_step, result.tau_tb)
+    model = p_step_twobody(4, 16, 1.0, 1.0 * 16)
     assert result.model_p_step == model
     assert np.max(np.abs(result.mean_p_j - model)) < 0.015
     assert result.mean_p_total >= result.model_p_step_pow_m - 0.01
@@ -352,8 +339,8 @@ def test_single_run_consistent_with_benchmark_spread():
 
     reference = benchmark_vs_model(4, 16, 1.0, realizations=10, seed=31)
     plan = clements_decompose(haar_random_unitary(16, seed=99))
-    rates = build_decay_diagonal(4, 16, math.inf, reference.tau_tb)
-    _, p_j = run_circuit(uniform_state(4, 16), 4, plan, rates, reference.t_step)
+    rates = build_decay_diagonal(4, 16, math.inf, 1.0 * 16)
+    _, p_j = run_circuit(uniform_state(4, 16), 4, plan, rates)
     spread = reference.p_j.prod(axis=1).std()
     assert abs(np.prod(p_j) - reference.mean_p_total) <= 3.0 * spread
 

@@ -105,6 +105,15 @@ def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("occupations", [(2**62, 2**62), (2**62,) * 4], ids=["two", "four"])
+def test_an_occupation_above_the_cap_is_refused_before_its_row_sum_wraps(occupations):
+    # each row sums past int64 - 1: to -2**63 or to 0, which indexed past the rank table
+    with pytest.raises(SizeCapError, match="atoms in one mode"):
+        basis_rank([occupations])
+    with pytest.raises(SizeCapError, match="atoms in one mode"):
+        state_rank(FockState(occupations))
+
+
 def test_rank_examples():
     assert state_rank(FockState((2, 0))) == 0
     assert state_rank(FockState((0, 2))) == 2

@@ -27,7 +27,6 @@ DATACLASS_FIELDS = [
     "exactsim.BenchmarkResult.m",
     "exactsim.BenchmarkResult.model_p_step",
     "exactsim.BenchmarkResult.p_j",
-    "exactsim.BenchmarkResult.tau_tb",
     "fock.FockState.occupations",
     "hom.BunchingFit.p_bunch",
     "hom.BunchingFit.sigma",
