@@ -1,8 +1,9 @@
 """Two-atom interference on a balanced coupler, end to end.
 
 Walks through the exact two-mode calculation, the forward Monte Carlo of the
-full experimental sequence, and the extraction of the bunching probability
-from simulated counts.
+full experimental sequence (one multinomial draw of the trial outcomes), and
+the closed-form least-squares extraction of the bunching probability from
+simulated counts.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ for label, a, b in [
 
 # --- recovering the bunching probability from the counts ------------------
 
-fit = fit_bunching(simulated, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=7)
+fit = fit_bunching(simulated, survival_s=0.84, p_lic0=0.71, seed=7)
 print(f"\nleast-squares fit:   P_bunch = {fit.p_bunch:.3f} +- {fit.sigma:.3f}")
 print(f"two-atom inversion:  P_bunch = {bunching_from_p2(analytic.p2, 0.84):.3f}")
 print(f"inferred purity:     gamma   = {purity_from_bunching(fit.p_bunch):.3f}")

@@ -216,7 +216,7 @@ def cmd_exactsim(args):
 
 def cmd_hom_sim(args):
     params = scenarios.load_hom_params(args.scenario)
-    outcomes = hom.hom_monte_carlo(params, args.trials, args.seed, workers=args.workers)
+    outcomes = hom.hom_monte_carlo(params, args.trials, args.seed)
     n0, n1, n2 = outcomes.counts
     payload = {
         "trials_kept": outcomes.trials_kept,
@@ -235,7 +235,6 @@ def cmd_hom_fit(args):
         measured,
         survival_s=params.survival_s,
         p_lic0=params.p_lic0,
-        trials=args.trials,
         seed=args.seed,
     )
     payload = {
@@ -307,13 +306,15 @@ def build_parser():
     hom_fit = commands.add_parser("hom-fit", help="fit bunching probability to counts")
     _add_common(hom_fit, scenario_default="hom-experiment")
     hom_fit.add_argument("--data", help="measured counts JSON {n0, n1, n2}")
-    hom_fit.add_argument("--trials", type=int, default=10**6)
+    hom_fit.add_argument("--trials", type=int, default=10**6,
+                         help="ignored, as the fit is exact; must be at least 1")
     hom_fit.set_defaults(handler=cmd_hom_fit)
 
-    # sample and exactsim accept the flag and ignore it: bench/workloads.py passes it to them
+    # sample, exactsim and hom-sim accept --workers and ignore it, and hom-fit ignores --trials:
+    # bench/workloads.py passes them
     for sub in (sample, exact, hom_sim):
         sub.add_argument("--workers", type=int, default=1,
-                         help="worker threads, at least 1; only hom-sim uses them")
+                         help="ignored; must be at least 1")
     return parser
 
 
@@ -324,8 +325,9 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if "workers" in args:
-            check_count("--workers", args.workers, 1)
+        for flag in ("workers", "trials"):
+            if flag in args:
+                check_count(f"--{flag}", getattr(args, flag), 1)
         check_count("--seed", args.seed, 0)
         _write_files(args.handler(args))
         return 0

@@ -188,7 +188,7 @@ def test_criterion_10_hom_pipeline():
     ok = mc_gap < 0.002
 
     synthetic = hom_monte_carlo(params, 10**6, seed=6)
-    fit = fit_bunching(synthetic, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=8)
+    fit = fit_bunching(synthetic, survival_s=0.84, p_lic0=0.71, seed=8)
     ok &= abs(fit.p_bunch - 0.731) < 0.01
 
     inverted = bunching_from_p2(0.19, 0.84)

@@ -39,6 +39,9 @@ REFERENCES = [
     "lossmodel.p_step_twobody_closed",
     # the large-N law of the pair counts (criterion 06)
     "lossmodel.poisson_pair_limit",
+    # no command starts a thread pool; bench/spans.py traces the pool by name, and its per-layer
+    # metrics read None without it, so it stays until the benchmark drops them
+    "parallel.parallel_map",
     # the size limit of the factorial oracle below
     "permanent.NAIVE_CAP",
     # the single-matrix Glynn entry point checked against that oracle (criterion 02)

@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from atomsampler import cli, fock, hom, lossmodel
+from atomsampler import cli, fock, lossmodel
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -36,8 +36,10 @@ SMALL_RUNS = {
     "hom-fit": ["hom-fit", "--trials", 10],
 }
 every_command = pytest.mark.parametrize("argv", list(SMALL_RUNS.values()), ids=list(SMALL_RUNS))
-#: Only hom-sim uses its workers; sample and exactsim accept the flag and ignore it.
+#: The commands that accept --workers; each ignores it.
 WITH_WORKERS = ("sample", "exactsim", "hom-sim")
+#: The commands that accept --trials; hom-fit ignores it.
+WITH_TRIALS = ("hom-sim", "hom-fit")
 
 
 def test_rates_determinism_and_crossover(tmp_path):
@@ -187,33 +189,34 @@ def test_sample_payload_is_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
-#: SHA-256 of the `hom-sim`/`hom-fit` JSON payloads, recorded before the
-#: Monte Carlo tallies moved to contiguous threshold rows and the fit to
-#: in-bracket draws; `{counts}` is a file holding {"n0": 40, "n1": 41, "n2": 19}.
+#: SHA-256 of the `hom-sim`/`hom-fit` JSON payloads, recorded when `hom-sim`
+#: became one multinomial draw and the fit its closed form; `--workers` and
+#: `hom-fit --trials` are ignored, and `{counts}` is a file holding
+#: {"n0": 40, "n1": 41, "n2": 19}.
 HOM_DIGESTS = {
     "sim-workers-2": (
         ["hom-sim", "--trials", 3_000_000, "--workers", 2],
-        "9fbb4b95df24f81bfe83e22ea3567d2f90df5bd764ea999385fe347b66e3c9ca",
+        "7d71049c928e2955b14f23b6fbe2db68c5d3284fff6f279bef1f1626f4f8917b",
     ),
     "sim-partial-block": (
         ["hom-sim", "--trials", 1_234_567, "--seed", 5],
-        "465880053780fa24b5bbea24fa624ad9fbac667b7134bf7b3a9b0ac9b8dcdc77",
+        "c70fcd425b8ac5523e412200c6a175397064841ba214b1bf2649fc4dd6c43fb8",
     ),
     "sim-63": (
         ["hom-sim", "--trials", 63, "--seed", 4],
-        "ca9af81c8ce88835c732140bfe34a7ccbeb96d6faa4231c1dfb8d6c024e3faf4",
+        "099abc4798093f25f57f2b904e9ad1aa4b6208532ae1dbe530bb8fad88c10fe2",
     ),
     "fit-300000": (
         ["hom-fit", "--trials", 300_000, "--seed", 2],
-        "13cf2243ee1ea81a2aab5c3bb3ef842b8b7fb0885b5bb7e133e7227e37440ef6",
+        "4d2874b0c30bed1b4930bd127681b6eea2b04b346a92532cbb1e572af4d885c8",
     ),
     "fit-100001": (
         ["hom-fit", "--trials", 100_001, "--seed", 6],
-        "acf6ce7afa453488513d35805ffc9075867560b03eb6049002a9b4c57d93019e",
+        "0e6bb799173e83f1321e4fa334ce38be167353288904496c6371b925971277a4",
     ),
     "fit-custom-counts": (
         ["hom-fit", "--data", "{counts}", "--trials", 200_000, "--seed", 3],
-        "0326cf89e546e61da74247358fcc27bbe2c94ce9818bcb3e46361c0df8e61d12",
+        "a29be7a871583cbb8549dab14239283e92c81f4e302b49a920fe69be239d3982",
     ),
 }
 
@@ -326,6 +329,31 @@ def test_every_command_rejects_fewer_than_one_worker(tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("trials", [0, -4])
+@pytest.mark.parametrize("command", WITH_TRIALS)
+def test_every_command_rejects_fewer_than_one_trial(tmp_path, capsys, command, trials):
+    assert run(*SMALL_RUNS[command], "--trials", trials, "--out", tmp_path / "out") == 2
+    assert "--trials must be an integer >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag,values",
+    [
+        (["hom-sim", "--trials", 1000, "--seed", 3], "--workers", (1, 5)),
+        (["hom-fit", "--seed", 3], "--trials", (1, 10**30)),
+    ],
+    ids=["hom-sim-workers", "hom-fit-trials"],
+)
+def test_hom_commands_ignore_the_flags_the_benchmark_passes(tmp_path, argv, flag, values):
+    payloads = []
+    for value in values:
+        out = tmp_path / f"{value}.json"
+        assert run(*argv, flag, value, "--out", out) == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+
+
 @pytest.mark.parametrize("command", sorted(set(SMALL_RUNS) - set(WITH_WORKERS)))
 def test_commands_without_workers_refuse_the_flag(tmp_path, capsys, command):
     assert run(*SMALL_RUNS[command], "--workers", 2, "--out", tmp_path / "out") == 2
@@ -365,23 +393,20 @@ def test_sample_size_cap_exit_and_no_partial_file(tmp_path):
         (["exactsim", "--n", 1, "--m", 4, "--realizations", 76], "304 survival ratios"),
         (["rates", "--n-min", 2, "--n-max", 302], "301 rate rows"),
         (["sample", "--n", 1, "--m", 2, "--shots", 301], "301 shots"),
-        (["hom-sim", "--trials", 300 * hom.MC_BLOCK + 1], "301 Monte Carlo blocks"),
     ],
     ids=[
         "sample-unitary", "sample-state-2**62", "sample-state-10**30", "decompose-unitary",
         "exactsim-unitary", "exactsim-state", "exactsim-realizations", "rates-rows", "sample-shots",
-        "hom-sim-blocks",
     ],
 )
 def test_every_input_sized_allocation_exits_3_above_the_cap(
     tmp_path, monkeypatch, capsys, argv, refused
 ):
     # 40^2 = 1600 unitary entries, C(14, 3) = 364 amplitudes, 76 x 4 = 304
-    # survival ratios, 301 rate rows, 301 shot rows or 301 Monte Carlo blocks
-    # pass a cap of 300 (10 shots stay below it, so the unitary is the first
-    # refusal); the real cap stops M = 10^6, 10^12 shots, 10^9 realizations,
-    # N up to 10^10 or 10^15 trials the same way, with no 7 TiB draw, 376 GB
-    # of seeds or 120 GB block list; an M-long input state of `sample` built
+    # survival ratios, 301 rate rows or 301 shot rows pass a cap of 300 (10
+    # shots stay below it, so the unitary is the first refusal); the real cap
+    # stops M = 10^6, 10^12 shots, 10^9 realizations or N up to 10^10 the same
+    # way, with no 7 TiB draw or 376 GB of seeds; an M-long input state of `sample` built
     # first would raise MemoryError at M = 2**62 and OverflowError at 10**30
     monkeypatch.setattr(fock, "BASIS_CAP", 300)
     assert run(*argv, "--out", tmp_path / "out.csv") == 3
@@ -652,6 +677,27 @@ def test_hom_fit_rejects_zero_trials(tmp_path, capsys):
     assert run("hom-fit", "--trials", 0, "--out", tmp_path / "fit.json") == 2
     assert "validation error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trials", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_hom_sim_refuses_a_trial_count_past_int64(tmp_path, capsys, trials):
+    out = tmp_path / "hom.json"
+    assert run("hom-sim", "--trials", 2**63 - 1, "--out", out) == 0
+    out.unlink()
+    assert run("hom-sim", "--trials", trials, "--out", out) == 2
+    assert "trials must fit int64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hom_fit_refuses_a_survival_of_zero(tmp_path, capsys):
+    # no pair survives, so the counts say nothing about P_bunch
+    scenario = tmp_path / "in" / "hom.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps({**HOM_SCENARIO, "survival_s": 0.0}))
+    out = tmp_path / "fit.json"
+    assert run("hom-fit", "--scenario", scenario, "--out", out) == 2
+    assert r"survival_s must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["hom-sim", "hom-fit"])

@@ -150,8 +150,6 @@ COUNT_CALLERS = {
     "hom.HomOutcomes.from_counts.n1": lambda k: HomOutcomes.from_counts(1, k, 1),
     "hom.HomOutcomes.from_counts.n2": lambda k: HomOutcomes.from_counts(1, 1, k),
     "hom.hom_monte_carlo.trials": lambda k: hom_monte_carlo(EXPERIMENT, k + 1, 0),
-    "hom.hom_monte_carlo.workers": lambda k: hom_monte_carlo(EXPERIMENT, 10, 0, workers=k + 1),
-    "hom.fit_bunching.trials": lambda k: fit_bunching(MEASURED, 0.84, 0.71, k + 1, 0),
     "interferometer.mesh_layers.m": lambda k: mesh_layers(k),
     "interferometer.haar_random_unitary.m": lambda k: haar_random_unitary(k + 1, 0),
     "lossmodel.even_mode_count.n": lambda k: even_mode_count(k, 1.0),
@@ -226,14 +224,14 @@ PROBABILITY_CALLERS = {
     "hom.HomOutcomes.p0": lambda p: HomOutcomes(1, p, 0.0, 0.0),
     "hom.HomOutcomes.p1": lambda p: HomOutcomes(1, 0.0, p, 0.0),
     "hom.HomOutcomes.p2": lambda p: HomOutcomes(1, 0.0, 0.0, p),
-    "hom.fit_bunching.survival_s": lambda p: fit_bunching(MEASURED, p, 0.71, 1000, 0),
-    "hom.fit_bunching.p_lic0": lambda p: fit_bunching(MEASURED, 0.84, p, 1000, 0),
+    "hom.fit_bunching.p_lic0": lambda p: fit_bunching(MEASURED, 0.84, p, 0),
 }
 
 #: Probabilities in (0, 1]: the efficiencies a rate multiplies by N times and
-#: the survival that `bunching_from_p2` divides by.
+#: the survivals that `bunching_from_p2` and `fit_bunching` divide by.
 POSITIVE_PROBABILITY_CALLERS = {
     "errors.check_positive_probability.p": lambda p: check_positive_probability("p", p),
+    "hom.fit_bunching.survival_s": lambda p: fit_bunching(MEASURED, p, 0.71, 0),
     "hom.bunching_from_p2.s": lambda p: bunching_from_p2(0.0, p),
     "lossmodel.LossScenario.eta_init": lambda p: _loss(eta_init=p),
     "lossmodel.LossScenario.eta_det": lambda p: _loss(eta_det=p),
@@ -438,10 +436,8 @@ UNSWEPT = {
 #: with the wrong exception, before `errors` owned every domain.
 REPORTED = {
     "hom_monte_carlo(p, 2.5, 0)": lambda: hom_monte_carlo(EXPERIMENT, 2.5, 0),
-    "hom_monte_carlo(p, 10, 0, workers=1.5)": lambda: hom_monte_carlo(EXPERIMENT, 10, 0, workers=1.5),
-    "fit_bunching(trials=2.5)": lambda: fit_bunching(MEASURED, 0.84, 0.71, 2.5, 0),
-    "fit_bunching(survival_s=1.5)": lambda: fit_bunching(MEASURED, 1.5, 0.71, 1000, 0),
-    "fit_bunching(p_lic0=-1)": lambda: fit_bunching(MEASURED, 0.84, -1.0, 1000, 0),
+    "fit_bunching(survival_s=1.5)": lambda: fit_bunching(MEASURED, 1.5, 0.71, 0),
+    "fit_bunching(p_lic0=-1)": lambda: fit_bunching(MEASURED, 0.84, -1.0, 0),
     "benchmark_vs_model(2, 4, 1.0, 2.5, 0)": lambda: benchmark_vs_model(2, 4, 1.0, 2.5, 0),
     "haar_random_unitary(2.5, 0)": lambda: haar_random_unitary(2.5, 0),
     "uniform_state(2.5, 4)": lambda: uniform_state(2.5, 4),

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from atomsampler import fock, hom
-from atomsampler.errors import DegenerateSampleError, SizeCapError, ValidationError
+from atomsampler import hom
+from atomsampler.errors import DegenerateSampleError, ValidationError
 from atomsampler.hom import (
     HomOutcomes,
     HomParams,
@@ -79,24 +79,10 @@ def test_monte_carlo_edge_cases():
     assert perfect.p2 == 0.0
 
 
-def test_monte_carlo_determinism_and_worker_invariance():
-    first = hom_monte_carlo(EXPERIMENT, 300_000, seed=9, workers=1)
-    second = hom_monte_carlo(EXPERIMENT, 300_000, seed=9, workers=4)
-    assert first == second
-
-
-@pytest.mark.parametrize("workers", [0, -2])
-def test_monte_carlo_rejects_fewer_than_one_worker(workers):
-    with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
-        hom_monte_carlo(EXPERIMENT, 1_000, seed=0, workers=workers)
-
-
-@pytest.mark.parametrize("workers", [0, 1.5])
-def test_monte_carlo_refuses_the_worker_count_before_it_plans_blocks(workers):
-    # more blocks than the cap allows: the worker count is refused first, with no seed split
-    trials = (fock.BASIS_CAP + 1) * hom.MC_BLOCK
-    with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
-        hom_monte_carlo(EXPERIMENT, trials, seed=0, workers=workers)
+def test_monte_carlo_is_determined_by_its_seed():
+    first = hom_monte_carlo(EXPERIMENT, 300_000, seed=9)
+    assert hom_monte_carlo(EXPERIMENT, 300_000, seed=9) == first
+    assert hom_monte_carlo(EXPERIMENT, 300_000, seed=10) != first
 
 
 def test_post_selection_invariance():
@@ -104,16 +90,10 @@ def test_post_selection_invariance():
         HomParams(0.84, 0.71, 0.462, p_addr=1.0, p_rec=1.0), 400_000, seed=13
     )
     filtered = hom_monte_carlo(EXPERIMENT, 400_000, seed=13)
+    assert plain.trials_kept == 400_000
     assert filtered.trials_kept < plain.trials_kept
     for a, b in zip(plain.triple(), filtered.triple()):
         assert abs(a - b) < 0.006
-
-
-def test_monte_carlo_refuses_more_blocks_than_the_cap(monkeypatch):
-    monkeypatch.setattr(fock, "BASIS_CAP", 1)
-    assert hom_monte_carlo(EXPERIMENT, hom.MC_BLOCK, seed=0).trials_kept > 0
-    with pytest.raises(SizeCapError, match="2 Monte Carlo blocks"):
-        hom_monte_carlo(EXPERIMENT, hom.MC_BLOCK + 1, seed=0)
 
 
 def test_monte_carlo_degenerate():
@@ -123,10 +103,83 @@ def test_monte_carlo_degenerate():
         hom_monte_carlo(EXPERIMENT, 0, seed=0)
 
 
+def test_monte_carlo_takes_any_int64_trial_count_in_constant_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert hom_monte_carlo(EXPERIMENT, 10**15, seed=0).trials_kept < 10**15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert sum(hom_monte_carlo(EXPERIMENT, 2**63 - 1, seed=0).counts) < 2**63
+    for trials in (2**63, 10**30):
+        with pytest.raises(ValidationError, match="trials must fit int64, got a number out of range"):
+            hom_monte_carlo(EXPERIMENT, trials, seed=0)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.84, 1.0])
+@pytest.mark.parametrize("p_lic0", [0.0, 0.29, 0.71, 1.0])
+def test_fit_returns_the_bunching_of_exact_analytic_fractions(s, p_lic0):
+    for p_bunch in (0.5, 0.6, 0.731, 0.9, 1.0):
+        analytic = hom_analytic(HomParams(s, p_lic0, gamma=2.0 * p_bunch - 1.0))
+        measured = HomOutcomes(1000, analytic.p0, analytic.p1, analytic.p2)
+        assert abs(fit_bunching(measured, s, p_lic0, seed=0).p_bunch - p_bunch) <= 1e-12
+
+
+def test_the_fit_clips_to_the_bunching_range_exactly():
+    # the module docstring's fractions at P_bunch = 0.4: valid probabilities, but below what
+    # two atoms can show
+    s, p_lic0, p_bunch = 0.84, 0.71, 0.4
+    below = (s * s * p_bunch * p_lic0 + (1 - s) ** 2, s * s * p_bunch * (1 - p_lic0) + 2 * s * (1 - s),
+             s * s * (1 - p_bunch))
+    assert min(below) >= 0.0 and sum(below) == pytest.approx(1.0, abs=1e-15)
+    assert fit_bunching(HomOutcomes(1000, *below), 0.84, 0.71, seed=0).p_bunch == 0.5
+    # every pair destroyed: the unclipped least-squares value is about 1.18
+    above = fit_bunching(HomOutcomes.from_counts(1, 0, 0), 0.84, 0.71, seed=0)
+    assert (above.p_bunch, above.sigma) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "counts", [(39, 42, 19), (40, 41, 19), (5, 90, 5), (1, 0, 0), (0, 1, 0), (0, 0, 1)], ids=str
+)
+def test_the_fit_has_the_least_squared_error_on_the_bunching_range(counts):
+    measured = HomOutcomes.from_counts(*counts)
+
+    def squared_error(p_bunch):
+        model = hom_analytic(HomParams(0.84, 0.71, gamma=2.0 * p_bunch - 1.0))
+        return float(((model.triple() - measured.triple()) ** 2).sum())
+
+    fit = fit_bunching(measured, 0.84, 0.71, seed=0)
+    assert 0.5 <= fit.p_bunch <= 1.0
+    grid = np.linspace(0.5, 1.0, 2001)
+    assert squared_error(fit.p_bunch) <= min(squared_error(p) for p in grid) + 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "counts,survival_s,p_lic0",
+    [((39, 42, 19), 0.84, 0.71), ((40, 55, 5), 1.0, 0.0), ((3, 2, 2), 0.5, 1.0)],
+    ids=["reference", "lossless", "few-trials"],
+)
+def test_the_bootstrap_sigma_is_the_spread_of_single_resample_fits(counts, survival_s, p_lic0,
+                                                                   seed):
+    # the fit solves every resample as one array; each must be the fit of that resample alone
+    measured = HomOutcomes.from_counts(*counts)
+    fit = fit_bunching(measured, survival_s, p_lic0, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    draws = rng.multinomial(measured.trials_kept, measured.triple(), size=hom.BOOTSTRAP_RESAMPLES)
+    singles = [fit_bunching(HomOutcomes.from_counts(*draw.tolist()), survival_s, p_lic0, seed).p_bunch
+               for draw in draws]
+    assert all(0.5 <= p <= 1.0 for p in singles)
+    assert fit.sigma == float(np.std(singles))
+
+
 def test_fit_recovers_exact_analytic_input():
     analytic = hom_analytic(EXPERIMENT)
     measured = HomOutcomes(trials_kept=10_000, p0=analytic.p0, p1=analytic.p1, p2=analytic.p2)
-    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=3)
+    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, seed=3)
     assert fit.p_bunch == pytest.approx(0.731, abs=0.005)
     assert fit.gamma == pytest.approx(2 * fit.p_bunch - 1.0)
 
@@ -137,13 +190,13 @@ def test_fit_recovers_generated_data(monkeypatch, target):
     gamma = 2.0 * target - 1.0
     params = HomParams(survival_s=0.84, p_lic0=0.71, gamma=gamma)
     mc = hom_monte_carlo(params, 10**6, seed=17)
-    fit = fit_bunching(mc, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=23)
+    fit = fit_bunching(mc, survival_s=0.84, p_lic0=0.71, seed=23)
     assert fit.p_bunch == pytest.approx(target, abs=0.01)
 
 
 def test_fit_on_reference_counts():
     measured = HomOutcomes.from_counts(39, 42, 19)
-    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=7)
+    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, seed=7)
     assert fit.p_bunch == pytest.approx(0.73, abs=0.02)
     assert 0.03 <= fit.sigma <= 0.09
     assert fit.trials_kept == 100
@@ -158,15 +211,8 @@ def test_fit_distinguishable_reference(monkeypatch):
         p1=hom_analytic(HomParams(0.84, 0.71, 0.0)).p1,
         p2=p2,
     )
-    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=10**6, seed=5)
+    fit = fit_bunching(measured, survival_s=0.84, p_lic0=0.71, seed=5)
     assert fit.p_bunch == pytest.approx(0.5, abs=0.01)
-
-
-@pytest.mark.parametrize("trials", [0, -5])
-def test_fit_rejects_too_few_trials(trials):
-    measured = HomOutcomes.from_counts(39, 42, 19)
-    with pytest.raises(ValidationError, match="trial"):
-        fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=trials, seed=0)
 
 
 def test_fit_rejects_empty_counts():
@@ -203,15 +249,14 @@ def test_params_validation():
 def test_fit_refuses_counts_beyond_the_bootstrap_draw(monkeypatch):
     monkeypatch.setattr(hom, "BOOTSTRAP_RESAMPLES", 3)
     largest = HomOutcomes.from_counts(hom.MAX_MEASURED_TRIALS - 10, 5, 5)
-    fit = fit_bunching(largest, survival_s=0.84, p_lic0=0.71, trials=1000, seed=0)
+    fit = fit_bunching(largest, survival_s=0.84, p_lic0=0.71, seed=0)
     assert fit.trials_kept == 2**63 - 1
     for n0 in (2**63 - 1, 10**20):
         with pytest.raises(ValidationError, match="more than"):
-            fit_bunching(HomOutcomes.from_counts(n0, 5, 5), survival_s=0.84, p_lic0=0.71,
-                         trials=1000, seed=0)
+            fit_bunching(HomOutcomes.from_counts(n0, 5, 5), survival_s=0.84, p_lic0=0.71, seed=0)
 
 
-THRESHOLD_PARAMS = {
+PARAMS_CASES = {
     "experiment": EXPERIMENT,
     "no-post-selection": HomParams(0.84, 0.71, 0.462),
     "all-zero": HomParams(0.0, 0.0, 0.0, p_addr=0.0, p_rec=0.0),
@@ -220,33 +265,7 @@ THRESHOLD_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 63, 64, 65, hom.MC_BLOCK])
-@pytest.mark.parametrize("params", list(THRESHOLD_PARAMS.values()), ids=list(THRESHOLD_PARAMS))
-def test_block_tally_matches_the_strided_column_formula(params, block):
-    thresholds = (params.p_addr, params.p_rec, params.survival_s, params.survival_s,
-                  params.p_bunch, params.p_lic0)
-    u = np.random.default_rng(block).random((block, 6))
-    rows = hom._threshold_rows(u, thresholds)
-    assert rows.dtype == bool and rows.flags.c_contiguous
-    for k, threshold in enumerate(thresholds):
-        assert np.array_equal(rows[k], u[:, k] < threshold)
-
-    # the tally before the threshold rows, one strided column per draw
-    kept = (u[:, 0] < params.p_addr) & (u[:, 1] < params.p_rec)
-    alive1 = u[:, 2] < params.survival_s
-    alive2 = u[:, 3] < params.survival_s
-    bunched = u[:, 4] < params.p_bunch
-    destroyed = u[:, 5] < params.p_lic0
-    both = kept & alive1 & alive2
-    pair_bunched = both & bunched
-    zero_out = (pair_bunched & destroyed) | (kept & ~(alive1 | alive2))
-    one_out = (pair_bunched & ~destroyed) | (kept & (alive1 ^ alive2))
-    two_out = both & ~bunched
-    expected = [int(zero_out.sum()), int(one_out.sum()), int(two_out.sum())]
-    assert hom._simulate_block(params, block, seed=block).tolist() == expected
-
-
-@pytest.mark.parametrize("params", list(THRESHOLD_PARAMS.values()), ids=list(THRESHOLD_PARAMS))
+@pytest.mark.parametrize("params", list(PARAMS_CASES.values()), ids=list(PARAMS_CASES))
 def test_analytic_triple_is_the_expectation_of_the_per_trial_rule(params):
     """Sum the 16 (alive1, alive2, bunched, destroyed) cases of a kept trial by their weights."""
     expected = [0.0, 0.0, 0.0]
@@ -264,57 +283,21 @@ def test_analytic_triple_is_the_expectation_of_the_per_trial_rule(params):
     assert np.abs(hom_analytic(params).triple() - expected).max() <= 1e-15
 
 
-def _all_draw_probabilities(survival_s, p_lic0, trials, seed, p_bunch):
-    """Outcome probabilities from every sorted pair draw, as before the bracket cut."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_one = n_none = 0
-    pair_draws, destroyed = [], []
-    for start in range(0, trials, hom.MC_BLOCK):
-        u = rng.random((min(hom.MC_BLOCK, trials - start), 4))
-        alive1 = u[:, 0] < survival_s
-        alive2 = u[:, 1] < survival_s
-        both = alive1 & alive2
-        n_one += int((alive1 ^ alive2).sum())
-        n_none += int((~(alive1 | alive2)).sum())
-        pair_draws.append(u[both, 2])
-        destroyed.append(u[both, 3] < p_lic0)
-    pair_draws = np.concatenate(pair_draws)
-    sorted_destroyed = np.sort(pair_draws[np.concatenate(destroyed)])
-    pair_draws.sort()
-    bunched = int(np.searchsorted(pair_draws, p_bunch, side="right"))
-    gone = int(np.searchsorted(sorted_destroyed, p_bunch, side="right"))
-    counts = np.array([gone + n_none, bunched - gone + n_one, len(pair_draws) - bunched])
-    return tuple((counts / trials).tolist())
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("survival_s,p_lic0,trials", [
-    (0.84, 0.71, 100_001),
-    (1.0, 0.0, 5000),
-    (0.5, 1.0, 7),
-])
-def test_in_bracket_draws_give_the_all_draw_probabilities(survival_s, p_lic0, trials, seed):
-    model = hom._McObjective(survival_s, p_lic0, trials, seed)
-    assert model.sorted_high.min(initial=1.0) >= hom.P_BUNCH_MIN
-    points = [hom.P_BUNCH_MIN, 1.0, 0.731]
-    points += [float(model.sorted_high[k]) for k in (0, len(model.sorted_high) // 2, -1)
-               if len(model.sorted_high)]
-    points += [float(x) for x in model.sorted_high_gone[:1]]
-    for p in points:
-        got = model.probabilities(p)
-        assert all(type(q) is float for q in got)
-        assert got == _all_draw_probabilities(survival_s, p_lic0, trials, seed, p)
-
-
-def test_fit_memory_stays_under_ten_bytes_per_trial():
-    import tracemalloc
-
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("params", list(PARAMS_CASES.values()), ids=list(PARAMS_CASES))
+def test_monte_carlo_counts_lie_within_six_sigma_of_the_analytic_classes(params, seed):
+    """Dropped, zero, one and two atoms: a class of probability 0 or 1 is met exactly."""
     trials = 10**6
-    measured = HomOutcomes.from_counts(39, 42, 19)
-    tracemalloc.start()
-    try:
-        fit_bunching(measured, survival_s=0.84, p_lic0=0.71, trials=trials, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * trials
+    kept = params.p_addr * params.p_rec
+    if kept == 0.0:
+        with pytest.raises(DegenerateSampleError):
+            hom_monte_carlo(params, trials, seed)
+        return
+    out = hom_monte_carlo(params, trials, seed)
+    assert sum(out.counts) == out.trials_kept <= trials
+    classes = [1.0 - kept] + [kept * p for p in hom_analytic(params).triple()]
+    for count, p in zip([trials - out.trials_kept, *out.counts], classes):
+        if p in (0.0, 1.0):
+            assert count == trials * p
+        else:
+            assert abs(count - trials * p) <= 6.0 * math.sqrt(trials * p * (1.0 - p))

@@ -14,7 +14,6 @@ import atomsampler
 ALLOWED_DEFAULTS = [
     "cli._add_common.scenario_default",
     "cli.main.argv",
-    "hom.hom_monte_carlo.workers",
     "lossmodel.crossover.model",
     "lossmodel.crossover.n_range",
     "lossmodel.r_nisq.model",
