@@ -2,8 +2,8 @@
 
 The package splits into small, composable layers:
 
-- `fock`: N-particle occupation bases over M lattice modes, ranking, site
-  occupancy (each lattice site hosts two internal-state modes).
+- `fock`: N-particle occupation tables over M lattice modes, their rank
+  table, the site rule (each lattice site hosts two internal-state modes).
 - `interferometer`: Haar unitaries, the rectangular coupling-mesh
   decomposition, composite pulse synthesis for single couplings.
 - `permanent` / `sampling`: permanent kernels and exact output
@@ -16,15 +16,7 @@ The package splits into small, composable layers:
 """
 
 from .errors import DegenerateSampleError, SizeCapError, ValidationError
-from .fock import (
-    FockState,
-    basis_rank,
-    enumerate_basis,
-    is_collision_free,
-    multiset_dimension,
-    site_occupancy,
-    state_rank,
-)
+from .fock import FockState, is_collision_free, multiset_dimension
 from .interferometer import (
     CircuitPlan,
     PulseSequence,
@@ -35,7 +27,7 @@ from .interferometer import (
     mesh_layers,
     reconstruct,
 )
-from .permanent import permanent_glynn, permanent_naive, permanents_of_rows
+from .permanent import permanent_glynn, permanents_of_rows
 from .sampling import (
     OutputDistribution,
     collision_free_mass,

@@ -54,10 +54,8 @@ import numpy as np
 from . import lossmodel
 from .errors import (ValidationError, as_array, check_count, check_lifetime, check_positive,
                      check_rates)
-from .fock import (basis_array, check_size_cap, multiset_dimension, rank_table, site_count,
-                   state_rank)
+from .fock import basis_array, check_size_cap, multiset_dimension, rank_table, site_count
 from .interferometer import clements_decompose, coupling_matrix, haar_random_unitary, mesh_layers
-from .parallel import spawn_seeds
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +84,6 @@ def uniform_state(n, m):
     """Normalized amplitudes, equal, positive and real, over the whole (n, m) basis."""
     dim = check_size_cap(multiset_dimension(n, m), "amplitudes")
     return np.ones(dim, dtype=complex) / np.sqrt(dim)
-
-
-def basis_state(state):
-    """Amplitudes with all weight on one Fock basis state."""
-    dim = check_size_cap(multiset_dimension(state.total, state.m), "amplitudes")
-    amps = np.zeros(dim, dtype=complex)
-    amps[state_rank(state)] = 1.0
-    return amps
 
 
 def build_decay_diagonal(n, m, tau_bg, tau_tb):
@@ -281,9 +271,11 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     # the model draws no random number: a geometry it refuses is refused before any circuit runs
     model_p_step = lossmodel.p_step_twobody(n, m, 1.0, tau_tb)
     excluded = lossmodel.excluded_occupancy_mass(n, m)
-    # the realization's first spawned child seeds its unitary
-    plans = (clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
-             for child in spawn_seeds(seed, realizations))
+    # each realization spawns its child of the root as it starts, the same child
+    # that spawning all of them at once gives; that child's first child seeds its unitary
+    root = np.random.SeedSequence(seed)
+    plans = (clements_decompose(haar_random_unitary(m, root.spawn(1)[0].spawn(1)[0]))
+             for _ in range(realizations))
     return BenchmarkResult(
         m=m,
         p_j=np.vstack([run_circuit(initial, n, plan, rates)[1] for plan in plans]),

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError, as_array, check_count
+from .errors import SizeCapError, ValidationError, check_count
 
 #: Most rows, amplitudes or unitary entries an input-sized array may hold.
 BASIS_CAP = 10**7
@@ -63,15 +63,6 @@ def multiset_dimension(n, m):
     check_count("n", n, 0)
     check_count("m", m, 1)
     return comb(m + n - 1, n)
-
-
-def enumerate_basis(n, m):
-    """All N-particle Fock states over M modes in canonical order.
-
-    The order is descending lexicographic on occupation vectors; the list
-    index of each state equals its `state_rank`.
-    """
-    return [FockState(tuple(row)) for row in basis_array(n, m)]
 
 
 #: Atom indices and occupation counts held at one time while filling a table
@@ -142,40 +133,12 @@ def rank_table(n, m):
     return np.array(table, dtype=dtype).reshape(m, n + 1)
 
 
-def basis_rank(states):
-    """Canonical basis index of every (..., M) occupation row, with no loop.
-
-    The term for mode j depends only on the atoms in modes 0..j: one lookup
-    per mode in the binomial `rank_table`.  An entry above `BASIS_CAP` is a
-    `SizeCapError`, so no int64 row sum wraps.
-    """
-    states = as_array(states, np.int64, "states")
-    if states.size and states.min() < 0:
-        raise ValidationError("negative occupation in a state to rank")
-    # an entry above the cap puts the rank table above it too; asked before a row sum can wrap
-    check_size_cap(int(states.max(initial=0)), "atoms in one mode of a state to rank")
-    totals = states.sum(axis=-1, keepdims=True)
-    table = rank_table(int(totals.max(initial=0)), states.shape[-1])
-    return table[np.arange(states.shape[-1]), totals - np.cumsum(states, axis=-1)].sum(axis=-1)
-
-
-def state_rank(state):
-    """Index of `state` in the canonical basis order."""
-    return int(basis_rank(state.occupations))
-
-
 def site_count(m):
     """Lattice sites spanned by M modes; site s is modes 2s and 2s+1, so M must be even."""
     check_count("mode count", m, 0)
     if m % 2 != 0:
         raise ValidationError(f"mode count {m} is odd; sites need mode pairs")
     return m // 2
-
-
-def site_occupancy(state):
-    """Per-site atom counts as a tuple (site s = modes 2s, 2s+1)."""
-    occ = state.occupations
-    return tuple(occ[2 * s] + occ[2 * s + 1] for s in range(site_count(state.m)))
 
 
 def is_collision_free(state):

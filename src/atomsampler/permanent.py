@@ -48,11 +48,10 @@ and the kernel takes fresh scratch arrays of at most `WORKSPACE` complex
 elements each.  `check_glynn_cap` is the only comparison with `GLYNN_CAP`;
 `permanents_of_rows` and callers that refuse early ask it.
 `permanent_glynn` is the checked single-matrix entry point, one all-ones
-occupation row through `permanents_of_rows`, and `permanent_naive` the
-factorial-time cross-check, summing row products over all permutations.
+occupation row through `permanents_of_rows`.  The factorial-time
+cross-check that sums row products over all permutations is test code,
+`permanent_naive` in `tests/oracles.py`.
 """
-
-from itertools import permutations
 
 import numpy as np
 
@@ -61,24 +60,12 @@ from .errors import SizeCapError, ValidationError, as_array, check_count
 #: Glynn evaluation refuses matrices larger than this.
 GLYNN_CAP = 28
 
-#: The permutation sum is only sane for tiny matrices.
-NAIVE_CAP = 9
-
 #: Signs evaluated in one vectorized step; 2^LOW_SIGNS sign vectors per matrix.
 LOW_SIGNS = 12
 
 #: Complex elements of the (n, 2^low, batch) column sums held at one time
 #: (2 MiB); also sizes the submatrix stacks `permanents_of_rows` gathers.
 WORKSPACE = 1 << 17
-
-
-def _checked_square(a, name):
-    a = as_array(a, complex, f"{name}'s matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    check_count(f"{name}'s matrix size", n, 1)
-    return a, n
 
 
 def check_glynn_cap(n):
@@ -172,14 +159,9 @@ def permanent_glynn(a):
 
     Cost doubles with every row; `check_glynn_cap` keeps runaway inputs out.
     """
-    a, n = _checked_square(a, "permanent_glynn")
+    a = as_array(a, complex, "permanent_glynn's matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"permanent_glynn needs a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    check_count("permanent_glynn's matrix size", n, 1)
     return complex(permanents_of_rows(a, np.ones((1, n), dtype=np.uint8))[0])
-
-
-def permanent_naive(a):
-    """Permanent by explicit permutation sum; oracle for small matrices up to `NAIVE_CAP`."""
-    a, n = _checked_square(a, "permanent_naive")
-    if n > NAIVE_CAP:
-        raise SizeCapError(f"permanent_naive capped at n <= {NAIVE_CAP}, got n = {n}")
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    return complex(a[np.arange(n), perms].prod(axis=1).sum())

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from atomsampler.errors import ValidationError
-from atomsampler.exactsim import basis_state, benchmark_vs_model, build_decay_diagonal, run_circuit
-from atomsampler.fock import FockState, enumerate_basis, multiset_dimension, site_occupancy, state_rank
+from atomsampler.exactsim import benchmark_vs_model, build_decay_diagonal, run_circuit
+from atomsampler.fock import FockState, multiset_dimension
 from atomsampler.hom import HomOutcomes, bunching_from_p2, fit_bunching, hom_analytic, hom_monte_carlo, HomParams
 from atomsampler.interferometer import (
     clements_decompose,
@@ -30,9 +30,10 @@ from atomsampler.lossmodel import (
     poisson_pair_limit,
     truncated_sector_mass,
 )
-from atomsampler.permanent import permanent_glynn, permanent_naive
+from atomsampler.permanent import permanent_glynn
 from atomsampler.sampling import outcome_probability
 from atomsampler.scenarios import load_bundle
+from oracles import basis_state, enumerate_basis, permanent_naive, site_occupancy, state_rank
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 

@@ -8,7 +8,8 @@ of the package that such code names.  A name mentioned only by a test
 reference, or by a definition nothing reaches, has no caller.  The
 `__init__` re-export is no caller either.  The few public names that only
 the tests reach are listed in `REFERENCES`, each with the reason it stays,
-so a new public name needs a caller or an entry here.
+so a new public name needs a caller or an entry here.  Code that only checks
+the package is no public name: it lives in `tests/oracles.py`.
 """
 
 import ast
@@ -20,17 +21,6 @@ PACKAGE = Path(atomsampler.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 REFERENCES = [
-    # the one-Fock-state input of the state-vector vs permanent oracle (criterion 11) and of the
-    # decay laws, which run `run_circuit` on a plan whose pair blocks are all the identity
-    "exactsim.basis_state",
-    # the rank of an occupation table, checked against the canonical basis order; `state_rank`
-    # ranks one state with it, for `basis_state` and the tests that look up one amplitude
-    "fock.basis_rank",
-    # the basis as `FockState`s, walked by the rank, occupancy and oracle tests
-    "fock.enumerate_basis",
-    # the per-state site rule that the pair/trio counts are checked against (criterion 05)
-    "fock.site_occupancy",
-    "fock.state_rank",
     # the only reader that checks a `decompose` payload rebuilds its unitary
     "interferometer.plan_from_json",
     # the exact sector probability that the sector sum's float weights equal bit for bit (criterion 05)
@@ -42,12 +32,8 @@ REFERENCES = [
     # no command starts a thread pool; bench/spans.py traces the pool by name, and its per-layer
     # metrics read None without it, so it stays until the benchmark drops them
     "parallel.parallel_map",
-    # the size limit of the factorial oracle below
-    "permanent.NAIVE_CAP",
-    # the single-matrix Glynn entry point checked against that oracle (criterion 02)
+    # the single-matrix Glynn entry point checked against the factorial oracle (criterion 02)
     "permanent.permanent_glynn",
-    # the factorial oracle of the Glynn kernel (criterion 02)
-    "permanent.permanent_naive",
 ]
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

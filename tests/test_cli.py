@@ -15,6 +15,7 @@ from atomsampler.lossmodel import r_ideal
 from atomsampler.permanent import GLYNN_CAP
 from atomsampler.sampling import outcome_probability
 from atomsampler.scenarios import load_bundle, load_hom_counts
+from oracles import enumerate_basis
 
 
 def run(*argv):
@@ -142,8 +143,6 @@ def test_sample_frequencies_match_distribution(tmp_path):
         counts[occ] = counts.get(occ, 0) + 1
     assert sum(counts.values()) == 10_000
     inp = FockState((1, 0, 1, 0))
-    from atomsampler.fock import enumerate_basis
-
     expected, observed = [], []
     for state in enumerate_basis(2, 4):
         p = outcome_probability(u, inp, state)

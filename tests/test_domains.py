@@ -48,12 +48,9 @@ from atomsampler.exactsim import (
 from atomsampler.fock import (
     FockState,
     basis_array,
-    basis_rank,
     collision_free_array,
-    enumerate_basis,
     multiset_dimension,
     site_count,
-    state_rank,
 )
 from atomsampler.hom import (
     HomOutcomes,
@@ -97,7 +94,7 @@ from atomsampler.lossmodel import (
     truncated_sector_mass,
 )
 from atomsampler.parallel import parallel_map, spawn_seeds
-from atomsampler.permanent import permanent_glynn, permanent_naive, permanents_of_rows
+from atomsampler.permanent import permanent_glynn, permanents_of_rows
 from atomsampler.sampling import (
     collision_free_mass,
     draw_samples,
@@ -138,8 +135,6 @@ COUNT_CALLERS = {
     "exactsim.benchmark_vs_model.realizations": lambda k: benchmark_vs_model(1, 4, 1.0, k + 1, 0),
     "fock.multiset_dimension.n": lambda k: multiset_dimension(k, 4),
     "fock.multiset_dimension.m": lambda k: multiset_dimension(2, k + 1),
-    "fock.enumerate_basis.n": lambda k: enumerate_basis(k, 3),
-    "fock.enumerate_basis.m": lambda k: enumerate_basis(1, k + 1),
     "fock.basis_array.n": lambda k: basis_array(k, 3),
     "fock.basis_array.m": lambda k: basis_array(1, k + 1),
     "fock.collision_free_array.n": lambda k: collision_free_array(k, 3),
@@ -341,7 +336,6 @@ UNSWEPT = {
     "exactsim.BenchmarkResult.p_j": "record",
     "exactsim.BenchmarkResult.model_p_step": "record",
     "exactsim.BenchmarkResult.excluded_occupancy_mass": "record",
-    "exactsim.basis_state.state": "object",
     "exactsim.apply_decay.amps": "array",
     "exactsim.apply_decay.factor": "array",
     "exactsim.apply_layer.amps": "array",
@@ -358,9 +352,6 @@ UNSWEPT = {
     "fock.FockState.occupations": "array",
     "fock.rank_table.n": "size",
     "fock.rank_table.m": "size",
-    "fock.basis_rank.states": "array",
-    "fock.state_rank.state": "object",
-    "fock.site_occupancy.state": "object",
     "fock.is_collision_free.state": "object",
     "hom.HomOutcomes.counts": "record",
     "hom.BunchingFit.p_bunch": "record",
@@ -411,7 +402,6 @@ UNSWEPT = {
     "permanent.permanents_of_rows.columns": "array",
     "permanent.permanents_of_rows.occupations": "array",
     "permanent.permanent_glynn.a": "array",
-    "permanent.permanent_naive.a": "array",
     "sampling.OutputDistribution.states": "record",
     "sampling.OutputDistribution.probs": "record",
     "sampling.outcome_probability.u": "array",
@@ -466,8 +456,8 @@ def _plan_payload(theta):
 ATOM = FockState((1,))
 
 #: One call per public entry point that converts a caller's array, JSON
-#: payload or angle, each with one entry past the float range (past int64 for
-#: the occupations `basis_rank` counts in): an OverflowError before `in_range`.
+#: payload or angle, each with one entry past the float range: an
+#: OverflowError before `in_range`.
 PAST_THE_RANGE = {
     "unitary_from_json": lambda: unitary_from_json({"m": 1, "re": [[BIG]], "im": [[0]]}),
     "plan_from_json": lambda: plan_from_json(_plan_payload(BIG)),
@@ -475,14 +465,11 @@ PAST_THE_RANGE = {
     "clements_decompose": lambda: clements_decompose([[BIG]]),
     "unitarity_defect": lambda: unitarity_defect([[BIG]]),
     "permanent_glynn": lambda: permanent_glynn([[BIG]]),
-    "permanent_naive": lambda: permanent_naive([[BIG]]),
     "permanents_of_rows": lambda: permanents_of_rows([[BIG]], [[1]]),
     "output_distribution": lambda: output_distribution([[BIG]], ATOM),
     "outcome_probability": lambda: outcome_probability([[BIG]], ATOM, ATOM),
     "run_circuit.amps": lambda: run_circuit([BIG], 0, PLAN, VACUUM_RATES),
     "run_circuit.rates": lambda: run_circuit(VACUUM, 0, PLAN, [BIG]),
-    "basis_rank": lambda: basis_rank([[2**63, 0]]),
-    "state_rank": lambda: state_rank(FockState((2**63, 0))),
     "coupling_matrix": lambda: coupling_matrix(BIG, 0.0),
     "phase_imprint": lambda: phase_imprint(BIG),
     "composite_pulse.theta": lambda: composite_pulse(BIG, 0.0).as_matrix(),

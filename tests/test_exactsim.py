@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,13 +11,12 @@ from atomsampler.exactsim import (
     _cmul,
     _pair_block,
     _pair_fibers,
-    basis_state,
     benchmark_vs_model,
     build_decay_diagonal,
     run_circuit,
     uniform_state,
 )
-from atomsampler.fock import FockState, basis_array, enumerate_basis, site_occupancy, state_rank
+from atomsampler.fock import FockState, basis_array
 from atomsampler.interferometer import (
     CircuitPlan,
     clements_decompose,
@@ -25,8 +25,10 @@ from atomsampler.interferometer import (
     mesh_layers,
 )
 from atomsampler.lossmodel import p_step_twobody
-from atomsampler.permanent import permanent_naive, permanents_of_rows
+from atomsampler.parallel import spawn_seeds
+from atomsampler.permanent import permanents_of_rows
 from atomsampler.sampling import outcome_probability
+from oracles import basis_state, enumerate_basis, permanent_naive, site_occupancy, state_rank
 
 
 def _norm_squared(amps):
@@ -352,6 +354,36 @@ def test_benchmark_refuses_an_unmodelled_geometry_before_it_simulates(monkeypatc
     monkeypatch.setattr(exactsim, "run_circuit", no_circuit)
     with pytest.raises(ValidationError, match="puts four on a site"):
         benchmark_vs_model(200, 2, 1.0, 1, 0)
+
+
+def test_benchmark_spawns_a_realizations_seed_as_it_starts(monkeypatch):
+    # spawning all 1e5 children before the first circuit held 37 MB of seed sequences
+    def first_unitary(*args):
+        raise RuntimeError("first unitary")
+
+    monkeypatch.setattr(exactsim, "haar_random_unitary", first_unitary)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first unitary"):
+            benchmark_vs_model(1, 2, 1.0, realizations=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63])
+def test_each_realization_runs_the_circuit_of_its_eager_child(seed):
+    # the children spawned one at a time are those of one spawn of all of them,
+    # so a realization's survival depends neither on the realization count nor
+    # on whether its seed was spawned early
+    n, m, realizations = 2, 4, 3
+    result = benchmark_vs_model(n, m, 1.0, realizations, seed)
+    rates = build_decay_diagonal(n, m, math.inf, float(m))
+    for row, child in zip(result.p_j, spawn_seeds(seed, realizations), strict=True):
+        plan = clements_decompose(haar_random_unitary(m, child.spawn(1)[0]))
+        assert np.array_equal(run_circuit(uniform_state(n, m), n, plan, rates)[1], row)
+    assert np.array_equal(benchmark_vs_model(n, m, 1.0, 1, seed).p_j, result.p_j[:1])
 
 
 def test_a_size_sweep_keeps_one_geometry_and_the_same_bits():

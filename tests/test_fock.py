@@ -8,21 +8,19 @@ import pytest
 
 from atomsampler import fock
 from atomsampler.errors import SizeCapError, ValidationError
-from atomsampler.exactsim import basis_state, build_decay_diagonal, uniform_state
+from atomsampler.exactsim import benchmark_vs_model, build_decay_diagonal, uniform_state
 from atomsampler.fock import (
     FockState,
     basis_array,
-    basis_rank,
     collision_free_array,
-    enumerate_basis,
     is_collision_free,
     multiset_dimension,
     rank_table,
-    site_occupancy,
-    state_rank,
 )
 from atomsampler.interferometer import CircuitPlan, haar_random_unitary, mesh_layers
 from atomsampler.lossmodel import p_pairs_trios
+from atomsampler.sampling import output_distribution
+from oracles import basis_rank, enumerate_basis, site_occupancy, state_rank
 
 
 def test_multiset_dimension_values():
@@ -36,11 +34,6 @@ def test_basis_rank_numbers_the_basis(n, m):
     arr = basis_array(n, m)
     assert np.array_equal(basis_rank(arr), np.arange(len(arr)))
     assert np.array_equal(basis_rank(arr[::-1].reshape(-1, 1, m))[:, 0], np.arange(len(arr))[::-1])
-
-
-def test_basis_rank_rejects_negative_occupations():
-    with pytest.raises(ValidationError):
-        basis_rank([[2, -1, 1]])
 
 
 def test_state_rank_is_exact_beyond_int64():
@@ -74,24 +67,29 @@ def test_enumerate_basis_cap():
         enumerate_basis(10, 40)
 
 
-# each would hold at least 240 kB: 42 504 amplitudes, 15 504 x 20 table entries
-# or 300 x 300 unitary entries; the rank tables (3 x (2**70 + 1) and
-# 2 x (2**40 + 1) terms) and the meshes (about 5e19 slots) would grow as
-# lists until the process ran out of memory
+# each would hold at least 240 kB: 42 504 amplitudes, basis rows, rates or
+# outcomes, 15 504 x 20 table entries, 300 x 300 unitary entries or 501 x 2
+# survival ratios; the rank tables (3 x (2**70 + 1) and 2 x (2**40 + 1)
+# terms) and the meshes (about 5e19 slots) would grow as lists until the
+# process ran out of memory
 @pytest.mark.parametrize(
     "allocate",
     [
         lambda: uniform_state(5, 20),
-        lambda: basis_state(FockState((5,) + (0,) * 19)),
+        lambda: basis_array(5, 20),
+        lambda: build_decay_diagonal(5, 20, 1.0, 1.0),
+        lambda: output_distribution(np.eye(20), FockState((5,) + (0,) * 19)),
         lambda: collision_free_array(5, 20),
         lambda: haar_random_unitary(300, seed=0),
+        lambda: benchmark_vs_model(1, 2, 1.0, 501, 0),
         lambda: rank_table(2**70, 3),
         lambda: basis_rank([[2**40, 0]]),
         lambda: mesh_layers(10**10),
         lambda: CircuitPlan(m=10**10, theta=[], phi=[], output_phases=[]),
     ],
-    ids=["uniform_state", "basis_state", "collision_free_array", "haar_random_unitary",
-         "rank_table", "basis_rank", "mesh_layers", "CircuitPlan"],
+    ids=["uniform_state", "basis_array", "build_decay_diagonal", "output_distribution",
+         "collision_free_array", "haar_random_unitary", "benchmark_vs_model", "rank_table",
+         "basis_rank", "mesh_layers", "CircuitPlan"],
 )
 def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
     monkeypatch.setattr(fock, "BASIS_CAP", 1000)
@@ -105,15 +103,6 @@ def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("occupations", [(2**62, 2**62), (2**62,) * 4], ids=["two", "four"])
-def test_an_occupation_above_the_cap_is_refused_before_its_row_sum_wraps(occupations):
-    # each row sums past int64 - 1: to -2**63 or to 0, which indexed past the rank table
-    with pytest.raises(SizeCapError, match="atoms in one mode"):
-        basis_rank([occupations])
-    with pytest.raises(SizeCapError, match="atoms in one mode"):
-        state_rank(FockState(occupations))
-
-
 def test_rank_examples():
     assert state_rank(FockState((2, 0))) == 0
     assert state_rank(FockState((0, 2))) == 2
@@ -123,9 +112,34 @@ def test_rank_examples():
 def test_rank_unrank_bijection(n, m):
     # a rank indexes the basis table, and the table row at that index ranks back to it
     table = basis_array(n, m)
-    for idx, state in enumerate(enumerate_basis(n, m)):
-        assert state_rank(state) == idx
-        assert FockState(tuple(int(k) for k in table[idx])) == state
+    assert np.array_equal(basis_rank(table), np.arange(len(table)))
+    for idx in (0, len(table) - 1):
+        assert state_rank(FockState(table[idx])) == idx
+
+
+# C(66, 33) < 2**63 <= C(67, 33): the last int64 table and the first two of Python ints
+@pytest.mark.parametrize("n,m", [(0, 1), (1, 1), (3, 4), (5, 20), (33, 33), (34, 33), (33, 34)])
+def test_rank_table_terms_are_exact_and_no_int64_rank_wraps(n, m):
+    table = rank_table(n, m)
+    assert table.shape == (m, n + 1)
+    assert table.tolist() == [
+        [comb(s + m - j - 2, m - j - 1) if s else 0 for s in range(n + 1)] for j in range(m)
+    ]
+    # a rank adds one term per mode, none above its row's largest
+    largest = sum(max(row) for row in table.tolist())
+    assert largest >= multiset_dimension(n, m) - 1
+    assert (table.dtype == np.int64) == (comb(n + m, n) < 2**63)
+    if table.dtype == np.int64:
+        assert largest < 2**63
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 8), (5, 10)])
+def test_collision_free_rows_keep_their_basis_order(n, m):
+    # the singly occupied rows are the basis rows at strictly increasing ranks
+    singles = collision_free_array(n, m)
+    ranks = basis_rank(singles)
+    assert np.all(np.diff(ranks) > 0)
+    assert np.array_equal(basis_array(n, m)[ranks], singles)
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 6), (3, 8), (4, 10), (5, 12), (5, 16)])

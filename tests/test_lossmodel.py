@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from atomsampler.errors import SizeCapError, ValidationError
-from atomsampler.fock import enumerate_basis, multiset_dimension, site_occupancy
+from atomsampler.fock import multiset_dimension
 from atomsampler.lossmodel import (
     FINITE_MODEL_CAP,
     ClassicalScenario,
@@ -29,6 +29,7 @@ from atomsampler.lossmodel import (
     truncated_sector_mass,
 )
 from atomsampler.scenarios import load_bundle
+from oracles import enumerate_basis, site_occupancy
 
 SOTA = load_bundle("state-of-the-art")
 CONSERVATIVE = load_bundle("conservative")
