@@ -27,13 +27,22 @@ gathers each group, multiplies it from the left by its block, one zgemm
 per n_pair, and scatters it back.  Couplings of one layer share no mode
 but their fibers share basis rows, so they are applied one after another.
 
+A coupling's pair blocks grow one atom at a time (Risbo's recursion for
+Wigner D-matrices, J. Geodesy 70, 383 (1996)): each entry of the n_pair
+block is a weighted sum of four entries of the n_pair - 1 block, each
+weight the root of an exact integer product, so an idle slot
+(theta = phi = 0) gets exactly the identity and no binomial sum cancels.
+The blocks for n_pair = 1..n cost O(n^3) per coupling and stay unitary:
+max |B^H B - I| grows about as n_pair times the coupling's own defect (up
+to 2.2e-16 from `coupling_matrix`), and the stated bound is 1e-13 for
+n_pair <= 200.
+
 `run_circuit` is the one path through a circuit.  It evaluates the
 coupling matrices of every slot of the plan in one call and their pair
-blocks in one call per n_pair, and hands each layer the blocks of its
-slots in turn; a block sums only its nonzero terms, and an idle slot
-(theta = phi = 0) keeps its block, which is exactly the identity.  It
-decays by the per-step rates its caller passes, each >= 0 or inf, so
-`benchmark_vs_model` builds them once for all its realizations.  A step's
+blocks in one recursion, and hands each layer the blocks of its slots in
+turn.  It decays by the per-step rates its caller passes, each >= 0 or
+inf, so `benchmark_vs_model` builds them once for all its realizations.
+A lossless run keeps every p_j and its norm within 1e-12 of 1.  A step's
 survival is capped at 1, which a lossless step can round past.  Each step
 calls the two step kernels, `apply_decay` and `apply_layer`, which check
 nothing and have no other caller; they are module functions so that
@@ -142,59 +151,42 @@ def _pair_fibers(n, m):
     return tuple(pairs)
 
 
-def _block_terms(n_pair):
-    """`_pair_block`'s valid terms: coefficients, exponents, sum rounds and scales.
-
-    A term (p_out, p_in, i) is valid when none of its four exponents is
-    negative; the valid i of an entry run from max(0, p_in + p_out - n_pair)
-    to min(p_in, p_out).  Terms are ordered by their place d in that run:
-    the first (n_pair + 1)^2 terms, d = 0, start every entry's sum in flat
-    order, and rounds[d - 1] lists the flat entries p_out (n_pair + 1) + p_in
-    that the next stretch of terms, at place d, is added to.
-    """
-    k = n_pair + 1
-    p_out, p_in = np.divmod(np.arange(k * k), k)
-    low = np.maximum(0, p_in + p_out - n_pair)
-    count = np.minimum(p_in, p_out) - low + 1
-    rounds = [np.flatnonzero(count > d) for d in range(count.max())]
-    entry = np.concatenate(rounds)
-    p_out, p_in = p_out[entry], p_in[entry]
-    i = low[entry] + np.repeat(np.arange(len(rounds)), [len(r) for r in rounds])
-    binom = np.array([[math.comb(a, b) for b in range(k)] for a in range(k)])
-    coef = (binom[p_in, i] * binom[n_pair - p_in, p_out - i]).astype(float)
-    # scales from exact integers, rounded once
-    weight = [math.factorial(p) * math.factorial(n_pair - p) for p in range(k)]
-    scale = np.array([[math.sqrt(w_out / w_in) for w_in in weight] for w_out in weight])
-    return coef, (i, p_in - i, p_out - i, n_pair - p_in - p_out + i), rounds[1:], scale
-
-
 def _cmul(x, y):
     # rounds each real product, as scalar arithmetic does; vectorized complex
     # multiplication may fuse a multiply and an add and change the last bit
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def _pair_block(t2, n_pair):
-    """Symmetric-power representation of (..., 2, 2) couplings on n_pair bosons.
+def _pair_blocks(t2, n):
+    """Symmetric-power representations of (..., 2, 2) couplings on n_pair = 1..n bosons.
 
-    Entry [p_out, p_in] is sqrt(p_out! q_out! / (p_in! q_in!)) times the sum,
-    in increasing i, of binomial(p_in, i) binomial(q_in, p_out - i)
-    t00^i t10^(p_in - i) t01^(p_out - i) t11^(q_in - p_out + i), over the
-    terms with no negative exponent.
+    Entry [p_out, p_in] of block k is the permanent of t2 with row 0 taken
+    p_out times, row 1 q_out = k - p_out times, column 0 p_in times and
+    column 1 q_in = k - p_in times, over sqrt(p_out! q_out! p_in! q_in!).
+    Block k grows from block k - 1 by one atom: its entry is 1/k times
+    sqrt(p_out p_in) t00 B[p_out - 1, p_in - 1] + sqrt(q_out p_in) t10 B[p_out, p_in - 1]
+    + sqrt(p_out q_in) t01 B[p_out - 1, p_in] + sqrt(q_out q_in) t11 B[p_out, p_in].
     """
-    coef, (e00, e10, e01, e11), rounds, scale = _block_terms(n_pair)
-    k = np.arange(n_pair + 1)
-    t00, t10, t01, t11 = (t2[..., r, c, None] ** k for r, c in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    terms = coef * t00[..., e00]
-    for power, exponent in ((t10, e10), (t01, e01), (t11, e11)):
-        terms = _cmul(terms, power[..., exponent])
-    start = scale.size
-    block = terms[..., :start]
-    for entries in rounds:
-        block[..., entries] += terms[..., start : start + len(entries)]
-        start += len(entries)
-    # C order: matmul takes the same BLAS path for every block
-    return np.ascontiguousarray(scale * block.reshape(block.shape[:-1] + scale.shape))
+    block = np.ones(t2.shape[:-2] + (1, 1), dtype=complex)
+    blocks = []
+    for k in range(1, n + 1):
+        atoms = np.arange(1, k + 1)
+        # per mode of t2: the block-k rows (or columns) that take an atom from it, and their counts
+        sides = ((slice(1, None), atoms), (slice(None, -1), atoms[::-1]))
+        # C order: every slot's block is C-contiguous, so matmul takes one BLAS path
+        grown = np.zeros(t2.shape[:-2] + (k + 1, k + 1), dtype=complex)
+        for r, c in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            (rows, out), (cols, into) = sides[r], sides[c]
+            # weights from exact integers, rounded once
+            weight = np.sqrt(np.outer(out, into))
+            grown[..., rows, cols] += weight * _cmul(t2[..., r, c, None, None], block)
+        # real and imaginary parts divided apart: complex division by k multiplies
+        # by a rounded 1 / k, and 49 * (1 / 49) rounds below 1
+        parts = grown.view(float)
+        parts /= k
+        blocks.append(grown)
+        block = grown
+    return blocks
 
 
 def apply_decay(amps, factor):
@@ -225,9 +217,10 @@ def run_circuit(amps, n, plan, rates):
     """
     amps, rates = as_array(amps, complex, "amps").copy(), as_array(rates, float, "rates")
     dim = multiset_dimension(n, plan.m)
-    if len(amps) != dim:
+    if amps.shape != (dim,):
         raise ValidationError(
-            f"{len(amps)} amplitudes, but n={n} atoms on the plan's {plan.m} modes span {dim} states"
+            f"amplitudes of shape {amps.shape}, but n={n} atoms on the plan's {plan.m} modes"
+            f" span a vector of {dim} states"
         )
     if np.shape(amps) != np.shape(rates):
         raise ValidationError(
@@ -237,7 +230,7 @@ def run_circuit(amps, n, plan, rates):
     factor = np.exp(-rates)
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per slot, in layer order, its pair blocks for n_pair = 1..n; a layer takes the next ones
-    couplings = zip(*(_pair_block(t2, n_pair) for n_pair in range(1, n + 1)))
+    couplings = zip(*_pair_blocks(t2, n))
     # squared norms summed without BLAS, whose threads would split the sum
     parts = amps.view(float)
     norm = float(np.einsum("i,i->", parts, parts))

@@ -128,14 +128,16 @@ def _glynn_batch(a):
 def permanents_of_rows(columns, occupations):
     """Permanents of the N x N matrices that repeat row j of `columns` occupations[d, j] times.
 
-    `columns` is (M, N), `occupations` (D, M) with non-negative rows summing
-    to N; N = 0 gives 1 per row.  Batches of `glynn_batch_size(N)` matrices
+    `columns` is (M, N), `occupations` (D, M) integers with non-negative rows
+    summing to N; N = 0 gives 1 per row.  Batches of `glynn_batch_size(N)` matrices
     are evaluated one at a time, so the scratch memory does not grow with D.
     """
     columns = as_array(columns, complex, "columns")
     occupations = np.asarray(occupations)
     if columns.ndim != 2 or occupations.shape[1:] != columns.shape[:1]:
         raise ValidationError(f"need (M, N) and (D, M), got {columns.shape}, {occupations.shape}")
+    if not np.issubdtype(occupations.dtype, np.integer):
+        raise ValidationError(f"occupations must be integers, got dtype {occupations.dtype}")
     m, n = columns.shape
     check_glynn_cap(n)
     if occupations.size and (occupations.min() < 0 or np.any(occupations.sum(axis=1) != n)):

@@ -9,7 +9,7 @@ from atomsampler import exactsim, fock
 from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
     _cmul,
-    _pair_block,
+    _pair_blocks,
     _pair_fibers,
     benchmark_vs_model,
     build_decay_diagonal,
@@ -231,9 +231,12 @@ def test_run_circuit_matches_the_permanent_step_reference(n, m, seed, tau_bg, id
 
 
 def test_idle_slots_change_no_amplitude():
-    # an idle slot (theta = phi = 0) keeps its pair block, which is exactly the identity
-    for k in range(1, 9):
-        assert np.array_equal(_pair_block(coupling_matrix(0.0, 0.0), k), np.eye(k + 1))
+    # an idle slot (theta = phi = 0) keeps its pair blocks, each exactly the identity; at
+    # n_pair = 49, 49 * (1 / 49) rounds to below 1, so a block must divide by n_pair
+    blocks = _pair_blocks(coupling_matrix(0.0, 0.0), 64)
+    assert [len(block) for block in blocks] == list(range(2, 66))
+    for block in blocks:
+        assert np.array_equal(block, np.eye(len(block)))
     n, m = 3, 6
     amps = uniform_state(n, m)
     amps *= np.exp(2j * np.pi * np.random.default_rng(3).random(amps.size))
@@ -254,6 +257,30 @@ def test_lossless_run_circuit_drift_bound():
     assert abs(_norm_squared(final) - 1.0) <= 1e-12
 
 
+def test_lossless_run_circuit_on_two_modes_keeps_its_norm_at_a_hundred_atoms():
+    # stated bound: the pair blocks stay unitary at any n_pair, so a run of 100 atoms in one
+    # pair keeps every p_j and the final norm within 1e-12 of 1 (the closed binomial sum
+    # missed the norm by 5.6e-7 here, while the cap held p_j at 1)
+    n = 100
+    plan = clements_decompose(haar_random_unitary(2, seed=5))
+    final, p_j = run_circuit(uniform_state(n, 2), n, plan, np.zeros(n + 1))
+    assert len(p_j) == 1  # two modes: one layer of one coupling
+    assert np.all(p_j <= 1.0) and np.max(1.0 - p_j) <= 1e-12
+    assert abs(_norm_squared(final) - 1.0) <= 1e-12
+
+
+def test_pair_blocks_stay_unitary_to_two_hundred_atoms():
+    # stated bound: max |B^dagger B - I| <= 1e-13 for every block up to n_pair = 200; an exact
+    # symmetric power has about n_pair times its coupling's own defect (up to 2.2e-16 here)
+    plan = clements_decompose(haar_random_unitary(4, seed=3))
+    # one coupling at a time: a coupling's 200 blocks hold 43 MB
+    for t2 in coupling_matrix(plan.theta, plan.phi):
+        blocks = _pair_blocks(t2, 200)
+        assert len(blocks) == 200
+        for block in blocks:
+            assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-13
+
+
 def test_run_circuit_validates_dimensions():
     plan = clements_decompose(haar_random_unitary(4, seed=8))
     with pytest.raises(ValidationError, match="amplitudes"):
@@ -269,6 +296,11 @@ def test_run_circuit_validates_dimensions():
         with pytest.raises(ValidationError, match="amplitudes"):
             run_circuit(amps, n, plan6, np.zeros(len(amps)))
     amps, rates = uniform_state(2, 4), build_decay_diagonal(2, 4, 1.0, 1.0)
+    # a column of amplitudes with rates of its shape is not a state vector
+    with pytest.raises(ValidationError, match="amplitudes of shape"):
+        run_circuit(amps[:, None], 2, plan, rates[:, None])
+    with pytest.raises(ValidationError, match="amplitudes of shape"):
+        run_circuit(1.0, 1, clements_decompose(np.eye(1)), 0.0)
     for wrong in (build_decay_diagonal(2, 6, 1.0, 1.0), rates[:, None]):
         with pytest.raises(ValidationError, match="do not match rates"):
             run_circuit(amps, 2, plan, wrong)
@@ -433,10 +465,10 @@ def test_pair_fibers_partition_the_paired_states(n, m):
 def test_pair_block_matches_permanents():
     rng = np.random.default_rng(12)
     stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    for k in range(1, 7):
-        blocks = _pair_block(stack, k)
-        for t2, block in zip(stack, blocks):
-            assert np.array_equal(_pair_block(t2, k), block)
+    singles = [_pair_blocks(t2, 6) for t2 in stack]
+    for k, blocks in enumerate(_pair_blocks(stack, 6), start=1):
+        for t2, single, block in zip(stack, singles, blocks):
+            assert np.array_equal(single[k - 1], block)
             for p_out in range(k + 1):
                 for p_in in range(k + 1):
                     rows = [0] * p_out + [1] * (k - p_out)
@@ -450,8 +482,8 @@ def test_pair_block_matches_permanents():
 
 
 def _pair_block_all_terms(t2, n_pair):
-    # reference: every (p_out, p_in, i), a term with a negative exponent zeroed by its
-    # coefficient, summed in increasing i
+    # reference: the closed binomial sum over every (p_out, p_in, i), a term with a negative
+    # exponent zeroed by its coefficient, summed in increasing i
     p_out, p_in, i = np.ogrid[: n_pair + 1, : n_pair + 1, : n_pair + 1]
     exponents = np.broadcast_arrays(i, p_in - i, p_out - i, n_pair - p_in - p_out + i)
     valid = np.min(exponents, axis=0) >= 0
@@ -469,14 +501,13 @@ def _pair_block_all_terms(t2, n_pair):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_pair_block_of_the_valid_terms_matches_all_terms_bit_for_bit(k):
+def test_pair_blocks_match_the_closed_binomial_sum(k):
     plan = clements_decompose(haar_random_unitary(20, seed=30 + k))
     for t2 in (
         coupling_matrix(plan.theta, plan.phi),  # every slot of the plan, stacked
         coupling_matrix(np.zeros(3), np.zeros(3)),
         coupling_matrix(0.0, 0.0),
     ):
-        block, expected = _pair_block(t2, k), _pair_block_all_terms(t2, k)
-        assert block.shape == expected.shape
-        # integer views: zero signs count too
-        assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+        block, expected = _pair_blocks(t2, k)[-1], _pair_block_all_terms(t2, k)
+        assert block.shape == expected.shape and block.flags.c_contiguous
+        assert np.max(np.abs(block - expected)) <= 1e-14

@@ -95,6 +95,9 @@ def test_permanents_of_rows_input_validation():
         permanents_of_rows(np.ones((3, 2)), [[1, 1, 0], [2, 1, 0]])
     with pytest.raises(ValidationError):
         permanents_of_rows(np.ones((3, 2)), [[1, 1, 0], [3, -1, 0]])
+    # occupations are counts: a float table is refused, not handed to np.repeat
+    with pytest.raises(ValidationError, match="integers"):
+        permanents_of_rows(np.eye(2), [[1.0, 1.0]])
     # refused before any row is read
     with pytest.raises(SizeCapError):
         permanents_of_rows(np.ones((30, 29)), np.zeros((0, 30), dtype=np.uint8))
