@@ -40,8 +40,10 @@ n_pair <= 200.
 `run_circuit` is the one path through a circuit.  It evaluates the
 coupling matrices of every slot of the plan in one call and their pair
 blocks in one recursion, and hands each layer the blocks of its slots in
-turn.  It decays by the per-step rates its caller passes, each >= 0 or
-inf, so `benchmark_vs_model` builds them once for all its realizations.
+turn.  Those blocks, slots x sum over k = 1..n of (k + 1)^2 entries, are
+asked of `fock.check_size_cap` before any is built.  It decays by the
+per-step rates its caller passes, each >= 0 or inf, so
+`benchmark_vs_model` builds them once for all its realizations.
 A lossless run keeps every p_j and its norm within 1e-12 of 1.  A step's
 survival is capped at 1, which a lossless step can round past.  Each step
 calls the two step kernels, `apply_decay` and `apply_layer`, which check
@@ -227,6 +229,9 @@ def run_circuit(amps, n, plan, rates):
             f"amplitudes of shape {np.shape(amps)} do not match rates of shape {np.shape(rates)}"
         )
     check_rates(rates)
+    # every slot's pair blocks are held at once: sum over k = 1..n of (k + 1)^2 entries each
+    check_size_cap(plan.coupling_count * ((n + 1) * (n + 2) * (2 * n + 3) // 6 - 1),
+                   f"pair block entries for n={n} on {plan.coupling_count} slots")
     factor = np.exp(-rates)
     t2 = coupling_matrix(plan.theta, plan.phi)
     # per slot, in layer order, its pair blocks for n_pair = 1..n; a layer takes the next ones

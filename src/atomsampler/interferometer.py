@@ -18,11 +18,22 @@ payloads convert through `errors.as_array`, and the angles of a single
 coupling, imprint or pulse go to numpy under `errors.in_range`, so an entry
 past the float range is a ValidationError.
 
+A coupling acts on a pair of vectors, the columns or rows of a pair of
+modes, by one rule, `_rotate`: x, y <- t00 x + t01 y, t10 x + t11 y,
+elementwise.  Both sweeps of `clements_decompose` and every layer of
+`reconstruct` use it, and the sweep's angles come from `math.atan2` and
+`cmath.phase` on the scalars it reads.  No BLAS call touches a plan, so its
+bits do not depend on the BLAS kernel or thread count.  They still depend
+on numpy's SIMD loops: `coupling_matrix` evaluates its cosine, sine and
+exponential with numpy.
+
 Hardware-wise a coupling is a composite pulse: a site-resolved phase imprint
 A(phi), a global Hadamard H = exp(-i sigma_x pi/4), a second imprint A(theta),
 the inverse Hadamard, and a residual common-mode phase of -phi/2.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -55,6 +66,15 @@ def coupling_matrix(theta, phi):
     out[..., 1, 0] = bottom
     out[..., 1, 1] = c
     return out
+
+
+def _rotate(x, y, t):
+    """Set x, y <- t00 x + t01 y, t10 x + t11 y in place, for a (..., 2, 2)
+    coupling stack `t` broadcast against the vectors: the mesh's one
+    rotation rule, elementwise, so no BLAS kernel touches it."""
+    top = t[..., 0, 0] * x + t[..., 0, 1] * y
+    y[...] = t[..., 1, 0] * x + t[..., 1, 1] * y
+    x[...] = top
 
 
 def phase_imprint(angle):
@@ -224,10 +244,9 @@ def clements_decompose(u):
                 a, b = work[row, col], work[row, col + 1]
                 t = p = 0.0  # an entry that is zero already keeps the identity coupling
                 if abs(a) != 0.0:
-                    t = 2.0 * np.arctan2(abs(a), abs(b))
-                    p = (np.angle(b) - np.angle(a)) % TWO_PI
-                    cols = work[:, col : col + 2]
-                    cols[...] = cols @ coupling_matrix(t, p).conj().T
+                    t = 2.0 * math.atan2(abs(a), abs(b))
+                    p = (cmath.phase(b) - cmath.phase(a)) % TWO_PI
+                    _rotate(work[:, col], work[:, col + 1], coupling_matrix(t, p).conj())
                 place(col, t, p)
         else:
             for j in range(1, diag + 1):
@@ -236,10 +255,9 @@ def clements_decompose(u):
                 a, b = work[row - 1, col], work[row, col]
                 t = p = 0.0
                 if abs(b) != 0.0:
-                    t = 2.0 * np.arctan2(abs(b), abs(a))
-                    p = (np.angle(a) - np.angle(b) - np.pi) % TWO_PI
-                    rows = work[row - 1 : row + 1, :]
-                    rows[...] = coupling_matrix(t, p) @ rows
+                    t = 2.0 * math.atan2(abs(b), abs(a))
+                    p = (cmath.phase(a) - cmath.phase(b) - math.pi) % TWO_PI
+                    _rotate(work[row - 1], work[row], coupling_matrix(t, p))
                 row_ops.append((row - 1, t, p))
     phases = list(np.angle(np.diagonal(work)))
     for mode, t, p in reversed(row_ops):
@@ -260,23 +278,23 @@ def clements_decompose(u):
 def reconstruct(plan):
     """Multiply out a plan: the mesh layers in order, then the output phases.
 
-    A layer's couplings act on disjoint adjacent row pairs, which are updated
-    in place: O(M^2) per layer, O(M^3) in all.  The Frobenius error of a
+    A layer's couplings act on disjoint adjacent row pairs, which `_rotate`
+    updates in place, the same rule the decomposition's sweeps use: O(M^2)
+    per layer, O(M^3) in all, and no BLAS call.  The Frobenius error of a
     round trip through `clements_decompose` stays below 0.1 M^3 eps (eps the
     float64 machine epsilon): Haar unitaries with seeds 1, 2 and 7 gave 8e-3
     to 4e-2 M^3 eps at M = 16, 64, 128 and 256, falling with M.
     """
     u = np.eye(plan.m, dtype=complex)
-    t = coupling_matrix(plan.theta, plan.phi)[..., None]
+    # one (1, 2, 2) coupling per slot, broadcast along its row pair
+    t = coupling_matrix(plan.theta, plan.phi)[:, None]
     start = 0
     for layer in mesh_layers(plan.m):
         # the layer's pairs tile rows first .. first + 2K - 1 without a gap
         rows = u[layer.start : layer.start + 2 * len(layer)].reshape(len(layer), 2, plan.m)
         block = t[start : start + len(layer)]
         start += len(layer)
-        top = block[:, 0, 0] * rows[:, 0] + block[:, 0, 1] * rows[:, 1]
-        rows[:, 1] = block[:, 1, 0] * rows[:, 0] + block[:, 1, 1] * rows[:, 1]
-        rows[:, 0] = top
+        _rotate(rows[:, 0], rows[:, 1], block)
     return np.exp(1j * plan.output_phases)[:, None] * u
 
 

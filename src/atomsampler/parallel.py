@@ -1,9 +1,12 @@
-"""Deterministic seed splitting and a thread pool.
+"""Deterministic seed splitting and a thread pool that no routine runs.
 
-Every stochastic routine in this package takes a single root seed and derives
-per-task seeds with ``numpy.random.SeedSequence.spawn``, always in the same
-order.  Worker counts only control concurrency, never the task partition, so
-results are bit-identical for any number of workers.
+`spawn_seeds` derives child seed sequences from one root seed with
+``numpy.random.SeedSequence.spawn``, always in the same order; the `sample`
+command splits its seed into the unitary's and the draw's this way.  The
+library's stochastic routines seed numpy themselves: `hom_monte_carlo`,
+`haar_random_unitary` and `draw_samples` pass their seed to
+``numpy.random.default_rng``.  No routine of the package calls
+`parallel_map`; it stays because `bench/spans.py` traces it by name.
 """
 
 import os

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -229,13 +230,24 @@ def test_hom_payload_is_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+#: The 16-mode DFT unitary as a `decompose --data` payload, computed by
+#: `cmath` so that no numpy loop touches the input.
+_DFT = [[cmath.exp(2j * math.pi * j * k / 16) / 4.0 for k in range(16)] for j in range(16)]
+DFT16 = {"m": 16, "re": [[z.real for z in row] for row in _DFT],
+         "im": [[z.imag for z in row] for row in _DFT]}
+
+
 #: SHA-256 of each payload file after its `#` stamp line (the output, then
-#: any sidecar).  Each holds at any BLAS thread count.  The `exactsim` ones
-#: were recorded when the pair blocks came to grow one atom at a time from
-#: the block below, in place of the closed binomial sum: a p_j moved by at
-#: most 8.9e-16 (n=5, m=20, 30 realizations, seeds 1-3 and 100-109; 3216 of
-#: 7800 ratios kept their bits).  The others date from before the HOM Monte
-#: Carlo rework, which runs none of these commands' code.
+#: any sidecar).  Each holds at any BLAS thread count.  `decompose-m16` and
+#: the `exactsim` ones were recorded when the mesh's rotations became one
+#: elementwise step with angles from `math` and `cmath`, in place of two 2x2
+#: BLAS matmuls and numpy's scalar arctan2 and angle: a p_j moved by at most
+#: 1.6e-15 (n=5, m=20, 30 realizations, seeds 1, 2, 3, 100 and 101; 356 of
+#: 3000 ratios kept their bits) and a plan angle by at most 1.4e-14 at M=16.
+#: `decompose-dft16` plans the 16-mode DFT unitary, written with `cmath`:
+#: its bytes hold under any BLAS kernel too, but not with numpy's AVX-512
+#: loops off.  The others date from before the HOM Monte Carlo rework,
+#: which runs none of these commands' code.
 PAYLOAD_DIGESTS = {
     **{
         f"exactsim-seed-{seed}": (
@@ -243,17 +255,21 @@ PAYLOAD_DIGESTS = {
             digests,
         )
         for seed, digests in [
-            (1, ("87de051d9d9992115b51819dfbf79be0aa9f2053ea347332e37cb40e059b2ec7",
-                 "f90110b6cd89da3d9e1129e70cf08c5f98121a45f701a7989815e49601605e8d")),
-            (2, ("44cb13f6c0c890f300fa81c08f1d45530cad5a936b921d20ea6d979befce5233",
-                 "435335113fa2d4a1a116378a5f86232f34e24fb89572167398e230b39e7f9b86")),
-            (3, ("14450fc64a853b4332f271b47daa1e6e73771afcc41e890264c52b0048d613a1",
-                 "d4ff9c8431a2dc66dcfa545940a56ea4700d765437a56dd037506380c36d87ec")),
+            (1, ("43eb5ccbc964ca598c97f01aec97037ec2269bd7f2c3aa8e6bd7bd2768540e9e",
+                 "cab4863a128fd613505785907f39f1eeac34478f6a2a5a74094e52af55d2f3c1")),
+            (2, ("ac70e864336208bdad6846f0ddc18e1bb2a6300490e94329ab7fd061defa1918",
+                 "67ee46aeec1a264e716a06171e6ccc34268c7aff69ce087abedfca126b5fd7e3")),
+            (3, ("9baa9a64df6729cb63488d38874d656f4fe2f00845879ac7631affbd05b7c024",
+                 "afd923d99e7b0c861e6d85af3721cc33bcafd4a14fa6c35db32fe56c8eabcd28")),
         ]
     },
     "decompose-m16": (
         ["decompose", "--m", 16],
-        ("65f3e42a7520e888833ce8bfa3433186e886215b42b8e747b977fd6b10efa293",),
+        ("ce369631f2ce103bf86022b3c6b616f7d3308f0ebce1e298f6bc3ddbd7be132c",),
+    ),
+    "decompose-dft16": (
+        ["decompose", "--data", "{dft}"],
+        ("76a122461ff6495c2ba89114fc54ca63d59054ae20b4ebae6e2c88ea438efa2c",),
     ),
     # the finite-size sum for every N: rows 41..60 left the closed form
     "rates": (
@@ -265,8 +281,10 @@ PAYLOAD_DIGESTS = {
 
 @pytest.mark.parametrize("argv,digests", list(PAYLOAD_DIGESTS.values()), ids=list(PAYLOAD_DIGESTS))
 def test_command_payload_is_pinned(tmp_path, argv, digests):
+    upath = tmp_path / "dft.json"
+    upath.write_text(json.dumps(DFT16))
     out = tmp_path / "out.csv"
-    assert run(*argv, "--out", out) == 0
+    assert run(*[str(a).format(dft=upath) for a in argv], "--out", out) == 0
     files = [out] + [out.with_suffix(".summary.json")] * (len(digests) > 1)
     for path, digest in zip(files, digests):
         data = path.read_bytes()

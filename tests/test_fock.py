@@ -8,7 +8,8 @@ import pytest
 
 from atomsampler import fock
 from atomsampler.errors import SizeCapError, ValidationError
-from atomsampler.exactsim import benchmark_vs_model, build_decay_diagonal, uniform_state
+from atomsampler.exactsim import (benchmark_vs_model, build_decay_diagonal, run_circuit,
+                                  uniform_state)
 from atomsampler.fock import (
     FockState,
     basis_array,
@@ -67,11 +68,12 @@ def test_enumerate_basis_cap():
         enumerate_basis(10, 40)
 
 
-# each would hold at least 240 kB: 42 504 amplitudes, basis rows, rates or
-# outcomes, 15 504 x 20 table entries, 300 x 300 unitary entries or 501 x 2
-# survival ratios; the rank tables (3 x (2**70 + 1) and 2 x (2**40 + 1)
-# terms) and the meshes (about 5e19 slots) would grow as lists until the
-# process ran out of memory
+# each asks for more than the patched cap of 1000 entries: 42 504
+# amplitudes, basis rows, rates or outcomes, 15 504 x 20 table entries,
+# 300 x 300 unitary entries, 501 x 2 survival ratios or the 8 970 pair block
+# entries of 15 atoms on a 4-mode plan (816 amplitudes, under the cap); the
+# rank tables (3 x (2**70 + 1) and 2 x (2**40 + 1) terms) and the meshes
+# (about 5e19 slots) would grow as lists until the process ran out of memory
 @pytest.mark.parametrize(
     "allocate",
     [
@@ -86,10 +88,12 @@ def test_enumerate_basis_cap():
         lambda: basis_rank([[2**40, 0]]),
         lambda: mesh_layers(10**10),
         lambda: CircuitPlan(m=10**10, theta=[], phi=[], output_phases=[]),
+        lambda: run_circuit(uniform_state(15, 4), 15, CircuitPlan(4, np.zeros(6), np.zeros(6),
+                                                                  np.zeros(4)), np.zeros(816)),
     ],
     ids=["uniform_state", "basis_array", "build_decay_diagonal", "output_distribution",
          "collision_free_array", "haar_random_unitary", "benchmark_vs_model", "rank_table",
-         "basis_rank", "mesh_layers", "CircuitPlan"],
+         "basis_rank", "mesh_layers", "CircuitPlan", "run_circuit"],
 )
 def test_size_cap_is_checked_before_allocating(monkeypatch, allocate):
     monkeypatch.setattr(fock, "BASIS_CAP", 1000)
