@@ -262,13 +262,15 @@ def benchmark_vs_model(n, m, tau_tb_over_texec, realizations, seed):
     """
     check_count("realizations", realizations, 1)
     check_positive("tau_tb / t_exec", tau_tb_over_texec)
-    initial = uniform_state(n, m)  # checked against the cap before any unitary is drawn
+    check_size_cap(multiset_dimension(n, m), "amplitudes")
     tau_tb = tau_tb_over_texec * m
     check_size_cap(realizations * m, f"survival ratios for {realizations} realizations of m={m}")
-    rates = build_decay_diagonal(n, m, math.inf, tau_tb)
-    # the model draws no random number: a geometry it refuses is refused before any circuit runs
+    site_count(m)
+    # the model builds no basis: a geometry it refuses is refused before any table is built
     model_p_step = lossmodel.p_step_twobody(n, m, 1.0, tau_tb)
     excluded = lossmodel.excluded_occupancy_mass(n, m)
+    initial = uniform_state(n, m)
+    rates = build_decay_diagonal(n, m, math.inf, tau_tb)
     # each realization spawns its child of the root as it starts, the same child
     # that spawning all of them at once gives; that child's first child seeds its unitary
     root = np.random.SeedSequence(seed)

@@ -5,12 +5,12 @@ Modes come in pairs: mode ``2s + sigma`` with sigma in {0, 1} addresses the
 two internal states of lattice site ``s``, so M modes span M/2 sites.  The
 canonical basis order is descending lexicographic on occupation vectors,
 starting from (N, 0, ..., 0); ranks are combinadic, one lookup per mode in
-`rank_table`.  Only the last basis table is kept: a workload has one (N, M).
+`rank_table`, and `basis_array` unranks its rows through the same table, so
+that table alone defines the order.  No table is kept between calls.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -65,48 +65,36 @@ def multiset_dimension(n, m):
     return comb(m + n - 1, n)
 
 
-#: Atom indices and occupation counts held at one time while filling a table
-#: (8 MiB of each).
+#: Table entries (rows x M) filled per chunk; a chunk's temporaries are a few
+#: integers per row, or its rows' occupied mode indices.
 FILL_CHUNK = 1 << 20
-
-
-def _occupation_rows(mode_tuples, dim, n, m):
-    """Read-only (dim, M) occupation table from `dim` mode-index tuples of length n.
-
-    Rows are counted in chunks of at most `FILL_CHUNK` entries and stored in
-    the smallest unsigned type that holds n, so no full-size wide temporary
-    is built.
-    """
-    out = np.empty((dim, m), dtype=np.min_scalar_type(n))
-    step = max(1, min(dim, FILL_CHUNK // max(n, m, 1)))
-    # flat index row * M + mode of every atom in a chunk, counted in one pass
-    offsets = np.repeat(np.arange(0, step * m, m), n)
-    for start in range(0, dim, step):
-        rows = min(step, dim - start)
-        flat = np.fromiter(
-            chain.from_iterable(islice(mode_tuples, rows)), dtype=np.intp, count=rows * n
-        )
-        flat += offsets[: rows * n]
-        out[start : start + rows] = np.bincount(flat, minlength=rows * m).reshape(rows, m)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _basis_array_cached(n, m):
-    dim = multiset_dimension(n, m)
-    return _occupation_rows(combinations_with_replacement(range(m), n), dim, n, m)
 
 
 def basis_array(n, m):
     """Canonical basis as a read-only (dim, M) occupation table.
 
-    The type is the smallest unsigned integer that holds n: uint8 up to
-    n = 255.  Widen before arithmetic that can leave its range, such as
-    differences or products.
+    Row r is rank r unranked through `rank_table`: at mode j the atoms left
+    after it are the largest s with T[j, s] <= the rank left, which then
+    drops by T[j, s].  The type is the smallest unsigned integer that holds
+    n: uint8 up to n = 255.  Widen before arithmetic that can leave its
+    range, such as differences or products.
     """
-    check_size_cap(multiset_dimension(n, m), f"basis states for n={n}, m={m}")
-    return _basis_array_cached(n, m)
+    dim = check_size_cap(multiset_dimension(n, m), f"basis states for n={n}, m={m}")
+    terms = rank_table(n, m)
+    out = np.empty((dim, m), dtype=np.min_scalar_type(n))
+    step = max(1, FILL_CHUNK // m)
+    for start in range(0, dim, step):
+        chunk = out[start : start + step]
+        rank = np.arange(start, start + len(chunk))
+        after = n  # atoms from mode j on
+        for j, row in enumerate(terms[:-1]):
+            atoms_after = np.searchsorted(row, rank, side="right") - 1
+            chunk[:, j] = after - atoms_after
+            rank -= row[atoms_after]
+            after = atoms_after
+        chunk[:, -1] = after
+    out.setflags(write=False)
+    return out
 
 
 def collision_free_array(n, m):
@@ -119,7 +107,16 @@ def collision_free_array(n, m):
     check_count("n", n, 0)
     check_count("m", m, 1)
     dim = check_size_cap(comb(m, n), f"collision-free patterns for n={n}, m={m}")
-    return _occupation_rows(combinations(range(m), n), dim, n, m)
+    out = np.zeros((dim, m), dtype=np.min_scalar_type(n))
+    occupied = combinations(range(m), n)
+    step = max(1, FILL_CHUNK // m)
+    for start in range(0, dim, step):
+        chunk = out[start : start + step]
+        modes = np.fromiter(chain.from_iterable(islice(occupied, len(chunk))), dtype=np.intp,
+                            count=len(chunk) * n)
+        np.put_along_axis(chunk, modes.reshape(len(chunk), n), 1, axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def rank_table(n, m):

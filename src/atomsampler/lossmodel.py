@@ -161,7 +161,7 @@ def _occupancy_sector(n, m):
     bit for bit (int true division rounds correctly).  Within one k3 the
     counts follow from the largest k2 down by exact integer steps: a pair
     fewer is two more singles on one more site.  Kept for 256 (n, m), unlike
-    the one-geometry caches of `fock` and `exactsim`: a rate curve asks for
+    the one-geometry fiber cache of `exactsim`: a rate curve asks for
     the same sector from `r_nisq`, `crossover` and `excluded_occupancy_mass`,
     and the default `rates` run finds 92 of its 151 lookups kept.
     """

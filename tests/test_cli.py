@@ -8,7 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-from atomsampler import cli, fock, lossmodel
+from atomsampler import cli, exactsim, fock, lossmodel
 from atomsampler.cli import main
 from atomsampler.fock import FockState
 from atomsampler.interferometer import unitary_from_json, unitary_to_json
@@ -653,6 +653,42 @@ def test_exactsim_rejects_bad_lifetime_ratio(tmp_path, capsys, ratio):
                "--out", tmp_path / "bench.csv") == 2
     assert "validation error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exactsim_refuses_a_geometry_the_model_refuses_before_building_the_basis(
+    tmp_path, monkeypatch, capsys
+):
+    # 200 atoms on 2 sites put four on a site in every placement; the basis has 1 373 701 rows
+    def never(*args):
+        raise AssertionError("the basis was built before the model refused")
+
+    monkeypatch.setattr(exactsim, "uniform_state", never)
+    monkeypatch.setattr(exactsim, "build_decay_diagonal", never)
+    assert run("exactsim", "--n", 200, "--m", 4, "--realizations", 1,
+               "--out", tmp_path / "bench.csv") == 2
+    assert "puts four on a site" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: (n, m, realizations) and the exit code of each before the model was asked first:
+#: odd m, n above `FINITE_MODEL_CAP`, more than three atoms per site, a dimension
+#: or realizations x m above `BASIS_CAP`, and pairs of these
+EXACTSIM_BOUNDARY_CODES = [
+    ((2, 5, 1), 2), ((3, 1, 1), 2), ((201, 2, 1), 3), ((4, 2, 1), 2), ((9, 4, 1), 2),
+    ((200, 4, 1), 2), ((13, 8, 1), 2), ((8, 30, 1), 3), ((1, 2, 5_000_001), 3),
+    ((201, 3, 1), 2), ((10, 3, 1), 2), ((8, 31, 1), 3), ((1, 3, 5_000_001), 3),
+    ((201, 4, 1), 3), ((201, 30, 1), 3), ((201, 2, 5_000_001), 3),
+    ((100, 6, 1), 3), ((4, 2, 5_000_001), 3), ((200, 200, 1), 3),
+    ((0, 2, 1), 0), ((6, 4, 1), 0),
+]
+
+
+@pytest.mark.parametrize("args,code", EXACTSIM_BOUNDARY_CODES,
+                         ids=[f"n{n}-m{m}-r{r}" for (n, m, r), _ in EXACTSIM_BOUNDARY_CODES])
+def test_exactsim_boundary_exit_codes(tmp_path, args, code):
+    n, m, realizations = args
+    assert run("exactsim", "--n", n, "--m", m, "--realizations", realizations,
+               "--out", tmp_path / "bench.csv") == code
 
 
 def test_hom_sim_and_fit(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from atomsampler import exactsim, fock
+from atomsampler import exactsim
 from atomsampler.errors import ValidationError
 from atomsampler.exactsim import (
     _cmul,
@@ -422,10 +422,8 @@ def test_a_size_sweep_keeps_one_geometry_and_the_same_bits():
     for n, m in ((4, 16), (5, 20), (3, 8)):
         benchmark_vs_model(n, m, 1.0, realizations=1, seed=n)
     assert _pair_fibers.cache_info().currsize == 1
-    assert fock._basis_array_cached.cache_info().currsize == 1
     after_sweep = benchmark_vs_model(5, 20, 1.0, realizations=2, seed=7).p_j
     _pair_fibers.cache_clear()
-    fock._basis_array_cached.cache_clear()
     cold = benchmark_vs_model(5, 20, 1.0, realizations=2, seed=7).p_j
     assert after_sweep.tobytes() == cold.tobytes()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
@@ -230,11 +231,56 @@ def test_basis_array_beyond_255_atoms():
     assert collision_free_array(300, 300).tolist() == [[1] * 300]
 
 
-def test_occupation_tables_filled_across_chunks(monkeypatch):
-    # at most ten entries per chunk: one or two rows at a time
+@pytest.mark.parametrize("n,m", [(3, 5), (4, 6), (0, 4), (0, 1), (4, 1), (2, 9)])
+def test_occupation_tables_filled_across_chunks(monkeypatch, n, m):
+    fills = (basis_array, collision_free_array)
+    whole = [fill(n, m).tolist() for fill in fills]
+    # at most ten table entries per chunk: one to ten rows at a time, by the mode count
     monkeypatch.setattr(fock, "FILL_CHUNK", 10)
-    n, m = 3, 5
-    full = fock._basis_array_cached.__wrapped__(n, m)
-    assert full.tolist() == basis_array(n, m).tolist()
-    singles = collision_free_array(n, m)
-    assert singles.tolist() == [[int(j in c) for j in range(m)] for c in combinations(range(m), n)]
+    assert [fill(n, m).tolist() for fill in fills] == whole
+
+
+def test_basis_array_with_many_atoms_on_few_modes():
+    arr = basis_array(200, 4)
+    assert arr.shape == (1_373_701, 4)
+    assert arr[0].tolist() == [200, 0, 0, 0] and arr[-1].tolist() == [0, 0, 0, 200]
+    assert np.array_equal(basis_rank(arr), np.arange(len(arr)))
+
+
+@pytest.mark.parametrize("fill,n,m,bound_mib", [
+    (basis_array, 5, 20, 4), (basis_array, 6, 24, 4), (collision_free_array, 6, 24, 8),
+])
+def test_occupation_table_fills_hold_few_temporaries(fill, n, m, bound_mib):
+    # a chunk's temporaries are a few integers per row, or its occupied mode indices
+    tracemalloc.start()
+    try:
+        table = fill(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes < bound_mib << 20
+
+
+#: SHA-256 of each table's bytes, its dtype and its shape, recorded from the
+#: fill that counted atom mode indices per row; the tables are integer-only,
+#: so they hold under any BLAS kernel or SIMD loop.
+TABLE_DIGESTS = {
+    "basis-5-20": (basis_array, 5, 20, "uint8", (42504, 20),
+                   "11d4437a00146a387f4ff151fee6454b9e7699602a98077e710b303db91086ef"),
+    "basis-6-24": (basis_array, 6, 24, "uint8", (475020, 24),
+                   "932899bc796917b0b825d25e8368f0bf5ec34cb347fb59ad471fa3909e422ab1"),
+    "basis-300-2": (basis_array, 300, 2, "uint16", (301, 2),
+                    "2902594fb14712b9b8481b35cd716dfed8427785c7c88dd7c5405a7a7b13ce0a"),
+    "collision-free-5-20": (collision_free_array, 5, 20, "uint8", (15504, 20),
+                            "3f1663c5e37785ebfe749df153599758b9da38b19f069571f40b6205f82eed4b"),
+    "collision-free-6-36": (collision_free_array, 6, 36, "uint8", (1947792, 36),
+                            "7d3bfdec3fd0f0062e2f37babc0507e0cf6e9d0be6fc7eeb14590b515b373c02"),
+}
+
+
+@pytest.mark.parametrize("fill,n,m,dtype,shape,digest", list(TABLE_DIGESTS.values()),
+                         ids=list(TABLE_DIGESTS))
+def test_occupation_table_is_pinned(fill, n, m, dtype, shape, digest):
+    table = fill(n, m)
+    assert (table.dtype, table.shape, table.flags.writeable) == (np.dtype(dtype), shape, False)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest
